@@ -136,6 +136,20 @@ def wait_ready(supervisor, shard, timeout=60.0):
     return False
 
 
+def wait_pongs(supervisor, shard, timeout=60.0) -> bool:
+    """Wait, in real time, until no worker of *shard* still owes a
+    heartbeat pong.  The virtual clock jumps in no real time, so without
+    this a healthy worker's pong races the next tick's heartbeat
+    timeout, and a busy host loses the race."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        workers = supervisor.snapshot()["shards"][shard]["workers"]
+        if not any(worker["awaiting_pong"] for worker in workers):
+            return True
+        time.sleep(0.02)
+    return False
+
+
 def restart_and_wait(supervisor, clock, shard) -> bool:
     clock.advance(1.0)
     supervisor.tick()
@@ -318,6 +332,8 @@ def run_hang() -> dict:
         checks["deaf_request_served"] = deaf_ok.ok
         clock.advance(1.1)
         supervisor.tick()  # ping goes out, into a deaf ear
+        # the idle courses worker was pinged too; let it answer
+        checks["healthy_worker_ponged"] = wait_pongs(supervisor, "courses")
         clock.advance(5.1)
         supervisor.tick()  # no pong inside heartbeat_timeout: killed
         checks["deaf_killed_by_heartbeat"] = supervisor.stats.timed_out == 2

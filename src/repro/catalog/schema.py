@@ -15,6 +15,7 @@ declared spelling for rendering translated queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .types import DataType
@@ -37,9 +38,10 @@ class Attribute:
     data_type: DataType = DataType.TEXT
     nullable: bool = True
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Case-insensitive lookup key for this attribute."""
+        """Case-insensitive lookup key for this attribute, computed once so
+        every memo key built from it shares one string."""
         return normalize(self.name)
 
 
@@ -85,6 +87,9 @@ class Relation:
         if not name:
             raise SchemaError("relation name must be non-empty")
         self.name = name
+        #: case-insensitive lookup key, computed once so every memo key
+        #: built from it shares one string
+        self.key = normalize(name)
         self._attributes: dict[str, Attribute] = {}
         self._order: list[str] = []
         for attribute in attributes:
@@ -100,11 +105,6 @@ class Relation:
                 raise SchemaError(
                     f"primary key column {pk_column!r} not in relation {name!r}"
                 )
-
-    @property
-    def key(self) -> str:
-        """Case-insensitive lookup key for this relation."""
-        return normalize(self.name)
 
     @property
     def attributes(self) -> list[Attribute]:

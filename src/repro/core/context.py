@@ -22,10 +22,16 @@ precomputed state it carries two cross-query memo tables:
   conditions) is scored once per relation, ever;
 * condition-satisfaction statuses keyed by (rendered probe, column).
 
-Schema-derived state (neighbors, name index, FK adjacency) is immutable
-for the database's lifetime; data-derived state (samples, both memo
-tables) is invalidated when the backend's ``data_version`` moves — the
-translator calls :meth:`ensure_current` at the top of every translation.
+Both are partitioned by what they read: tree similarities by relation,
+condition statuses by column.  Schema-derived state (neighbors, name
+index, FK adjacency) is immutable for the database's lifetime.
+Data-derived state reads the data only through column samples, so when
+the backend's ``data_version`` moves — the translator calls
+:meth:`ensure_current` at the top of every translation — the samples
+become a stale baseline, and a lookup about to read a memo first
+re-reads the samples that memo was built on: a column whose sample
+moved drops its condition statuses and its relation's tree
+similarities; every other memo is kept.
 
 The context reads its substrate only through the :class:`repro.backends.
 base.Backend` protocol (``catalog``, ``column_values``, ``data_version``),
@@ -40,6 +46,7 @@ semantics and :class:`TranslationStats` can report cache effectiveness.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
@@ -95,8 +102,11 @@ class ContextStats:
     #: result-cache invalidation events (data_version bump, vocabulary-
     #: alias registration) — each clears the whole cache
     result_invalidations: int = 0
-    #: times the data-derived caches were dropped after a Database mutation
+    #: data_version bumps observed; each marks every relation stale
     invalidations: int = 0
+    #: re-read columns found moved (dropping their statuses and their
+    #: relation's tree-sims), plus relations dropped by a failed re-read
+    revalidation_drops: int = 0
 
     def as_dict(self) -> dict[str, int]:
         # flat ints only; translate() snapshots this twice per call, so
@@ -299,6 +309,11 @@ class ContextMemoState:
     vocabulary aliases are deliberately absent: results bake in
     admission-time serving state, and aliases are runtime vocabulary
     (docs/ARTIFACTS.md, "what is not persisted").
+
+    The shape is flat — ``(fingerprint, relation)`` and ``(probe,
+    relation, attribute)`` keys, attribute maps as dicts — whatever the
+    live context's partitioned, compacted tables look like, so the
+    artifact format does not follow the in-memory layout.
     """
 
     samples: dict[tuple[str, str], list[Any]] = field(default_factory=dict)
@@ -325,6 +340,14 @@ class SampleSource:
         raise NotImplementedError
 
 
+def _same_sample(old: list[Any], new: list[Any]) -> bool:
+    """Whether a re-read sample equals its baseline, value *and* type
+    (``1 == 1.0 == True``, but a condition may tell them apart)."""
+    return old == new and all(
+        type(a) is type(b) for a, b in zip(old, new)
+    )
+
+
 # ---------------------------------------------------------------------------
 # the context
 # ---------------------------------------------------------------------------
@@ -342,7 +365,7 @@ class TranslationContext:
     The data-derived caches (and their :class:`ContextStats` counters)
     are protected by one lock, so a context can be shared by the
     per-worker translators of a concurrent query service: a sample is
-    built at most once per invalidation epoch, and invalidation is
+    built at most once per data epoch, and re-verifying a column is
     atomic with respect to in-flight lookups.  Memoized values are pure
     functions of (database contents, key), so two threads that race on
     the same miss compute the same value — sharing never changes
@@ -457,6 +480,7 @@ class TranslationContext:
     def _apply_schema_state(self, state: ContextSchemaState) -> None:
         # -- schema-derived (immutable for the database's lifetime) ----
         self.relations = state.relations
+        self._relation_by_key = {r.key: r for r in state.relations}
         self._neighbors = state.neighbors
         self.fk_edges = state.fk_edges
         self.name_index = state.name_index
@@ -470,15 +494,51 @@ class TranslationContext:
         memos: ContextMemoState,
         sample_source: Optional[SampleSource] = None,
     ) -> None:
-        # -- data-derived (invalidated on Database mutation) -----------
-        self._samples = dict(memos.samples)
+        # -- data-derived (revalidated after a Database mutation) ------
+        #: (relation key, attribute key) -> sample of the current epoch
+        self._samples: dict[tuple[str, str], list[Any]] = {}
         self._sample_source = sample_source
-        self._tree_sim_memo = dict(memos.tree_sims)
-        self._condition_memo = dict(memos.conditions)
+        #: relation key -> {tree fingerprint: (score, attribute pairs,
+        #: sampled columns)}; see :meth:`cached_tree_similarity`
+        self._tree_sims: dict[str, dict[TreeFingerprint, tuple]] = {}
+        self._column_sets: dict[frozenset, frozenset] = {}
+        #: (relation key, attribute key) -> {rendered probe: status}
+        self._conditions: dict[tuple[str, str], dict[str, str]] = {}
+        # -- revalidation state (see ensure_current) -------------------
+        #: relations not yet touched since the last data_version bump
+        self._stale: set[str] = set()
+        #: relation key -> {attribute key: sample its memos were built
+        #: on}, for every column not yet re-read since the bump
+        self._baseline: dict[str, dict[str, list[Any]]] = {}
+        #: an attached artifact's sample table from before the last bump,
+        #: the baseline of every column it holds and _baseline lacks
+        self._baseline_source: Optional[SampleSource] = None
         # -- generated-network memo (terminal-relation signature) ------
         #: signature -> (ExtendedViewGraph, tuple[JoinNetwork, ...]),
         #: LRU-bounded; see :meth:`cached_networks`
-        self._network_memo = dict(memos.networks)
+        self._network_memo: dict[tuple, tuple] = {}
+        self._merge_memos(memos)
+
+    def _merge_memos(self, memos: ContextMemoState) -> None:
+        """Fold a flat memo snapshot into the partitioned tables (caller
+        holds the lock or owns the context).  Existing entries win."""
+        for key, sample in memos.samples.items():
+            self._samples.setdefault(key, sample)
+        for (fingerprint, relation), (score, attribute_map) in (
+            memos.tree_sims.items()
+        ):
+            # the flat shape carries no sampled columns: None = all
+            self._tree_sims.setdefault(relation, {}).setdefault(
+                fingerprint, (score, tuple(attribute_map.items()), None)
+            )
+        for (probe, relation, attribute), status in memos.conditions.items():
+            self._conditions.setdefault((relation, attribute), {}).setdefault(
+                sys.intern(probe), status
+            )
+        for key, entry in memos.networks.items():
+            if len(self._network_memo) >= self._network_memo_cap:
+                break
+            self._network_memo.setdefault(key, entry)
 
     def seed_memos(self, memos: ContextMemoState) -> None:
         """Merge a persisted memo snapshot into the live tables.
@@ -490,26 +550,23 @@ class TranslationContext:
         entries win: they were computed against this very epoch.
         """
         with self._lock:
-            for key, sample in memos.samples.items():
-                self._samples.setdefault(key, sample)
-            for key, value in memos.tree_sims.items():
-                self._tree_sim_memo.setdefault(key, value)
-            for key, status in memos.conditions.items():
-                self._condition_memo.setdefault(key, status)
-            for key, entry in memos.networks.items():
-                if len(self._network_memo) >= self._network_memo_cap:
-                    break
-                self._network_memo.setdefault(key, entry)
+            self._merge_memos(memos)
 
     def export_state(self) -> tuple[ContextSchemaState, ContextMemoState]:
         """A consistent snapshot of both halves for artifact writing.
 
-        Lazily-sourced samples are materialised first so the exported
-        memo state stands alone; the memo dicts are shallow-copied under
-        the lock, so a concurrent translator can keep serving while the
-        artifact builder pickles.
+        The snapshot is of the backend's current data epoch: a pending
+        ``data_version`` bump is applied and every stale relation
+        revalidated first.  Lazily-sourced samples are materialised so
+        the exported memo state stands alone; the memo tables are copied
+        flat under the lock, so a concurrent translator can keep serving
+        while the artifact builder pickles.
         """
+        self.ensure_current()
         with self._lock:
+            for relation in self._relation_by_key:
+                if relation in self._stale or relation in self._baseline:
+                    self._touch(relation)
             source = self._sample_source
             pending = (
                 [k for k in source.keys() if k not in self._samples]
@@ -531,8 +588,18 @@ class TranslationContext:
         with self._lock:
             memos = ContextMemoState(
                 samples=dict(self._samples),
-                tree_sims=dict(self._tree_sim_memo),
-                conditions=dict(self._condition_memo),
+                tree_sims={
+                    (fingerprint, relation): (score, dict(pairs))
+                    for relation, partition in self._tree_sims.items()
+                    for fingerprint, (score, pairs, _) in partition.items()
+                },
+                conditions={
+                    (probe, relation, attribute): status
+                    for (relation, attribute), partition in (
+                        self._conditions.items()
+                    )
+                    for probe, status in partition.items()
+                },
                 networks=dict(self._network_memo),
             )
         return schema_state, memos
@@ -590,29 +657,109 @@ class TranslationContext:
     # invalidation
     # ------------------------------------------------------------------
     def ensure_current(self) -> None:
-        """Drop data-derived caches if the database has been mutated.
+        """Mark data-derived state for revalidation if the data moved.
 
         Schema-derived state (neighbors, name index, FK adjacency) never
-        changes — the catalog is fixed for the backend's lifetime — but
-        column samples, condition statuses, and tree similarities (whose
-        condition factor reads the data) all go stale on insert.
+        changes — the catalog is fixed for the backend's lifetime.  Every
+        data-derived memo reads the data only through column samples: a
+        condition status ``(probe, rel, attr)`` reads ``sample(rel,
+        attr)``, a tree similarity ``(fp, rel)`` reads samples of
+        ``rel``'s own columns, and the network memo reads none (its key
+        carries the ordered candidates, and edge weights read names).
+        So a bump moves the current samples to a stale baseline and
+        marks every relation stale; :meth:`_touch` re-reads a column
+        only when a lookup is about to read a memo built on it.
+        ``data_version`` covers the whole database, so this is what
+        stands in for knowing which table changed.
         """
         with self._lock:
             if self.database.data_version == self._data_version:
                 return
+            for (relation, attribute), sample in self._samples.items():
+                self._baseline.setdefault(relation, {})[attribute] = sample
             self._samples.clear()
-            # an attached artifact sample table belongs to the previous
-            # data epoch — the rescache contract applied to the source
-            self._sample_source = None
-            self._tree_sim_memo.clear()
-            self._condition_memo.clear()
-            self._network_memo.clear()
+            if self._sample_source is not None:
+                # an attached artifact's samples are one more baseline
+                self._baseline_source = self._sample_source
+                self._sample_source = None
+            self._stale.update(self._relation_by_key)
             # finished translations bake in condition evidence, so they
             # go stale with the data too (docs/CACHING.md, trigger 1)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
             self._data_version = self.database.data_version
             self.stats.invalidations += 1
+
+    def _touch(
+        self, relation: str, attributes: Optional[Iterable[str]] = None
+    ) -> bool:
+        """Bring one relation's memos up to date before a lookup reads
+        them (lock held); True when a column had moved.
+
+        The first touch since a bump *settles* the relation: the
+        baselines of its columns that carry condition statuses become
+        its pending columns, and the rest are forgotten — every sample a
+        memo read was read by a condition check, which left a status
+        there, and every status read a sample.  Then each pending column
+        among *attributes* (all of them when None) is re-read once:
+        equal to its baseline, value and type, it keeps every memo;
+        different, it drops its own statuses and the relation's tree
+        similarities.  If a read raises, every memo of the relation goes
+        before the error propagates, so no unverified entry outlives its
+        baseline.
+        """
+        owner = self._relation_by_key[relation]
+        moved = settled = False
+        try:
+            if relation in self._stale:
+                self._stale.discard(relation)
+                old = self._baseline.pop(relation, {})
+                pending = {}
+                for attribute in owner.attributes:
+                    key = (relation, attribute.key)
+                    if key not in self._conditions:
+                        continue
+                    sample = old.get(attribute.key)
+                    if sample is None and self._baseline_source is not None:
+                        sample = self._baseline_source.get(key)
+                    if sample is not None:
+                        pending[attribute.key] = sample
+                if pending:
+                    self._baseline[relation] = pending
+                if not self._stale:
+                    self._baseline_source = None
+            pending = self._baseline.get(relation, {})
+            for attribute in list(
+                pending if attributes is None else attributes
+            ):
+                old = pending.pop(attribute, None)
+                if old is None:
+                    continue
+                new = self._build_sample(
+                    owner.name, owner.attribute(attribute).name
+                )
+                self._samples[(relation, attribute)] = new
+                if not _same_sample(old, new):
+                    self._conditions.pop((relation, attribute), None)
+                    self._tree_sims.pop(relation, None)
+                    self.stats.revalidation_drops += 1
+                    moved = True
+            if not pending:
+                self._baseline.pop(relation, None)
+            settled = True
+        finally:
+            if not settled:
+                self._drop_relation(relation)
+        return moved
+
+    def _drop_relation(self, relation: str) -> None:
+        """Drop every memo that reads *relation*'s data (lock held)."""
+        self._tree_sims.pop(relation, None)
+        for attribute in self._relation_by_key[relation].attributes:
+            self._conditions.pop((relation, attribute.key), None)
+        self._baseline.pop(relation, None)
+        self._stale.discard(relation)
+        self.stats.revalidation_drops += 1
 
     # ------------------------------------------------------------------
     # schema-derived lookups
@@ -654,7 +801,7 @@ class TranslationContext:
         in :meth:`scoring_order` under tight budgets.
         """
         key = normalize(relation_name)
-        if not any(r.key == key for r in self.relations):
+        if key not in self._relation_by_key:
             raise SchemaError(f"unknown relation {relation_name!r}")
         clean = alias.strip()
         if not clean or normalize(clean) == key:
@@ -664,11 +811,11 @@ class TranslationContext:
             if normalize(clean) in {normalize(a) for a in current}:
                 return
             self._relation_aliases[key] = current + (clean,)
-            # aliases change name similarity, which the tree-sim memo bakes
-            # in — and through it the mappings baked into memoized networks
-            # and the finished translations of the result cache
-            self._tree_sim_memo.clear()
-            self._network_memo.clear()
+            # a relation alias changes only this relation's name
+            # similarity, which its tree-sim partition bakes in; finished
+            # translations are cleared wholesale.  Memoized networks are
+            # keyed on the mapping candidates, so they need no drop.
+            self._tree_sims.pop(key, None)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(key, [clean])
@@ -678,7 +825,7 @@ class TranslationContext:
     ) -> None:
         """Register *alias* as an extra name for one attribute."""
         rkey = normalize(relation_name)
-        relation = next((r for r in self.relations if r.key == rkey), None)
+        relation = self._relation_by_key.get(rkey)
         if relation is None:
             raise SchemaError(f"unknown relation {relation_name!r}")
         akey = normalize(attribute_name)
@@ -695,8 +842,7 @@ class TranslationContext:
             if normalize(clean) in {normalize(a) for a in current}:
                 return
             self._attribute_aliases[(rkey, akey)] = current + (clean,)
-            self._tree_sim_memo.clear()
-            self._network_memo.clear()
+            self._tree_sims.pop(rkey, None)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(rkey, [clean])
@@ -721,6 +867,8 @@ class TranslationContext:
         and shared by every condition check until the data changes."""
         key = (normalize(relation), normalize(attribute))
         with self._lock:
+            if key[0] in self._stale or key[0] in self._baseline:
+                self._touch(key[0], (key[1],))
             cached = self._samples.get(key)
             if cached is not None:
                 self.stats.sample_hits += 1
@@ -737,16 +885,26 @@ class TranslationContext:
             # build under the lock: serialises the (cheap, deterministic)
             # sample construction so concurrent workers never build the
             # same column twice and the build counter stays exact
-            values = self.database.column_values(relation, attribute)
-            distinct = list(dict.fromkeys(v for v in values if v is not None))
-            sample = stride_sample(distinct, self.config.condition_sample)
+            sample = self._build_sample(relation, attribute)
             self._samples[key] = sample
-            self.stats.sample_builds += 1
             return sample
 
+    def _build_sample(self, relation: str, attribute: str) -> list[Any]:
+        """Read one column from the backend and sample it (lock held)."""
+        values = self.database.column_values(relation, attribute)
+        distinct = list(dict.fromkeys(v for v in values if v is not None))
+        self.stats.sample_builds += 1
+        return stride_sample(distinct, self.config.condition_sample)
+
     def condition_status(self, key: tuple) -> Optional[str]:
+        """Memoized status for one ``(rendered probe, relation key,
+        attribute key)`` triple, or None."""
+        probe, relation, attribute = key
         with self._lock:
-            cached = self._condition_memo.get(key)
+            if relation in self._stale or relation in self._baseline:
+                self._touch(relation, (attribute,))
+            partition = self._conditions.get((relation, attribute))
+            cached = partition.get(probe) if partition is not None else None
             if cached is not None:
                 self.stats.condition_hits += 1
             else:
@@ -754,14 +912,21 @@ class TranslationContext:
             return cached
 
     def remember_condition(self, key: tuple, status: str) -> None:
+        probe, relation, attribute = key
         with self._lock:
-            self._condition_memo[key] = status
+            self._conditions.setdefault((relation, attribute), {})[
+                probe
+            ] = status
 
     def cached_tree_similarity(
         self, key: tuple[TreeFingerprint, str], count: bool = True
-    ) -> Optional[tuple[float, dict]]:
-        """Memoized ``(score, attribute_map)`` for one (tree fingerprint,
-        relation) pair, or None.
+    ) -> Optional[tuple[float, tuple, Optional[frozenset]]]:
+        """Memoized ``(score, attribute pairs, sampled columns)`` for one
+        (tree fingerprint, relation) pair, or None.  The pairs are the
+        ``(attribute tree key, attribute name)`` items of the mapping;
+        the sampled columns are the keys of the relation's columns whose
+        samples the score read (None: unknown, so all of them), the only
+        ones a hit after a ``data_version`` bump must re-verify.
 
         ``count`` is the hit/miss accounting switch: the
         :class:`~repro.core.similarity.SimilarityEvaluator` — the single
@@ -772,8 +937,18 @@ class TranslationContext:
         counts exactly once per query and a cold-context query can never
         report hits against itself.
         """
+        fingerprint, relation = key
         with self._lock:
-            cached = self._tree_sim_memo.get(key)
+            partition = self._tree_sims.get(relation)
+            cached = (
+                partition.get(fingerprint) if partition is not None else None
+            )
+            if (
+                cached is not None
+                and (relation in self._stale or relation in self._baseline)
+                and self._touch(relation, cached[2])
+            ):
+                cached = None
             if count:
                 if cached is not None:
                     self.stats.tree_sim_hits += 1
@@ -782,10 +957,20 @@ class TranslationContext:
             return cached
 
     def remember_tree_similarity(
-        self, key: tuple[TreeFingerprint, str], value: tuple[float, dict]
+        self,
+        key: tuple[TreeFingerprint, str],
+        value: tuple[float, tuple, frozenset],
     ) -> None:
+        fingerprint, relation = key
+        score, pairs, columns = value
         with self._lock:
-            self._tree_sim_memo[key] = value
+            # a few distinct column sets cover every entry: share them
+            columns = self._column_sets.setdefault(columns, columns)
+            self._tree_sims.setdefault(relation, {})[fingerprint] = (
+                score,
+                pairs,
+                columns,
+            )
 
     def cached_networks(self, key: tuple) -> Optional[tuple]:
         """Memoized ``(extended graph, networks)`` for one terminal-
@@ -796,9 +981,11 @@ class TranslationContext:
         tree shapes and name evidence, the ordered candidate relations
         of every mapping, the view set, k, and the expansion cap — so
         two queries that differ only in conditions or selected
-        attributes share one generated network set.  Entries are
-        LRU-evicted past a fixed cap and dropped wholesale on
-        ``data_version`` bumps and vocabulary-alias registration.
+        attributes share one generated network set.  Edge weights read
+        relation *names* only, never data or aliases, so neither a
+        ``data_version`` bump nor a vocabulary alias can stale an entry:
+        whatever changed a mapping changed its candidates, hence the
+        key.  Entries are only LRU-evicted past a fixed cap.
         """
         with self._lock:
             entry = self._network_memo.get(key)
@@ -872,5 +1059,5 @@ class TranslationContext:
         return (
             f"TranslationContext({self.database.catalog.name!r}, "
             f"{len(self.relations)} relations, "
-            f"{len(self._tree_sim_memo)} memoized tree-sims)"
+            f"{sum(map(len, self._tree_sims.values()))} memoized tree-sims)"
         )

@@ -19,10 +19,11 @@ The framework follows the paper exactly:
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from ..catalog import Attribute, Relation
+from ..catalog import Attribute, DataType, Relation
 from ..engine import ExecutionError, NameResolutionError
 from ..engine.evaluator import Evaluator, Scope
 from ..sqlkit import ast, render
@@ -211,27 +212,30 @@ class ConditionChecker:
         constants can *never* be satisfied by the column's type, and
         ``"unsatisfied"`` otherwise.
         """
+        if not _compatible(condition.predicate, attribute.data_type):
+            # settled by the type alone: cheaper than the memo key, and
+            # it keeps the memo to statuses that read the column's sample
+            return "incompatible"
         probe = _probe_predicate(condition)
-        memo_key = (render(probe), relation.key, attribute.key)
+        # interned: a workload renders a few hundred distinct probes, but
+        # the memo retains one key per (probe, column)
+        memo_key = (sys.intern(render(probe)), relation.key, attribute.key)
         if self._context is not None:
             cached = self._context.condition_status(memo_key)
         else:
             cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
-        if not _compatible(condition.predicate, attribute.data_type):
-            result = "incompatible"
-        else:
-            result = "unsatisfied"
-            for value in self._sample(relation.name, attribute.name):
-                scope = Scope({_PROBE_BINDING: {_PROBE_COLUMN: value}})
-                try:
-                    if self._evaluator.is_true(probe, scope):
-                        result = "satisfied"
-                        break
-                except (ExecutionError, NameResolutionError):
-                    result = "incompatible"
+        result = "unsatisfied"
+        for value in self._sample(relation.name, attribute.name):
+            scope = Scope({_PROBE_BINDING: {_PROBE_COLUMN: value}})
+            try:
+                if self._evaluator.is_true(probe, scope):
+                    result = "satisfied"
                     break
+            except (ExecutionError, NameResolutionError):
+                result = "incompatible"
+                break
         if self._context is not None:
             self._context.remember_condition(memo_key, result)
         else:
@@ -347,6 +351,8 @@ class SimilarityEvaluator:
         #: (fingerprint, relation) pairs probed since :meth:`begin_query`
         #: — the dedup behind single-counted memo statistics
         self._probed: set[tuple] = set()
+        #: fingerprint -> column types its conditions sample, per query
+        self._sampled_types: dict = {}
 
     def begin_query(self) -> None:
         """Start a new per-query lookup-accounting window.
@@ -357,6 +363,7 @@ class SimilarityEvaluator:
         once.
         """
         self._probed.clear()
+        self._sampled_types.clear()
 
     # -- string helpers --------------------------------------------------
     def sim(self, a: str, b: str) -> float:
@@ -497,11 +504,41 @@ class SimilarityEvaluator:
             self._probed.add(key)
         cached = self.context.cached_tree_similarity(key, count=first_probe)
         if cached is not None:
-            score, attribute_map = cached
-            return score, dict(attribute_map)
+            return cached[0], dict(cached[1])
         score, attribute_map = self._tree_similarity(tree, relation)
-        self.context.remember_tree_similarity(key, (score, dict(attribute_map)))
+        self.context.remember_tree_similarity(
+            key,
+            (
+                score,
+                tuple(attribute_map.items()),
+                self._sampled_columns(key[0], tree, relation),
+            ),
+        )
         return score, attribute_map
+
+    def _sampled_columns(
+        self, fingerprint, tree: RelationTree, relation: Relation
+    ) -> frozenset:
+        """Keys of *relation*'s columns whose samples scoring *tree*
+        against it reads: the checker samples a column for a condition
+        exactly when the column's type is compatible with it.  A memo
+        hit after a ``data_version`` bump re-verifies only these."""
+        types = self._sampled_types.get(fingerprint)
+        if types is None:
+            predicates = [
+                condition.predicate
+                for attribute_tree in tree.attribute_trees
+                for condition in attribute_tree.conditions
+            ]
+            types = frozenset(
+                data_type
+                for data_type in DataType
+                if any(_compatible(p, data_type) for p in predicates)
+            )
+            self._sampled_types[fingerprint] = types
+        return frozenset(
+            a.key for a in relation.attributes if a.data_type in types
+        )
 
     def _tree_similarity(
         self, tree: RelationTree, relation: Relation

@@ -1284,6 +1284,7 @@ class Supervisor:
                                 "generation": w.generation,
                                 "pid": w.pid,
                                 "state": w.state,
+                                "awaiting_pong": w.ping_sent_at is not None,
                                 "build_seconds": w.build_seconds,
                                 "artifacts": list(w.artifacts),
                             }

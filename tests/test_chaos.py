@@ -27,6 +27,7 @@ from repro.testing import (
     RenameColumn,
     RenameTable,
     SplitTable,
+    VirtualClock,
     evolve,
     recover_vocabulary,
     standard_mutations,
@@ -40,8 +41,9 @@ from repro import Database
 
 def make_chaos_stack(fig1_db, *, breaker=None, retry=None, timeouts=None):
     """ResilientBackend over FaultyBackend over MemoryBackend, on one
-    shared virtual clock (no real time passes in any chaos test)."""
-    injector = FaultInjector()
+    shared, purely virtual clock (no real time passes in any chaos test,
+    and none leaks into a timeout)."""
+    injector = FaultInjector(clock=VirtualClock(origin=None))
     faulty = FaultyBackend(MemoryBackend(fig1_db), injector)
     resilient = ResilientBackend(
         faulty,
@@ -70,7 +72,12 @@ class TestFaultyBackend:
         assert faulty.log == [("sample", "error")]
 
     def test_hang_advances_virtual_clock_only(self, fig1_db):
-        faulty = FaultyBackend(MemoryBackend(fig1_db))
+        # a purely virtual clock: a wall-clock origin would let any host
+        # stall between the two readings leak into the difference
+        faulty = FaultyBackend(
+            MemoryBackend(fig1_db),
+            FaultInjector(clock=VirtualClock(origin=None)),
+        )
         faulty.inject_hang("count", seconds=30.0)
         before = faulty.injector.clock()
         assert faulty.count("Movie") == 3
@@ -467,22 +474,43 @@ class TestVocabularyRecovery:
         result = translator.translate_best("SELECT movie?.title?")
         assert "Zorbflick" in result.sql
 
-    def test_recovery_apply_invalidates_network_memo(self, fresh_fig1):
-        # applying recovered aliases to a *live* context must drop the
-        # generated-network memo: alias registration changes mapping
-        # candidates, so a warm entry keyed on the old vocabulary is stale
+    def test_recovery_apply_drops_only_aliased_tree_sims(self, fresh_fig1):
+        # an alias changes only its relation's name similarity: that
+        # relation's tree-sim partition goes and every other memo stays.
+        # Memoized networks need no drop — a mapping the alias moves has
+        # new candidates, hence a new key — and the live context must
+        # still answer exactly as a fresh one given the same aliases
         evolved = RenameTable("Movie", "Zorbflick").apply(fresh_fig1)
         translator = SchemaFreeTranslator(evolved.database)
         context = translator.context
-        translator.translate("SELECT person?.name?", top_k=3)
-        translator.translate("SELECT person?.name?", top_k=3)
-        assert context.stats.network_hits >= 1
-        misses = context.stats.network_misses
+        queries = ["SELECT person?.name?", "SELECT movie?.title?"]
+        for query in queries:
+            translator.translate(query, top_k=3)
         recovery = recover_vocabulary(fresh_fig1.catalog, evolved.catalog)
         assert recovery.relation_aliases
+        aliased = {
+            relation.lower()
+            for relation, *_ in (
+                recovery.relation_aliases + recovery.attribute_aliases
+            )
+        }
+        assert "zorbflick" in aliased and "zorbflick" in context._tree_sims
+        kept = {
+            relation: dict(partition)
+            for relation, partition in context._tree_sims.items()
+            if relation not in aliased
+        }
+        assert kept
         recovery.apply(context)
-        translator.translate("SELECT person?.name?", top_k=3)
-        assert context.stats.network_misses > misses
+        assert not aliased & set(context._tree_sims)
+        for relation, partition in kept.items():
+            assert context._tree_sims[relation] == partition
+        fresh = SchemaFreeTranslator(evolved.database)
+        recovery.apply(fresh.context)
+        for query in queries:
+            assert [
+                (t.sql, t.weight) for t in translator.translate(query, top_k=3)
+            ] == [(t.sql, t.weight) for t in fresh.translate(query, top_k=3)]
 
 
 class TestEvolutionHarness:

@@ -18,13 +18,16 @@ an injected fault varies, and the assertions never depend on that.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import Budget, BudgetExceeded, Database, QueryService, SchemaFreeTranslator
+from repro.errors import ReproError
 from repro.service import BreakerConfig, RetryPolicy, ServiceConfig
-from repro.testing.faults import FaultInjector
+from repro.testing.faults import FaultInjector, VirtualClock
 
 from tests.conftest import make_fig1_catalog, populate_fig1
 
@@ -163,15 +166,15 @@ class TestFaultInjectorThreadSafety:
         assert injector.log.count(("map", "error")) == 1
 
     def test_delay_offsets_accumulate_exactly(self):
-        injector = FaultInjector()
-        base = injector.clock()
+        # purely virtual: a wall-clock origin would add real elapsed time
+        injector = FaultInjector(clock=VirtualClock(origin=None))
 
         def worker(_index):
             for _ in range(100):
                 injector.advance(0.01)
 
         in_threads(worker)
-        assert injector.clock() - base >= THREADS * 100 * 0.01
+        assert injector.clock() == pytest.approx(THREADS * 100 * 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +347,59 @@ class TestServiceStress:
         assert len(set(ids)) == len(ids) == THREADS * 20
         assert all(r.ok for r in all_responses)
         assert service.stats.completed == THREADS * 20
+
+
+# ---------------------------------------------------------------------------
+# memo revalidation racing writes
+# ---------------------------------------------------------------------------
+
+
+class TestRevalidationUnderWrites:
+    def test_memos_left_by_racing_readers_are_exact(self):
+        # translators share one context while a writer keeps moving the
+        # samples under them; once the writes stop, every memo they left
+        # must answer exactly as a translator built on the final data
+        db = make_db()
+        context = SchemaFreeTranslator(db).context
+        queries = STRESS_QUERIES[:22]
+        names = ["Tom Hanks", "Avatar", "Titanic", "Paramount", "Kate Winslet"]
+
+        def worker(index):
+            if index == 0:
+                for i in range(60):
+                    pk, name = 5000 + i, names[i % len(names)]
+                    gender = ("female", "male", "other")[i % 3]
+                    db.insert("Person", [pk, name, gender])
+                    db.insert("Movie", [pk, name, 1990 + i])
+                    db.insert("Company", [pk, name])
+                    time.sleep(0.005)
+                return
+            translator = SchemaFreeTranslator(db, context=context)
+            for i in range(40):
+                try:
+                    translator.translate(
+                        queries[(index * 7 + i) % len(queries)], top_k=3
+                    )
+                except ReproError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            in_threads(worker, count=6)
+        finally:
+            sys.setswitchinterval(interval)
+        shared = SchemaFreeTranslator(db, context=context)
+        fresh = SchemaFreeTranslator(db)
+        for query in queries:
+            assert outcomes(shared, query) == outcomes(fresh, query), query
+
+
+def outcomes(translator, query):
+    try:
+        return [
+            (t.sql, t.weight, t.rung)
+            for t in translator.translate(query, top_k=3)
+        ]
+    except ReproError as exc:
+        return type(exc).__name__

@@ -1,6 +1,7 @@
-"""The context-level network memo: hit/miss counters, invalidation on
-data-version bumps and alias registration, LRU bounds, and the
-property-based guarantee that memoized generation equals a fresh search.
+"""The context-level network memo: hit/miss counters, survival of
+data-version bumps (with data-scoped revalidation of the memos that do
+read data), LRU bounds, and the property-based guarantee that memoized
+generation equals a fresh search.
 """
 
 from __future__ import annotations
@@ -64,15 +65,53 @@ class TestMemoCounters:
         )
         assert stats.network_hits > hits
 
-    def test_data_version_bump_invalidates(self):
+    def test_unrelated_insert_keeps_tree_sim_and_network_hits(self):
+        # Actor holds integers only, which no text condition ever samples:
+        # the write bumps data_version but moves no sample any memo read
         translator, db = fig1_translator()
         stats = translator.context.stats
         first = results(translator, QUERY)
-        misses = stats.network_misses
-        db.insert("Person", [99, "Zork Zorkson", "male"])
+        tree_misses, tree_hits = stats.tree_sim_misses, stats.tree_sim_hits
+        network_misses, network_hits = stats.network_misses, stats.network_hits
+        db.insert("Actor", [5, 10])
         again = results(translator, QUERY)
-        assert stats.network_misses > misses  # memo was dropped, not hit
-        assert [sql for sql, _ in again] == [sql for sql, _ in first]
+        assert stats.invalidations == 1
+        assert stats.revalidation_drops == 0
+        assert stats.tree_sim_misses == tree_misses
+        assert stats.tree_sim_hits > tree_hits
+        assert stats.network_misses == network_misses
+        assert stats.network_hits > network_hits
+        assert again == first == results(fig1_translator()[0], QUERY)
+
+    def test_sample_changing_insert_drops_exactly_that_relation(self):
+        translator, db = fig1_translator()
+        context = translator.context
+        stats = context.stats
+        results(translator, QUERY)
+        tree_sims = dict(context._tree_sims)
+        conditions = dict(context._conditions)
+        assert "person" in tree_sims and len(tree_sims) > 1
+        # a new name moves Person.name's sample; "male" leaves gender's as is
+        db.insert("Person", [99, "Zork Zorkson", "male"])
+        misses = stats.tree_sim_misses
+        again = results(translator, QUERY)
+        assert stats.revalidation_drops == 1
+        # Person's tree-sim partition was dropped and rebuilt; every other
+        # partition is the very same object, and only Person's missed
+        assert 0 < stats.tree_sim_misses - misses <= len(tree_sims["person"])
+        for rel, partition in tree_sims.items():
+            if rel == "person":
+                assert context._tree_sims[rel] is not partition
+            else:
+                assert context._tree_sims[rel] is partition
+        # likewise for statuses: only the moved column's were rebuilt
+        for column, partition in conditions.items():
+            if column == ("person", "name"):
+                assert context._conditions[column] is not partition
+            else:
+                assert context._conditions[column] is partition
+        fresh = results(SchemaFreeTranslator(db), QUERY)
+        assert again == fresh
 
 
 class TestMemoLRU:
