@@ -12,7 +12,9 @@ Measures the translation hot path on the shipped workloads twice:
 Every warm translation is checked byte-for-byte against its cold
 counterpart — the context memoizes, it must never change outcomes.
 Results (per-workload timings, speedups, and the warm pass's memo
-counters) are written to ``BENCH_translate.json``.
+counters) are written to ``BENCH_translate.json``.  The warm pass's
+stage shares back two ratchets: ``--max-network-share`` (memoized MTJN
+search) and ``--max-map-share`` (the per-fingerprint mapping memo).
 
 The warm pass is also re-run with structured tracing *enabled* (a real
 :class:`~repro.obs.Tracer` exporting into a ring buffer) to measure the
@@ -557,6 +559,15 @@ def main(argv=None) -> int:
         "warm translation time on any benchmarked workload (e.g. 0.5 "
         "for 50%% — the ratchet holding the memoized MTJN search fast)",
     )
+    parser.add_argument(
+        "--max-map-share",
+        type=float,
+        default=None,
+        metavar="FRACTION",
+        help="fail when the map stage takes more than this share of warm "
+        "translation time on any benchmarked workload (e.g. 0.15 — the "
+        "ratchet holding a warm tree at one mapping-memo probe)",
+    )
     args = parser.parse_args(argv)
 
     report = {name: bench_workload(name) for name in args.workloads}
@@ -607,17 +618,22 @@ def main(argv=None) -> int:
                     f"{row['cache_hit_rate']:.1%} — rewritten repeats "
                     "must hit via canonicalization"
                 )
-    if args.max_network_share is not None:
+    for stage, cap in (
+        ("network", args.max_network_share),
+        ("map", args.max_map_share),
+    ):
+        if cap is None:
+            continue
         for name, row in report.items():
             stats = row.get("warm_stats") or {}
             total = stats.get("total_seconds", 0.0)
-            network = stats.get("stages", {}).get("network", 0.0)
-            share = network / total if total > 0 else 0.0
-            print(f"{name:>14}: network stage {share:.1%} of warm time")
-            if share > args.max_network_share:
+            seconds = stats.get("stages", {}).get(stage, 0.0)
+            share = seconds / total if total > 0 else 0.0
+            print(f"{name:>14}: {stage} stage {share:.1%} of warm time")
+            if share > cap:
                 failures.append(
-                    f"{name}: network stage is {share:.0%} of warm "
-                    f"translation time (> {args.max_network_share:.0%})"
+                    f"{name}: {stage} stage is {share:.0%} of warm "
+                    f"translation time (> {cap:.0%})"
                 )
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

@@ -122,10 +122,10 @@ def build_artifact(
                 try:
                     translator.translate(query, top_k=warmup_top_k)
                     warmed += 1
-                except Exception:  # pragma: no cover - workload-dependent
-                    # warmup is best-effort: an untranslatable query
-                    # costs memo coverage, never the build; the serving
-                    # path re-raises its own errors per query
+                except Exception:  # pragma: no cover - last-ditch: warm-up is best-effort
+                    # an untranslatable query costs memo coverage, never
+                    # the build; the serving path re-raises its own
+                    # errors per query
                     continue
         schema_state, memos = context.export_state()
         image = encode(schema_state, memos, backend.data_version, config)

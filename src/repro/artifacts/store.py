@@ -97,7 +97,7 @@ class ArtifactStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, path)
-        except BaseException:
+        except BaseException:  # re-raises once the temp file is unlinked
             try:
                 os.unlink(temp_path)
             except OSError:

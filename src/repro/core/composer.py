@@ -19,7 +19,7 @@ descends through sub-query boundaries.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 from ..catalog import Catalog
 from ..errors import Diagnostic, ReproError
@@ -55,37 +55,6 @@ class ComposedQuery:
     @property
     def sql(self) -> str:
         return render(self.select)
-
-
-def transform_block(
-    node: ast.Node, fn: Callable[[ast.Node], Optional[ast.Node]]
-) -> ast.Node:
-    """Like :func:`ast.transform` but does not descend into sub-queries."""
-    if isinstance(node, (ast.Select, ast.SetOp)):
-        return node
-    replacements = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        new_value = _transform_value(value, fn)
-        if new_value is not value:
-            replacements[field.name] = new_value
-    if replacements:
-        node = dataclasses.replace(node, **replacements)
-    replaced = fn(node)
-    return node if replaced is None else replaced
-
-
-def _transform_value(value, fn):
-    if isinstance(value, (ast.Select, ast.SetOp)):
-        return value
-    if isinstance(value, ast.Node):
-        return transform_block(value, fn)
-    if isinstance(value, tuple):
-        items = tuple(_transform_value(item, fn) for item in value)
-        if any(a is not b for a, b in zip(items, value)):
-            return items
-        return value
-    return value
 
 
 class Composer:
@@ -259,8 +228,7 @@ class Composer:
                 relation=ast.exact(bindings[xnode]),
             )
 
-        rewritten = transform_block_select(select, rewrite)
-        return rewritten
+        return ast.transform(select, rewrite, within_block=True)
 
     def _rewrite_outer_ref(
         self, node: ast.ColumnRef, outer_bindings: dict[str, str]
@@ -344,22 +312,6 @@ class Composer:
         for condition in conditions[1:]:
             combined = ast.BinaryOp("and", combined, condition)
         return combined
-
-
-def transform_block_select(
-    select: ast.Select, fn: Callable[[ast.Node], Optional[ast.Node]]
-) -> ast.Select:
-    """Apply *fn* to every expression of the block without entering
-    sub-queries, returning the rewritten Select."""
-    replacements = {}
-    for field in dataclasses.fields(select):
-        value = getattr(select, field.name)
-        new_value = _transform_value(value, fn)
-        if new_value is not value:
-            replacements[field.name] = new_value
-    if replacements:
-        return dataclasses.replace(select, **replacements)
-    return select
 
 
 def _conjuncts(expr: ast.Node) -> list[ast.Node]:

@@ -14,16 +14,20 @@ is shared by :class:`~repro.core.similarity.SimilarityEvaluator`,
 :class:`~repro.core.similarity.ConditionChecker`,
 :class:`~repro.core.mapper.RelationTreeMapper` and
 :class:`~repro.core.view_graph.ExtendedViewGraph`.  On top of the
-precomputed state it carries two cross-query memo tables:
+precomputed state it carries cross-query memo tables:
 
 * whole-tree similarities ``Sim(rt, R)`` keyed by the tree's canonical
   fingerprint (:func:`~repro.core.relation_tree.tree_fingerprint`) — a
   relation tree that recurs across a workload (``movie?`` with the same
   conditions) is scored once per relation, ever;
+* the finished mapping set of each fingerprint, read off those scores,
+  so a recurring tree costs one lookup (:meth:`TranslationContext.
+  cached_mappings`);
 * condition-satisfaction statuses keyed by (rendered probe, column).
 
-Both are partitioned by what they read: tree similarities by relation,
-condition statuses by column.  Schema-derived state (neighbors, name
+The first and last are partitioned by what they read: tree similarities
+by relation, condition statuses by column; the mapping sets go whenever
+any tree-similarity partition does.  Schema-derived state (neighbors, name
 index, FK adjacency) is immutable for the database's lifetime.
 Data-derived state reads the data only through column samples, so when
 the backend's ``data_version`` moves — the translator calls
@@ -502,6 +506,12 @@ class TranslationContext:
         #: sampled columns)}; see :meth:`cached_tree_similarity`
         self._tree_sims: dict[str, dict[TreeFingerprint, tuple]] = {}
         self._column_sets: dict[frozenset, frozenset] = {}
+        #: tree fingerprint -> finished mapping set, read off the tree-sim
+        #: entries of every relation; see :meth:`cached_mappings`
+        self._mappings: dict[TreeFingerprint, tuple] = {}
+        #: tree-sim partition drops so far: a mapping set computed across
+        #: a drop is not stored (see :meth:`remember_mappings`)
+        self._tree_sim_epoch = 0
         #: (relation key, attribute key) -> {rendered probe: status}
         self._conditions: dict[tuple[str, str], dict[str, str]] = {}
         # -- revalidation state (see ensure_current) -------------------
@@ -741,7 +751,7 @@ class TranslationContext:
                 self._samples[(relation, attribute)] = new
                 if not _same_sample(old, new):
                     self._conditions.pop((relation, attribute), None)
-                    self._tree_sims.pop(relation, None)
+                    self._drop_tree_sims(relation)
                     self.stats.revalidation_drops += 1
                     moved = True
             if not pending:
@@ -754,12 +764,21 @@ class TranslationContext:
 
     def _drop_relation(self, relation: str) -> None:
         """Drop every memo that reads *relation*'s data (lock held)."""
-        self._tree_sims.pop(relation, None)
+        self._drop_tree_sims(relation)
         for attribute in self._relation_by_key[relation].attributes:
             self._conditions.pop((relation, attribute.key), None)
         self._baseline.pop(relation, None)
         self._stale.discard(relation)
         self.stats.revalidation_drops += 1
+
+    def _drop_tree_sims(self, relation: str) -> None:
+        """Drop *relation*'s tree-sim partition (lock held).  Every
+        mapping set read a score of every relation, so all of them go
+        too, and the epoch moves past any mapping set still being
+        computed from the dropped scores."""
+        self._tree_sims.pop(relation, None)
+        self._mappings.clear()
+        self._tree_sim_epoch += 1
 
     # ------------------------------------------------------------------
     # schema-derived lookups
@@ -815,7 +834,7 @@ class TranslationContext:
             # similarity, which its tree-sim partition bakes in; finished
             # translations are cleared wholesale.  Memoized networks are
             # keyed on the mapping candidates, so they need no drop.
-            self._tree_sims.pop(key, None)
+            self._drop_tree_sims(key)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(key, [clean])
@@ -842,7 +861,7 @@ class TranslationContext:
             if normalize(clean) in {normalize(a) for a in current}:
                 return
             self._attribute_aliases[(rkey, akey)] = current + (clean,)
-            self._tree_sims.pop(rkey, None)
+            self._drop_tree_sims(rkey)
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(rkey, [clean])
@@ -971,6 +990,84 @@ class TranslationContext:
                 pairs,
                 columns,
             )
+
+    def _current(self, relation: str, columns: Optional[frozenset]) -> bool:
+        """Whether a memo of *relation* that read *columns* (None: all of
+        them) stands without a re-read (lock held)."""
+        if relation in self._stale:
+            return False
+        pending = self._baseline.get(relation)
+        return not pending or (
+            columns is not None and pending.keys().isdisjoint(columns)
+        )
+
+    def cached_mappings(
+        self, fingerprint: TreeFingerprint
+    ) -> tuple[Optional[tuple], Optional[list[tuple]], int]:
+        """``(entry, scores, epoch)`` for one tree fingerprint.
+
+        ``entry`` is the memoized mapping set, or None.  An entry is
+        ``(scored, threshold, top, pairs)``: the relations scored, the σ
+        threshold, the best ``max(8, kept)`` ``(relation, σ)`` pairs, and
+        the attribute pairs of the ``kept`` candidates, which lead
+        ``top``.  MAP(rt) is a function of the per-relation scores
+        (Definition 1), so the entry lives exactly as long as the
+        fingerprint's tree-sim entries: any partition drop clears the
+        memo.  Without an entry, ``scores`` holds the fingerprint's
+        tree-sim entries ``(score, attribute pairs, sampled columns)``
+        against every relation, in :attr:`relations` order, when all of
+        them are memoized — what the per-relation probes would only read
+        back, as after an artifact attach — and is None otherwise.
+        ``epoch`` goes to :meth:`remember_mappings`.
+
+        A lookup reads no sample.  While a relation is stale, or a
+        column that a tree-sim entry of the fingerprint records is still
+        pending re-verification, it answers neither: the per-relation
+        probes re-read those columns, each after its own budget charge.
+        Nothing is counted here:
+        :class:`~repro.core.similarity.SimilarityEvaluator` counts a hit
+        as one tree-sim hit per relation.
+        """
+        with self._lock:
+            epoch = self._tree_sim_epoch
+            tree_sims = self._tree_sims
+            entry = self._mappings.get(fingerprint)
+            if entry is not None:
+                if self._stale or not all(
+                    self._current(key, tree_sims[key][fingerprint][2])
+                    for key in self._baseline
+                ):
+                    return None, None, epoch
+                return entry, None, epoch
+            current = not self._stale and not self._baseline
+            scores = []
+            for relation in self.relations:
+                key = relation.key
+                partition = tree_sims.get(key)
+                cached = (
+                    None if partition is None else partition.get(fingerprint)
+                )
+                if cached is None or not (
+                    current or self._current(key, cached[2])
+                ):
+                    return None, None, epoch
+                scores.append(cached)
+            return None, scores, epoch
+
+    def remember_mappings(
+        self, fingerprint: TreeFingerprint, entry: tuple, epoch: int
+    ) -> None:
+        """Store a mapping set computed since :meth:`cached_mappings`
+        returned *epoch*, unless a tree-sim partition was dropped since:
+        a probe may have read a score that no longer stands."""
+        with self._lock:
+            if epoch == self._tree_sim_epoch:
+                self._mappings[fingerprint] = entry
+
+    def count_tree_sim_hits(self, hits: int) -> None:
+        """Count tree-sim hits answered through a mapping-memo hit."""
+        with self._lock:
+            self.stats.tree_sim_hits += hits
 
     def cached_networks(self, key: tuple) -> Optional[tuple]:
         """Memoized ``(extended graph, networks)`` for one terminal-

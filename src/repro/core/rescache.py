@@ -128,6 +128,12 @@ _FINGERPRINT_MEMO: dict[str, str] = {}
 _FINGERPRINT_MEMO_CAP = 4096
 
 
+def memoized_fingerprint(raw: str) -> Optional[str]:
+    """The fingerprint of a query text already seen, or None: a cache
+    lookup keyed by it needs no parse."""
+    return _FINGERPRINT_MEMO.get(raw)
+
+
 def fingerprint_parsed(parsed: ast.Node, raw: Optional[str] = None) -> str:
     """:func:`canonical_fingerprint` of an already-parsed query, served
     from the text memo when the caller still has the raw string."""

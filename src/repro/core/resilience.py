@@ -142,22 +142,42 @@ class Budget:
             self._parent._note(candidates, expansions)
 
     def charge_candidates(self, n: int = 1, stage: str = "map") -> None:
-        with self._lock:
-            self.candidates += n
-            if self._parent is not None:
-                self._parent._note(candidates=n)
-            over = (
-                self.max_candidates is not None
-                and self.candidates > self.max_candidates
-            )
-            total = self.candidates
-        if over:
-            self.exhaust(
-                stage,
-                f"candidate budget exhausted "
-                f"({total} > {self.max_candidates})",
-            )
-        self.check(stage)
+        """Charge *n* candidates, exactly as *n* one-candidate charges.
+
+        Counting stops at the first unit that raises: the one past the
+        cap, or — under a deadline, where every unit reads the clock —
+        the first to find the time spent.  The counters, the raise point
+        and the :class:`BudgetExceeded` diagnostic are those of the unit
+        loop; without a deadline the units up to the cap are one step.
+        """
+        while n > 0:
+            with self._lock:
+                # a deadline reads the clock per unit, and a spent
+                # budget raises on the first
+                per_unit = (
+                    self.deadline_at is not None
+                    or self.exhausted_reason is not None
+                )
+                step = 1 if per_unit else n
+                if self.max_candidates is not None:
+                    room = self.max_candidates - self.candidates
+                    step = min(step, max(1, room + 1))
+                self.candidates += step
+                if self._parent is not None:
+                    self._parent._note(candidates=step)
+                over = (
+                    self.max_candidates is not None
+                    and self.candidates > self.max_candidates
+                )
+                total = self.candidates
+            n -= step
+            if over:
+                self.exhaust(
+                    stage,
+                    f"candidate budget exhausted "
+                    f"({total} > {self.max_candidates})",
+                )
+            self.check(stage)
 
     def charge_expansions(self, n: int = 1, stage: str = "network") -> None:
         with self._lock:

@@ -348,9 +348,10 @@ class SimilarityEvaluator:
         self.context = context
         self.checker = ConditionChecker(database, config, context)
         self._neighbors: dict[str, list[Relation]] = {}
-        #: (fingerprint, relation) pairs probed since :meth:`begin_query`
-        #: — the dedup behind single-counted memo statistics
-        self._probed: set[tuple] = set()
+        #: fingerprint -> keys of the relations probed against it since
+        #: :meth:`begin_query` — the dedup behind single-counted memo
+        #: statistics
+        self._probed: dict = {}
         #: fingerprint -> column types its conditions sample, per query
         self._sampled_types: dict = {}
 
@@ -498,23 +499,55 @@ class SimilarityEvaluator:
         """
         if self.context is None:
             return self._tree_similarity(tree, relation)
-        key = (tree_fingerprint(tree), relation.key)
-        first_probe = key not in self._probed
+        score, pairs = self.memoized_tree_similarity(
+            tree, tree_fingerprint(tree), relation
+        )
+        return score, dict(pairs)
+
+    def memoized_tree_similarity(
+        self, tree: RelationTree, fingerprint, relation: Relation
+    ) -> tuple[float, tuple]:
+        """:meth:`tree_similarity` through the context's memo, with the
+        mapping as the memo's shared tuple of ``(attribute tree key,
+        attribute name)`` pairs (context required)."""
+        key = (fingerprint, relation.key)
+        seen = self._probed.get(fingerprint)
+        if seen is None:
+            seen = self._probed[fingerprint] = set()
+        first_probe = relation.key not in seen
         if first_probe:
-            self._probed.add(key)
+            seen.add(relation.key)
         cached = self.context.cached_tree_similarity(key, count=first_probe)
         if cached is not None:
-            return cached[0], dict(cached[1])
+            return cached[0], cached[1]
         score, attribute_map = self._tree_similarity(tree, relation)
+        pairs = tuple(attribute_map.items())
         self.context.remember_tree_similarity(
             key,
             (
                 score,
-                tuple(attribute_map.items()),
-                self._sampled_columns(key[0], tree, relation),
+                pairs,
+                self._sampled_columns(fingerprint, tree, relation),
             ),
         )
-        return score, attribute_map
+        return score, pairs
+
+    def count_mapping_hit(self, fingerprint, probes: int) -> None:
+        """Count a mapping-memo hit as the tree-sim hits of the first
+        *probes* relations it stands for, each once per query as
+        :meth:`tree_similarity` would (context required).  Which
+        relations those are cannot change a total: a probe cut short by
+        the budget is finished, unbudgeted, by the next rung."""
+        seen = self._probed.get(fingerprint)
+        if seen is None:
+            seen = self._probed[fingerprint] = set()
+        hits = 0
+        for relation in self.context.relations[:probes]:
+            if relation.key not in seen:
+                seen.add(relation.key)
+                hits += 1
+        if hits:
+            self.context.count_tree_sim_hits(hits)
 
     def _sampled_columns(
         self, fingerprint, tree: RelationTree, relation: Relation

@@ -32,7 +32,6 @@ from .composer import (
     Composer,
     NoJoinNetworkError,
     TranslationError,
-    transform_block_select,
 )
 from .config import DEFAULT_CONFIG, TranslatorConfig
 from .context import TranslationContext, TranslationStats
@@ -41,7 +40,7 @@ from .mapper import RelationTreeMapper, TreeMappings
 from .mtjn import GenerationStats, MTJNGenerator, network_signature
 from .query_log import QueryLog, views_from_sql
 from .relation_tree import RelationTree, TreeKey, build_relation_trees
-from .rescache import fingerprint_parsed
+from .rescache import fingerprint_parsed, memoized_fingerprint
 from .resilience import LADDER, Budget, BudgetExceeded
 from .similarity import SimilarityEvaluator
 from .triples import ExtractionResult, JoinFragment, extract
@@ -224,18 +223,31 @@ class SchemaFreeTranslator:
         )
         return advised
 
+    def _parse(
+        self, query: Union[str, ast.Node], meter: Optional[Budget]
+    ) -> ast.Node:
+        """*query* parsed, when it is still text."""
+        if not isinstance(query, str):
+            return query
+        self._fire("parse", meter)
+        with self._stage_guard("parse"), self._timed("parse"), \
+                self.tracer.span("parse"):
+            return parse(query)
+
     # ------------------------------------------------------------------
     # translation result cache (policy in docs/CACHING.md)
     # ------------------------------------------------------------------
     def _result_cache_key(
         self,
-        query: ast.Node,
+        query: Union[str, ast.Node],
+        fingerprint: Optional[str],
         raw_text: Optional[str],
         k: int,
         start_rung: str,
     ) -> Optional[tuple]:
         """The full consistency-contract key for this call, or None when
-        the call is not cacheable.
+        the call is not cacheable.  *query* may still be unparsed text
+        when its canonical *fingerprint* is already known.
 
         Not cacheable: the cache is disabled, a fault injector is
         attached (injected faults must keep firing on every call), or
@@ -250,15 +262,21 @@ class SchemaFreeTranslator:
         ):
             return None
         with self._stage_guard("cache"), self._timed("cache"):
+            if fingerprint is None:
+                fingerprint = fingerprint_parsed(query, raw_text)
             view_parts = tuple(
                 (view.name, view.signature, view.source, view.strength)
                 for view in self.view_graph.views
             )
-            return self.context.result_cache_key(
-                (fingerprint_parsed(query, raw_text), k, view_parts)
-            )
+            return self.context.result_cache_key((fingerprint, k, view_parts))
 
-    def _result_cache_lookup(self, key: tuple) -> Optional[tuple]:
+    def _result_cache_lookup(
+        self, key: Optional[tuple], stats: TranslationStats, root
+    ) -> Optional[list[Translation]]:
+        """The cached translations for *key* (fresh objects carrying this
+        call's *stats*), or None on a miss or without a key."""
+        if key is None:
+            return None
         with self._timed("cache"), \
                 self.tracer.span("cache.lookup") as span:
             payload = self.context.cached_result(key)
@@ -267,7 +285,27 @@ class SchemaFreeTranslator:
                     hit=payload is not None,
                     entries=self.context.result_cache_entries(),
                 )
-            return payload
+        if payload is None:
+            return None
+        translations = [
+            Translation(
+                query=q,
+                weight=weight,
+                network=network,
+                rung=rung,
+                stats=stats,
+                cached=True,
+            )
+            for q, weight, network, rung in payload
+        ]
+        if root.enabled:
+            root.set(
+                cached=True,
+                rung=translations[0].rung,
+                results=len(translations),
+                weight=round(translations[0].weight, 6),
+            )
+        return translations
 
     def _result_cache_store(
         self, key: tuple, translations: list[Translation]
@@ -365,37 +403,21 @@ class SchemaFreeTranslator:
         with root:
             try:
                 raw_text = query if isinstance(query, str) else None
-                if isinstance(query, str):
-                    self._fire("parse", meter)
-                    with self._stage_guard("parse"), self._timed("parse"), \
-                            self.tracer.span("parse"):
-                        query = parse(query)
                 k = top_k or self.config.top_k
-                cache_key = self._result_cache_key(
-                    query, raw_text, k, start_rung
+                # a text seen before has a memoized fingerprint, so its
+                # cache lookup needs no parse: a hit never parses
+                fingerprint = (
+                    None if raw_text is None else memoized_fingerprint(raw_text)
                 )
-                if cache_key is not None:
-                    hit = self._result_cache_lookup(cache_key)
-                    if hit is not None:
-                        translations = [
-                            Translation(
-                                query=q,
-                                weight=weight,
-                                network=network,
-                                rung=rung,
-                                stats=stats,
-                                cached=True,
-                            )
-                            for q, weight, network, rung in hit
-                        ]
-                        if root.enabled:
-                            root.set(
-                                cached=True,
-                                rung=translations[0].rung,
-                                results=len(translations),
-                                weight=round(translations[0].weight, 6),
-                            )
-                        return translations
+                if fingerprint is None:
+                    query = self._parse(query, meter)
+                cache_key = self._result_cache_key(
+                    query, fingerprint, raw_text, k, start_rung
+                )
+                hit = self._result_cache_lookup(cache_key, stats, root)
+                if hit is not None:
+                    return hit
+                query = self._parse(query, meter)
                 translations = self._translate_query(
                     query, {}, k, meter, degrade, start_rung
                 )
@@ -610,9 +632,10 @@ class SchemaFreeTranslator:
             # constant block: nothing to map, but outer references and
             # nested sub-queries still need resolving
             rewritten = self._rewrite_outer_only(select, outer_bindings)
-            rewritten = self._translate_subqueries(
-                rewritten, outer_bindings, k, budget, degrade, start_rung
-            )
+            if extraction.has_subqueries:
+                rewritten = self._translate_subqueries(
+                    rewritten, outer_bindings, k, budget, degrade, start_rung
+                )
             return [Translation(rewritten, 1.0)]
 
         steps: list[str] = []
@@ -655,11 +678,13 @@ class SchemaFreeTranslator:
                         outer_bindings,
                         weight=weight,
                     )
-                inner_context = dict(outer_bindings)
-                inner_context.update(composed.bindings)
-                final = self._translate_subqueries(
-                    composed.select, inner_context, 1, budget, degrade, start_rung
-                )
+                final = composed.select
+                if extraction.has_subqueries:
+                    inner_context = dict(outer_bindings)
+                    inner_context.update(composed.bindings)
+                    final = self._translate_subqueries(
+                        final, inner_context, 1, budget, degrade, start_rung
+                    )
                 translations.append(
                     Translation(
                         final,
@@ -1120,7 +1145,7 @@ class SchemaFreeTranslator:
                 return self.composer._rewrite_outer_ref(node, outer_bindings)
             return None
 
-        return transform_block_select(select, rewrite)
+        return ast.transform(select, rewrite, within_block=True)
 
     def _translate_subqueries(
         self,
@@ -1150,7 +1175,7 @@ class SchemaFreeTranslator:
                 return dataclasses.replace(node, query=translated[0].query)
             return None
 
-        return transform_block_select(select, rewrite)
+        return ast.transform(select, rewrite, within_block=True)
 
     def _fragment_views(
         self,

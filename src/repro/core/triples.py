@@ -73,6 +73,8 @@ class ExtractionResult:
     fragments: list[JoinFragment] = field(default_factory=list)
     #: binding name (lower) -> TableRef for the block's FROM entries
     from_bindings: dict[str, ast.TableRef] = field(default_factory=dict)
+    #: whether the block nests a first-level sub-query
+    has_subqueries: bool = False
 
 
 def extract(select: ast.Select) -> ExtractionResult:
@@ -89,9 +91,12 @@ def extract(select: ast.Select) -> ExtractionResult:
     result.fragments = fragments
     condition_columns = {id(c.column): c for c in conditions}
 
-    for column in _column_refs(select):
-        condition = condition_columns.get(id(column))
-        result.triples.append(_triple_for(column, condition))
+    for node in _block_nodes(select):
+        if isinstance(node, ast.ColumnRef):
+            condition = condition_columns.get(id(node))
+            result.triples.append(_triple_for(node, condition))
+        elif isinstance(node, ast.SUBQUERY_NODES):
+            result.has_subqueries = True
     return result
 
 
@@ -117,8 +122,8 @@ def walk_block(node: ast.Node) -> Iterator[ast.Node]:
         yield from walk_block(child)
 
 
-def _column_refs(select: ast.Select) -> Iterator[ast.ColumnRef]:
-    """All column references of the block, in clause order (SELECT first,
+def _block_nodes(select: ast.Select) -> Iterator[ast.Node]:
+    """Every expression node of the block, in clause order (SELECT first,
     so the paper's rt1 ordering matches Figure 4)."""
     roots: list[ast.Node] = [item.expr for item in select.items]
     if select.where is not None:
@@ -133,9 +138,7 @@ def _column_refs(select: ast.Select) -> Iterator[ast.ColumnRef]:
         for node in _from_join_conditions(item):
             roots.append(node)
     for root in roots:
-        for node in walk_block(root):
-            if isinstance(node, ast.ColumnRef):
-                yield node
+        yield from walk_block(root)
 
 
 def _from_join_conditions(item: ast.Node) -> Iterator[ast.Node]:

@@ -2,7 +2,8 @@
 
 All nodes are frozen dataclasses.  Rewriting (e.g. the Standard SQL
 Composer replacing guessed names with exact catalog names, paper §6.2)
-goes through :func:`transform`, which rebuilds the tree bottom-up.
+goes through :func:`transform`, which rebuilds the tree bottom-up and
+can stop at sub-query boundaries.
 
 Schema-free name uncertainty is carried by :class:`NameTerm`: every
 relation or attribute name in the tree records whether the user wrote it
@@ -63,14 +64,26 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (descending into tuples)."""
-        for field in dataclasses.fields(self):  # type: ignore[arg-type]
-            yield from _nodes_in(getattr(self, field.name))
+        for name in _field_names(type(self)):
+            yield from _nodes_in(getattr(self, name))
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
         yield self
         for child in self.children():
             yield from child.walk()
+
+
+#: node class -> its dataclass field names, in constructor order
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        _FIELD_NAMES[cls] = names
+    return names
 
 
 def _nodes_in(value: Any) -> Iterator[Node]:
@@ -81,29 +94,49 @@ def _nodes_in(value: Any) -> Iterator[Node]:
             yield from _nodes_in(item)
 
 
-def transform(node: Node, fn: Callable[[Node], Optional[Node]]) -> Node:
+def transform(
+    node: Node,
+    fn: Callable[[Node], Optional[Node]],
+    within_block: bool = False,
+) -> Node:
     """Rebuild *node* bottom-up, replacing each node with ``fn(node)``.
 
     *fn* receives a node whose children have already been transformed and
     returns either a replacement node or ``None`` to keep it unchanged.
+
+    With ``within_block`` the walk stays inside *node*'s own query block
+    (the Standard SQL Composer rewrites one block at a time, §6.2): a
+    :class:`Select` or :class:`SetOp` below *node* is kept as it is and
+    *fn* never sees it or anything inside it, while the sub-query
+    wrapper around it (``IN (...)``, ``EXISTS``, ...) is still visited.
     """
-    replacements: dict[str, Any] = {}
-    for field in dataclasses.fields(node):  # type: ignore[arg-type]
-        value = getattr(node, field.name)
-        new_value = _transform_value(value, fn)
+    names = _field_names(type(node))
+    values = None
+    for index, name in enumerate(names):
+        value = getattr(node, name)
+        new_value = _transform_value(value, fn, within_block)
         if new_value is not value:
-            replacements[field.name] = new_value
-    if replacements:
-        node = dataclasses.replace(node, **replacements)  # type: ignore[type-var]
+            if values is None:
+                values = [getattr(node, other) for other in names]
+            values[index] = new_value
+    if values is not None:
+        # every field is an __init__ parameter, in field order
+        node = type(node)(*values)
     replaced = fn(node)
     return node if replaced is None else replaced
 
 
-def _transform_value(value: Any, fn: Callable[[Node], Optional[Node]]) -> Any:
+def _transform_value(
+    value: Any, fn: Callable[[Node], Optional[Node]], within_block: bool
+) -> Any:
     if isinstance(value, Node):
-        return transform(value, fn)
+        if within_block and isinstance(value, (Select, SetOp)):
+            return value
+        return transform(value, fn, within_block)
     if isinstance(value, tuple):
-        items = tuple(_transform_value(item, fn) for item in value)
+        items = tuple(
+            _transform_value(item, fn, within_block) for item in value
+        )
         if any(a is not b for a, b in zip(items, value)):
             return items
         return value

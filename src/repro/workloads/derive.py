@@ -24,7 +24,6 @@ from typing import Optional
 
 from ..catalog import Catalog
 from ..sqlkit import ast, parse, render
-from ..core.composer import transform_block_select
 
 
 def _binding_map(select: ast.Select) -> dict[str, tuple[str, Optional[str]]]:
@@ -120,7 +119,7 @@ def _recurse_subqueries(select: ast.Select, derive) -> ast.Select:
             return dataclasses.replace(node, query=derive(node.query))
         return None
 
-    return transform_block_select(select, rewrite)
+    return ast.transform(select, rewrite, within_block=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +175,15 @@ def _derive_textbook(query: ast.Node) -> ast.Node:
             qualifier = ast.NameTerm(relation, ast.Certainty.GUESS)
         return ast.ColumnRef(attribute=attribute, relation=qualifier)
 
-    rewritten = transform_block_select(select, requalify)
+    rewritten = ast.transform(select, requalify, within_block=True)
     rewritten = dataclasses.replace(
         rewritten,
         from_items=(),
         where=_and_all(
-            [transform_block_select_expr(v, requalify) for v in values]
+            [ast.transform(v, requalify, within_block=True) for v in values]
         ),
     )
     return _recurse_subqueries(rewritten, _derive_textbook)
-
-
-def transform_block_select_expr(expr: ast.Node, fn) -> ast.Node:
-    """Apply *fn* through an expression without entering sub-queries."""
-    from ..core.composer import transform_block
-
-    return transform_block(expr, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,65 @@ class TestRevalidationUnderWrites:
         for query in queries:
             assert outcomes(shared, query) == outcomes(fresh, query), query
 
+    def test_mapping_memo_left_by_racing_readers_is_exact(self):
+        # a few queries read over and over, so most trees are mapping-
+        # memo hits, while one thread moves samples and another registers
+        # aliases — each drop racing the mapping sets being computed.
+        # Afterwards every memoized set, hit twice, answers as a fresh
+        # build with the same aliases
+        db = make_db()
+        context = SchemaFreeTranslator(db).context
+        queries = STRESS_QUERIES[:6]
+        aliases = [
+            ("Movie", "film"), ("Person", "human"), ("Company", "studio")
+        ]
+        hits = []
+        lookup = context.cached_mappings
+
+        def counting(fingerprint):
+            answer = lookup(fingerprint)
+            hits.append(answer[0] is not None)
+            return answer
+
+        context.cached_mappings = counting
+
+        def worker(index):
+            if index == 0:
+                for i in range(40):
+                    pk = 6000 + i
+                    name = ["Avatar", "Tom Hanks", "Titanic"][i % 3]
+                    db.insert("Person", [pk, name, "female"])
+                    db.insert("Movie", [pk, name, 2000 + i])
+                    time.sleep(0.005)
+                return
+            if index == 1:
+                for relation, alias in aliases:
+                    time.sleep(0.05)
+                    context.add_relation_alias(relation, alias)
+                return
+            translator = SchemaFreeTranslator(db, context=context)
+            for i in range(60):
+                try:
+                    translator.translate(queries[(index + i) % len(queries)])
+                except ReproError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            in_threads(worker, count=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert any(hits)
+        shared = SchemaFreeTranslator(db, context=context)
+        fresh = SchemaFreeTranslator(db)
+        for relation, alias in aliases:
+            fresh.context.add_relation_alias(relation, alias)
+        for query in queries:
+            want = outcomes(fresh, query)
+            assert outcomes(shared, query) == want, query
+            assert outcomes(shared, query) == want, query
+
 
 def outcomes(translator, query):
     try:

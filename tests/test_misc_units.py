@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.composer import transform_block, transform_block_select
+from repro.sqlkit.ast import transform
 from repro.engine import ExecutionError
 from repro.engine.executor import Result
 from repro.sqlkit import ast, parse, parse_expression
@@ -45,7 +45,7 @@ class TestBlockTransforms:
                 touched.append(node.attribute.text)
             return None
 
-        transform_block(expr, spy)
+        transform(expr, spy, within_block=True)
         assert touched == ["a"]  # b and c live inside the sub-query
 
     def test_transform_block_select_rewrites_all_clauses(self):
@@ -61,7 +61,7 @@ class TestBlockTransforms:
                 )
             return None
 
-        rewritten = transform_block_select(select, upper)
+        rewritten = transform(select, upper, within_block=True)
         names = [
             n.attribute.text
             for n in rewritten.walk()
@@ -71,7 +71,7 @@ class TestBlockTransforms:
 
     def test_transform_preserves_from_clause(self):
         select = parse("SELECT a FROM t, u")
-        rewritten = transform_block_select(select, lambda n: None)
+        rewritten = transform(select, lambda n: None, within_block=True)
         assert rewritten.from_items == select.from_items
 
 

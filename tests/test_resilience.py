@@ -6,6 +6,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Budget,
@@ -176,6 +178,100 @@ class TestBudget:
         assert snap["candidates"] == 2
         assert snap["max_candidates"] == 7
         assert snap["deadline"] == 3.0
+
+
+class TickingClock:
+    """A clock that moves *step* seconds on every read, so a deadline
+    check per charged unit shows in both the raise point and the read
+    count."""
+
+    def __init__(self, step: float) -> None:
+        self.now = 100.0
+        self.step = step
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        self.now += self.step
+        return self.now
+
+
+BUDGET_FAMILIES = st.fixed_dictionaries(
+    {
+        "deadline": st.one_of(st.none(), st.floats(0.5, 40.0)),
+        "step": st.sampled_from([0.0, 0.25, 1.0]),
+        "max_candidates": st.one_of(st.none(), st.integers(0, 40)),
+        "slices": st.lists(
+            st.tuples(
+                st.sampled_from([1.0, 0.55, 0.6]),
+                st.sampled_from([1.0, 0.5, 0.25]),
+            ),
+            max_size=2,
+        ),
+        "before": st.integers(0, 12),
+        "exhausted": st.booleans(),
+        "n": st.integers(0, 60),
+    }
+)
+
+
+class TestChargeCandidatesProperty:
+    """``charge_candidates(n)`` is exactly n one-candidate charges: the
+    counters of the budget and of every ancestor slice, the raise point,
+    the exception and its :class:`Diagnostic`, and the clock reads."""
+
+    @staticmethod
+    def charge(family: dict, bulk: bool):
+        clock = TickingClock(family["step"])
+        chain = [
+            Budget(
+                deadline=family["deadline"],
+                max_candidates=family["max_candidates"],
+                clock=clock,
+            )
+        ]
+        for time_fraction, counter_scale in family["slices"]:
+            chain.append(chain[-1].slice(time_fraction, counter_scale))
+        leaf = chain[-1]
+        for _ in range(family["before"]):  # the same history on both sides
+            try:
+                leaf.charge_candidates(1)
+            except BudgetExceeded:
+                break
+        if family["exhausted"] and not leaf.is_exhausted:
+            with pytest.raises(BudgetExceeded):
+                leaf.exhaust("network", "injected budget exhaustion")
+        raised = None
+        try:
+            if bulk:
+                leaf.charge_candidates(family["n"], stage="map")
+            else:
+                for _ in range(family["n"]):
+                    leaf.charge_candidates(1, stage="map")
+        except BudgetExceeded as exc:
+            raised = (str(exc), exc.diagnostic)
+        return (
+            raised,
+            [(b.candidates, b.exhausted_reason) for b in chain],
+            clock.reads,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=BUDGET_FAMILIES)
+    def test_bulk_charge_equals_unit_charges(self, family):
+        assert self.charge(family, bulk=True) == self.charge(
+            family, bulk=False
+        )
+
+    def test_counting_stops_at_the_first_unit_over_the_cap(self):
+        parent = Budget(max_candidates=20)
+        child = parent.slice(counter_scale=0.25)  # cap 5
+        child.charge_candidates(3)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            child.charge_candidates(53)
+        assert child.candidates == 6
+        assert parent.candidates == 6
+        assert exc_info.value.diagnostic.candidates == 6
 
 
 # ======================================================================

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, SchemaFreeTranslator
+from repro import Budget, BudgetExceeded, Database, SchemaFreeTranslator
 from repro.artifacts import ArtifactStore, build_artifact, load_context
 from repro.backends import MemoryBackend, SqliteBackend, TransientBackendError
 from repro.datasets import make_movie_database
@@ -211,7 +211,6 @@ class TestArtifactBaseline:
         assert stats.tree_sim_hits > hits  # the other relations' memos held
         assert context._baseline_source is None  # released once settled
 
-
 # ---------------------------------------------------------------------------
 # a re-read that fails leaves no unverified memo behind
 # ---------------------------------------------------------------------------
@@ -249,3 +248,300 @@ class TestFailedRevalidation:
         )
         # the status was re-derived from the new data, not kept stale
         assert "satisfied" in context._conditions[("person", "name")].values()
+
+
+# ---------------------------------------------------------------------------
+# the mapping memo: one lookup per tree, revalidated like the tree-sims
+# ---------------------------------------------------------------------------
+
+
+class MappingHits:
+    """Counts the mapping-memo hits of one context (a wrapper around
+    :meth:`TranslationContext.cached_mappings`)."""
+
+    def __init__(self, context) -> None:
+        self.hits = 0
+        lookup = context.cached_mappings
+
+        def counting(fingerprint):
+            answer = lookup(fingerprint)
+            self.hits += answer[0] is not None
+            return answer
+
+        context.cached_mappings = counting
+
+
+def assert_memo_matches_fresh(shared, hits, backend, queries):
+    """Each query three times on the shared translator, each equal to a
+    fresh translator's top-k.  After a write the first pass re-reads
+    through the per-relation probes, and stores no set whose probes
+    dropped a partition; the second stores what the first could not;
+    the third is served from the mapping memo."""
+    fresh = SchemaFreeTranslator(backend)
+    for query in queries:
+        want = outcomes(fresh, query)
+        assert outcomes(shared, query) == want, query
+        assert outcomes(shared, query) == want, query
+        before = hits.hits
+        assert outcomes(shared, query) == want, query
+        assert hits.hits > before, query
+
+
+MAPPING_DB = make_movie_database(scale=0.25)
+MAPPING_SHARED = SchemaFreeTranslator(MAPPING_DB)
+MAPPING_HITS = MappingHits(MAPPING_SHARED.context)
+
+#: (relation, attribute or None, alias) registrations the property draws
+ALIASES = st.lists(
+    st.sampled_from(
+        [
+            ("movie", None, "film"),
+            ("person", None, "human"),
+            ("company", None, "studio"),
+            ("genre", None, "category"),
+            ("movie", "title", "heading"),
+            ("person", "name", "moniker"),
+            ("company", "name", "label"),
+        ]
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def register(context, aliases) -> None:
+    for relation, attribute, alias in aliases:
+        if attribute is None:
+            context.add_relation_alias(relation, alias)
+        else:
+            context.add_attribute_alias(relation, attribute, alias)
+
+
+class TestMappingMemoEqualsFresh:
+    @PROPERTY
+    @given(
+        writes=st.lists(INSERTS, min_size=1, max_size=3),
+        queries=st.lists(st.sampled_from(QUERIES), min_size=1, max_size=3),
+    )
+    def test_memory_inserts(self, writes, queries):
+        for query in QUERIES:
+            outcomes(MAPPING_SHARED, query)
+        for relation, value in writes:
+            MAPPING_DB.insert(relation, insert_row(relation, value))
+            assert_memo_matches_fresh(
+                MAPPING_SHARED, MAPPING_HITS, MAPPING_DB, queries
+            )
+
+    @PROPERTY
+    @given(
+        writes=st.lists(SQL_WRITES, min_size=1, max_size=3),
+        queries=st.lists(st.sampled_from(QUERIES), min_size=1, max_size=3),
+    )
+    def test_sqlite_second_connection_writes(
+        self, sqlite_stack, writes, queries
+    ):
+        backend, writer, shared = sqlite_stack
+        hits = getattr(shared, "_test_mapping_hits", None)
+        if hits is None:
+            hits = shared._test_mapping_hits = MappingHits(shared.context)
+        for query in QUERIES:
+            outcomes(shared, query)
+        for sql, params in writes:
+            if sql == "insert":
+                relation, value = params
+                row = insert_row(relation, value)
+                marks = ", ".join("?" * len(row))
+                writer.execute(f"INSERT INTO {relation} VALUES ({marks})", row)
+            else:
+                writer.execute(sql, params)
+            writer.commit()
+            assert_memo_matches_fresh(shared, hits, backend, queries)
+
+    @PROPERTY
+    @given(
+        aliases=ALIASES,
+        queries=st.lists(st.sampled_from(QUERIES), min_size=1, max_size=3),
+    )
+    def test_aliases(self, aliases, queries):
+        database = make_movie_database(scale=0.25)
+        shared = SchemaFreeTranslator(database)
+        hits = MappingHits(shared.context)
+        for query in QUERIES:  # every mapping memoized before an alias
+            outcomes(shared, query)
+        register(shared.context, aliases)
+        fresh = SchemaFreeTranslator(database)
+        register(fresh.context, aliases)
+        for query in queries:
+            want = outcomes(fresh, query)
+            assert outcomes(shared, query) == want, query
+            before = hits.hits
+            assert outcomes(shared, query) == want, query
+            assert hits.hits > before, query
+
+    @PROPERTY
+    @given(
+        query=st.sampled_from(QUERIES),
+        fail_at=st.integers(1, 4),
+    )
+    def test_error_during_reread_of_a_memoized_mapping(self, query, fail_at):
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        faulty = FaultyBackend(MemoryBackend(database))
+        shared = SchemaFreeTranslator(faulty)
+        context = shared.context
+        for warm in QUERIES:
+            outcomes(shared, warm)
+        assert context._mappings
+        # moves Person.name and Movie.title, so their re-reads matter
+        database.insert("Person", [99, "Titanic", "male"])
+        database.insert("Movie", [99, "Zork Zorkson", 2001])
+        faulty.inject_error(
+            "sample", trigger=faulty.visits.get("sample", 0) + fail_at
+        )
+        # the memoized set is not served while its columns are pending:
+        # the probes re-read them, and the read that fails drops its
+        # relation's tree-sims, and every mapping
+        assert outcomes(shared, query) == "TransientBackendError"
+        assert not context._mappings
+        # what the failed read left behind answers as a fresh build,
+        # through the memo's miss and then its hit
+        want = outcomes(SchemaFreeTranslator(database), query)
+        assert outcomes(shared, query) == want
+        assert outcomes(shared, query) == want
+        for other in QUERIES:
+            assert outcomes(shared, other) == outcomes(
+                SchemaFreeTranslator(database), other
+            ), other
+
+
+class TestMappingSetAcrossADrop:
+    def test_set_computed_across_an_alias_is_not_kept(self):
+        # a deterministic interleaving of the race: while one translation
+        # scores the relations of a tree, an alias (another thread's
+        # vocabulary recovery) drops a partition it has already read.
+        # The set it finishes must not be memoized, or the next
+        # translation would serve the pre-alias score.
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        translator = SchemaFreeTranslator(database)
+        context = translator.context
+        evaluator = translator.similarity
+        probe = evaluator.memoized_tree_similarity
+        probed = []
+
+        def interleaved(tree, fingerprint, relation):
+            probed.append(relation.key)
+            if len(probed) == len(context.relations):
+                context.add_relation_alias("Company", "person")
+            return probe(tree, fingerprint, relation)
+
+        evaluator.memoized_tree_similarity = interleaved
+        query = "SELECT person?.name?"
+        outcomes(translator, query)
+        assert "company" in probed[:-1]  # read before the alias dropped it
+        del evaluator.memoized_tree_similarity
+        fresh = SchemaFreeTranslator(database)
+        fresh.context.add_relation_alias("Company", "person")
+        assert outcomes(translator, query) == outcomes(fresh, query)
+
+
+class TestMappingHitAccounting:
+    QUERY = "SELECT person?.name? WHERE person?.gender? = 'male'"
+
+    def translator(self):
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        return SchemaFreeTranslator(database)
+
+    def test_hit_charges_and_counts_as_the_probes_it_replaces(self):
+        translator = self.translator()
+        translator.translate(self.QUERY)  # cold: one probe per relation
+        cold = translator.last_translation_stats
+        translator.translate(self.QUERY)  # the mapping memo answers
+        hit = translator.last_translation_stats
+        relations = len(translator.context.relations)
+        assert cold.candidates == hit.candidates
+        assert cold.memo["tree_sim_misses"] == relations
+        assert hit.memo["tree_sim_hits"] == relations
+        assert hit.memo["tree_sim_misses"] == 0
+
+    def test_budget_raise_counts_only_the_probes_before_it(self):
+        # the loop charges a relation, then probes it: with a cap of 3,
+        # three probes ran when the fourth charge raised
+        translator = self.translator()
+        translator.translate(self.QUERY)
+        with pytest.raises(BudgetExceeded) as raised:
+            translator.translate(
+                self.QUERY, budget=Budget(max_candidates=3), degrade=False
+            )
+        assert raised.value.diagnostic.candidates == 4
+        memo = translator.last_translation_stats.memo
+        assert memo["tree_sim_hits"] == 3
+        assert memo["tree_sim_misses"] == 0
+
+    @staticmethod
+    def deadline_budget() -> Budget:
+        reads = itertools.count()
+        return Budget(deadline=6.0, clock=lambda: float(next(reads)))
+
+    @pytest.mark.parametrize(
+        "attached", [False, True], ids=["built", "attached"]
+    )
+    @pytest.mark.parametrize(
+        "make_budget",
+        [
+            lambda: Budget(max_candidates=0),
+            lambda: Budget(max_candidates=3),
+            lambda: TestMappingHitAccounting.deadline_budget(),
+        ],
+        ids=["spent", "cap", "deadline"],
+    )
+    def test_stale_lookup_reads_and_raises_as_the_loop(
+        self, make_budget, attached, tmp_path
+    ):
+        # after a write a mapping set whose columns are pending is neither
+        # served nor assembled from memoized scores (an attached context
+        # memoizes every tree-sim but no set): the probes re-read them,
+        # each after its own charge.  So a spent, capped or expiring
+        # budget reads the same samples and raises the same error as a
+        # twin stack whose mapping memo always misses, which runs the
+        # per-relation loop alone
+        def run(memo: bool):
+            database = Database(make_fig1_catalog())
+            populate_fig1(database)
+            backend = FaultyBackend(MemoryBackend(database))
+            if attached:
+                store = ArtifactStore(str(tmp_path / f"memo-{memo}"))
+                path = build_artifact(
+                    database, store, warmup=[self.QUERY], warmup_top_k=TOP_K
+                )
+                translator = SchemaFreeTranslator(
+                    backend, context=load_context(path, backend)
+                )
+            else:
+                translator = SchemaFreeTranslator(backend)
+                translator.translate(self.QUERY)
+                assert translator.context._mappings
+            # moves Person.name, which the tree's conditions sampled
+            database.insert("Person", [99, "Titanic", "male"])
+            if not memo:
+                context = translator.context
+                context.cached_mappings = lambda fingerprint: (
+                    None,
+                    None,
+                    context._tree_sim_epoch,
+                )
+            before = backend.visits.get("sample", 0)
+            with pytest.raises(BudgetExceeded) as raised:
+                translator.translate(
+                    self.QUERY, budget=make_budget(), degrade=False
+                )
+            return (
+                backend.visits.get("sample", 0) - before,
+                str(raised.value),
+                raised.value.diagnostic.stage,
+                raised.value.diagnostic.candidates,
+                translator.last_translation_stats.memo,
+            )
+
+        assert run(memo=True) == run(memo=False)
