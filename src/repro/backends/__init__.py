@@ -14,8 +14,11 @@ two implementations and one wrapper:
 * :class:`ResilientBackend` — fault-tolerance armor over any backend:
   retries with deterministic jitter, per-operation timeout budgets,
   graceful degradation (empty samples, partial catalogs) and a
-  per-backend circuit breaker that pins translation to a degraded
-  ladder rung.  Typed failures live in :mod:`repro.backends.errors`.
+  per-backend :class:`CircuitBreaker` that pins translation to a
+  degraded ladder rung.  It is the one breaker in the system: backend
+  health is this package's to judge, and the translator folds the
+  resulting ``recommended_start_rung`` into its ladder (DESIGN.md
+  §10.4).  Typed failures live in :mod:`repro.backends.errors`.
 
 :func:`as_backend` upgrades a raw Database (which satisfies the
 protocol structurally) into a MemoryBackend; anything already
@@ -31,6 +34,7 @@ from typing import Optional, Union
 
 from ..obs import MetricsRegistry, Tracer
 from .base import Backend
+from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
 from .dialect import UnsupportedSqlError, lower, to_sqlite_sql
 from .errors import (
     BackendDegraded,
@@ -47,8 +51,14 @@ __all__ = [
     "BackendError",
     "BackendHealth",
     "BackendUnavailable",
+    "BreakerConfig",
+    "CLOSED",
+    "CircuitBreaker",
+    "HALF_OPEN",
     "MemoryBackend",
+    "OPEN",
     "ResilientBackend",
+    "RetryPolicy",
     "SqliteBackend",
     "TransientBackendError",
     "UnsupportedSqlError",
@@ -74,7 +84,8 @@ def as_backend(
     return source
 
 
-# Imported after as_backend is defined: resilient's lazy service imports
-# pull in repro.testing.differential, which imports this module's
-# as_backend during circular bootstrap.
+# Imported after as_backend is defined: the retry policy imports
+# repro.testing (for InjectedFault), whose differential module imports
+# this module's as_backend during circular bootstrap.
 from .resilient import BackendHealth, ResilientBackend  # noqa: E402
+from .retry import RetryPolicy  # noqa: E402

@@ -8,7 +8,7 @@ got in PR 3.  Three classes, by what the caller can do about them:
 * :class:`TransientBackendError` — a hiccup worth retrying (a locked
   SQLite file, a dropped connection, an injected transport fault).
   :class:`~repro.backends.resilient.ResilientBackend` retries these with
-  the service's :class:`~repro.service.retry.RetryPolicy` before
+  its :class:`~repro.backends.retry.RetryPolicy` before
   escalating.
 * :class:`BackendUnavailable` — terminal: retries were exhausted (or
   never applicable, e.g. a corrupted database file).  Maps to its own

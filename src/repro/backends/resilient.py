@@ -7,8 +7,8 @@ operation (``reflect`` / ``sample`` / ``execute`` / ``count`` /
 ``version``) runs inside a guard that composes four behaviours:
 
 * **retry** — transient failures (:class:`~repro.backends.errors.
-  TransientBackendError`, injected faults) retry with the service's
-  :class:`~repro.service.retry.RetryPolicy`: exponential backoff with
+  TransientBackendError`, injected faults) retry with a
+  :class:`~repro.backends.retry.RetryPolicy`: exponential backoff with
   deterministic per-request jitter, slept on an injectable sleeper so
   the fault injector's virtual clock makes whole retry storms testable
   in microseconds;
@@ -27,7 +27,7 @@ operation (``reflect`` / ``sample`` / ``execute`` / ``count`` /
   :class:`~repro.errors.Diagnostic` to :attr:`ResilientBackend.health`
   and demotes :attr:`recommended_start_rung`, which the translator folds
   into its degradation ladder;
-* **circuit breaking** — a per-backend :class:`~repro.service.breaker.
+* **circuit breaking** — a per-backend :class:`~repro.backends.breaker.
   CircuitBreaker` counts terminal failures; once tripped it pins the
   backend's databases to its ``pinned_rung`` until a half-open probe
   recovers.  Semantic errors (bad SQL, division by zero) abstain — they
@@ -55,18 +55,18 @@ from ..core.resilience import LADDER, Budget
 from ..errors import Diagnostic, ReproError
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from .base import Backend
+from .breaker import CLOSED, BreakerConfig, CircuitBreaker
 from .errors import (
     BackendDegraded,
     BackendError,
     BackendUnavailable,
     TransientBackendError,
 )
+from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..catalog import Catalog
     from ..engine.executor import Result
-    from ..service.breaker import BreakerConfig, CircuitBreaker
-    from ..service.retry import RetryPolicy
     from ..sqlkit import ast
 
 __all__ = ["BackendHealth", "DEFAULT_TIMEOUTS", "ResilientBackend"]
@@ -145,9 +145,9 @@ class ResilientBackend:
         self,
         inner: Backend,
         *,
-        retry: Optional["RetryPolicy"] = None,
+        retry: Optional[RetryPolicy] = None,
         timeouts: Optional[Mapping[str, float]] = None,
-        breaker: Union["CircuitBreaker", "BreakerConfig", None] = None,
+        breaker: Optional[BreakerConfig] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Optional[Callable[[float], None]] = None,
         tracer: Optional[Tracer] = None,
@@ -156,10 +156,10 @@ class ResilientBackend:
     ) -> None:
         """Armor *inner*.
 
-        *retry* defaults to the service's standard policy (2 retries);
+        *retry* defaults to the standard policy (2 retries);
         *timeouts* maps op name → per-attempt deadline seconds (missing
-        ops run undeadlined); *breaker* accepts a ready
-        ``CircuitBreaker``, a ``BreakerConfig``, or None for defaults;
+        ops run undeadlined); *breaker* configures this backend's
+        circuit breaker (None for defaults);
         *clock* and *sleep* are injectable for deterministic tests —
         pass ``FaultInjector.clock`` / ``FaultInjector.advance`` and no
         wall-clock time passes.  When *sleep* is omitted it is
@@ -167,12 +167,6 @@ class ResilientBackend:
         (virtual) clock.  *request_id* seeds the deterministic retry
         jitter.
         """
-        # Imported here, not at module level: repro.service imports
-        # repro.testing (for InjectedFault) which imports this package —
-        # construction time is after all modules finish loading.
-        from ..service.breaker import BreakerConfig, CircuitBreaker
-        from ..service.retry import RetryPolicy
-
         self._inner = inner
         self.kind = f"resilient[{inner.kind}]"
         self.retry = retry if retry is not None else RetryPolicy()
@@ -188,13 +182,11 @@ class ResilientBackend:
         #: optional request budget; per-op budgets slice under it so
         #: backend time is noted against the request's counters
         self.budget: Optional[Budget] = None
-        if isinstance(breaker, CircuitBreaker):
-            self.breaker = breaker
-        else:
-            config = breaker if isinstance(breaker, BreakerConfig) else BreakerConfig()
-            self.breaker = CircuitBreaker(
-                config, clock=clock, name=f"backend:{inner.kind}"
-            )
+        self.breaker = CircuitBreaker(
+            breaker if breaker is not None else BreakerConfig(),
+            clock=clock,
+            name=f"backend:{inner.kind}",
+        )
         self.health = BackendHealth()
         self._catalog_cache: Optional["Catalog"] = None
         self._last_version: Optional[int] = None
@@ -223,8 +215,6 @@ class ResilientBackend:
         healthy.  A tripped breaker pins to its configured rung; lost
         statistics or a partial catalog demote to ``reduced`` (expensive
         search over wrong statistics wastes the budget)."""
-        from ..service.breaker import CLOSED
-
         advised: Optional[str] = None
         if self.breaker.state != CLOSED:
             advised = self.breaker.config.pinned_rung

@@ -418,8 +418,6 @@ def run_batch(
             marks.append("cached")
         if response.retries:
             marks.append(f"retries={response.retries}")
-        if response.breaker_state and response.breaker_state != "closed":
-            marks.append(f"breaker={response.breaker_state}")
         print(
             f"[{response.request_id}] {response.outcome:<8} "
             f"{' '.join(marks)}  {response.query}",
@@ -507,11 +505,6 @@ def run_batch_processes(
             marks.append(f"retries={response.retries}")
         if response.worker_pid is not None:
             marks.append(f"pid={response.worker_pid}")
-        if (
-            response.shard_breaker_state
-            and response.shard_breaker_state != "closed"
-        ):
-            marks.append(f"shard-breaker={response.shard_breaker_state}")
         print(
             f"[{response.request_id}] {response.outcome:<8} "
             f"{' '.join(marks)}  {response.query}",

@@ -251,9 +251,9 @@ class SchemaFreeTranslator:
 
         Not cacheable: the cache is disabled, a fault injector is
         attached (injected faults must keep firing on every call), or
-        the start rung is pinned below ``full`` (a pinned caller asked
-        for a *cheap* translation; serving the cached full-strength one
-        would change the rung the breaker machinery observes).
+        the start rung is pinned below ``full`` (a pinned caller, or a
+        backend advising a weaker rung, asked for a *cheap* translation;
+        serving the cached full-strength one would hide that advice).
         """
         if (
             self.config.result_cache_size <= 0
@@ -354,9 +354,9 @@ class SchemaFreeTranslator:
 
         ``start_rung`` pins the ladder: translation starts at that rung
         (one of :data:`~repro.core.resilience.LADDER`) instead of the
-        full top-k search.  The query service's circuit breaker uses
-        this to keep serving cheap translations while a database is
-        under budget pressure.
+        full top-k search.  A backend's ``recommended_start_rung`` (a
+        tripped :class:`~repro.backends.ResilientBackend` breaker, lost
+        statistics) is folded in here, the one place it is read.
 
         Every call is instrumented: the returned translations carry a
         shared :class:`TranslationStats` (per-stage wall time, candidate
@@ -727,9 +727,9 @@ class SchemaFreeTranslator:
         on every rung — there is nothing sensible to compose without a
         relation.
 
-        ``start_rung`` skips the rungs above it entirely (the circuit
-        breaker's load-shedding mode); the skip is recorded as a
-        degradation step so callers can see the translation was pinned.
+        ``start_rung`` skips the rungs above it entirely (a pin, or an
+        unwell backend's advice); the skip is recorded as a degradation
+        step so callers can see the translation was pinned.
         """
         required = [tree.key for tree in trees]
         mappings: Optional[dict[TreeKey, TreeMappings]] = None

@@ -3,16 +3,16 @@
 Three instrument kinds, all thread-safe under one registry lock:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
-  cache hits, breaker trips);
+  cache hits, worker restarts);
 * :class:`Gauge` — last-write-wins point values (in-flight requests,
-  breaker state);
+  shard down);
 * :class:`Histogram` — fixed-bucket cumulative distributions
   (per-stage translation latency, queue wait).  Buckets are fixed at
   registration so exposition never reshapes under load.
 
 Metric names follow the scheme ``repro_<area>_<name>_<unit>`` (enforced
 by :func:`validate_metric_name`; DESIGN.md §11): the area is the
-subsystem (``translate``, ``context``, ``service``, ``breaker``), the
+subsystem (``translate``, ``context``, ``service``, ``server``), the
 unit suffix is ``_total`` for counters, a unit like ``_seconds`` for
 histograms, and a bare noun for gauges.  Labels are plain keyword
 arguments; each distinct label combination is its own time series.

@@ -8,7 +8,7 @@ per-span durations, attributes, and events — the "why did this query
 map this way" view: which rung produced the SQL, which relations each
 relation tree considered and at what σ score, what the MTJN search
 expanded, and (for service traces) when the request was admitted,
-queued, retried, or pinned by the breaker.
+queued, or retried.
 """
 
 from __future__ import annotations

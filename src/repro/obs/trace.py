@@ -5,7 +5,7 @@ attributed intervals arranged in a tree: the translator opens one root
 span per ``translate()`` call and nests a span per pipeline stage,
 degradation-ladder rung, relation tree mapped, and MTJN search under
 it; the query service opens a ``service.request`` span per admitted
-request so admission, queue wait, retries and breaker decisions land on
+request so admission, queue wait and retry decisions land on
 the same trace as the translation they wrap (DESIGN.md §11).
 
 Design points:

@@ -6,9 +6,10 @@ a :class:`Supervisor` shards databases across worker *processes*
 heartbeat watchdog on an injectable clock, fails requests on dead or
 hung workers with typed :class:`WorkerCrashed` / :class:`WorkerTimeout`
 (CLI exit code 8), restarts workers under an exponential-backoff
-budget, and degrades a flapping shard through its circuit breaker's
-pinned ladder rung.  :mod:`repro.server.http` puts a minimal asyncio
-HTTP/JSON front end with SIGTERM graceful drain on top.
+budget, and marks a shard down once that budget is spent.  Process
+health is all it judges: a crash means a restart, never a cheaper
+translation.  :mod:`repro.server.http` puts a minimal asyncio HTTP/JSON
+front end with SIGTERM graceful drain on top.
 
 Layering: ``frames`` (wire format) ← ``worker`` (child process) ←
 ``supervisor`` (parent) ← ``http`` (front end).  Nothing here is

@@ -16,7 +16,7 @@ Every frame is a JSON object with an ``op`` field:
 ``ready``          worker → supervisor, once after startup: pid,
                    hosted databases, context build seconds
 ``query``          supervisor → worker: id, query, database,
-                   top_k, deadline, start_rung
+                   top_k, deadline
 ``result``         worker → supervisor: id, outcome, sql, rung,
                    retries, degradation, elapsed, error
 ``ping``/``pong``  heartbeat probe and its echo (id-correlated)

@@ -9,11 +9,11 @@ kill, or a native crash costs one worker process, never the service.
 Architecture (one box per thread/process)::
 
     caller threads ──submit()──▶ per-shard FIFO queue
-                                      │ dispatch (breaker-pinned rung)
+                                      │ dispatch
         ┌─────────────────────────────┼──────────────────────────┐
         │ worker process  ◀── frames ──▶  reader thread (per     │
         │ (TranslationContext,             worker: results, pongs,│
-        │  breaker, backend)               EOF = death)           │
+        │  backend)                        EOF = death)           │
         └──────────────────────────────────────────────────────── ┘
                       watchdog thread: heartbeats, request
                       timeouts, due restarts (injectable clock)
@@ -29,13 +29,9 @@ Architecture (one box per thread/process)::
   (``restart_backoff_base * 2**(n-1)`` capped at
   ``restart_backoff_cap``, counting restarts inside
   ``restart_window``); more than ``max_restarts`` in the window marks
-  the shard *down* and fails its queue fast;
-* **degraded mode** — every crash/timeout is also recorded against the
-  shard's :class:`~repro.service.breaker.CircuitBreaker`; once tripped
-  the supervisor dispatches queries pinned to the breaker's rung (the
-  worker folds the pin with its own breaker, weaker rung wins), so a
-  flapping shard keeps serving cheap translations while probes test
-  recovery;
+  the shard *down* and fails its queue fast.  That is the whole health
+  policy: a crash means a restart, never a cheaper translation — the
+  translation rung is the worker's translator's to choose;
 * **graceful drain** — :meth:`drain` stops admitting (typed
   :class:`~repro.server.errors.ServerDraining` refusals), flushes the
   queues, joins the workers and returns a final snapshot.  SIGTERM
@@ -57,12 +53,12 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..errors import Diagnostic
 from ..obs import NULL_TRACER, MetricsRegistry
-from ..service import BreakerConfig, CircuitBreaker, ServiceOverloaded
+from ..service import ServiceOverloaded
 from .errors import ServerDraining, WorkerCrashed, WorkerTimeout
 from .frames import decode_error, decode_frame, send_frame
 from .worker import DatabaseSpec, WorkerSpec, worker_main
@@ -107,7 +103,7 @@ class SupervisorConfig:
     restart_backoff_base: float = 0.1
     restart_backoff_cap: float = 5.0
     #: more than this many restarts inside ``restart_window`` seconds
-    #: marks the shard down (degraded mode already tripped earlier)
+    #: marks the shard down
     max_restarts: int = 5
     restart_window: float = 60.0
     #: real seconds to wait for a worker's ready frame in start()
@@ -116,8 +112,6 @@ class SupervisorConfig:
     #: forwarded to :class:`~repro.server.worker.WorkerSpec`, consistency
     #: contract in docs/CACHING.md)
     cache_size: int = 256
-    #: per-shard breaker: crashes/timeouts trip it, pinning the rung
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: honour %-prefixed chaos directives in workers (tests only)
     chaos_hooks: bool = False
     #: multiprocessing start method ("spawn" is crash-safe everywhere)
@@ -149,11 +143,8 @@ class ServerResponse:
     degradation: tuple[str, ...] = ()
     retries: int = 0
     shed: bool = False
-    probe: bool = False
     #: the worker answered from its translation result cache
     cached: bool = False
-    worker_breaker_state: Optional[str] = None
-    shard_breaker_state: Optional[str] = None
     worker_pid: Optional[int] = None
     error: Optional[BaseException] = None
     elapsed: float = 0.0
@@ -175,7 +166,6 @@ class ServerResponse:
             "retries": self.retries,
             "cached": self.cached,
             "worker_pid": self.worker_pid,
-            "shard_breaker_state": self.shard_breaker_state,
             "error": None if self.error is None else str(self.error),
             "error_type": (
                 None if self.error is None else type(self.error).__name__
@@ -225,8 +215,6 @@ class _Pending:
         "span",
         "submitted_at",
         "dispatched_at",
-        "start_rung",
-        "probe",
     )
 
     def __init__(self, request_id, query, database, top_k, deadline, span):
@@ -239,8 +227,6 @@ class _Pending:
         self.span = span
         self.submitted_at: Optional[float] = None
         self.dispatched_at: Optional[float] = None
-        self.start_rung: str = "full"
-        self.probe: bool = False
 
 
 # worker lifecycle states
@@ -283,14 +269,13 @@ class _Worker:
 
 
 class _Shard:
-    """One database shard: its spec, workers, queue, and breaker."""
+    """One database shard: its spec, workers, queue and restart state."""
 
-    def __init__(self, name: str, spec: WorkerSpec, breaker: CircuitBreaker):
+    def __init__(self, name: str, spec: WorkerSpec):
         self.name = name
         self.spec = spec
         self.workers: list[_Worker] = []
         self.queue: deque[_Pending] = deque()
-        self.breaker = breaker
         #: clock timestamps of recent restarts (pruned to the window)
         self.restart_times: list[float] = []
         #: (due_at, slot) restarts waiting for their backoff to elapse
@@ -344,13 +329,7 @@ class Supervisor:
                 chaos_hooks=self.config.chaos_hooks,
                 artifacts=self._ensure_shard_artifacts(name, spec),
             )
-            self._shards[name] = _Shard(
-                name,
-                worker_spec,
-                CircuitBreaker(
-                    self.config.breaker, clock=self.clock, name=name
-                ),
-            )
+            self._shards[name] = _Shard(name, worker_spec)
         self._next_id = 0
         self._ping_id = 0
         self.stats = ServerStats()
@@ -563,7 +542,6 @@ class Supervisor:
     ) -> "Future[ServerResponse]":
         """Resolve a request without dispatching it.  Lock held."""
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        shard = self._shards[pending.database]
         response = ServerResponse(
             request_id=pending.request_id,
             query=pending.query,
@@ -571,7 +549,6 @@ class Supervisor:
             ok=False,
             outcome="shed" if shed else "failed",
             shed=shed,
-            shard_breaker_state=shard.breaker.state,
             error=error,
         )
         span = pending.span
@@ -607,17 +584,10 @@ class Supervisor:
                 break
             worker = min(candidates, key=lambda w: len(w.inflight))
             pending = shard.queue.popleft()
-            start_rung, probe = shard.breaker.admit()
-            pending.start_rung = start_rung
-            pending.probe = probe
             pending.dispatched_at = self.clock()
             worker.inflight.append(pending)
             worker.state = _BUSY
-            pending.span.event(
-                "dispatched", worker_pid=worker.pid, rung=start_rung
-            )
-            if probe:
-                pending.span.event("probe")
+            pending.span.event("dispatched", worker_pid=worker.pid)
             sends.setdefault(worker.slot, (worker, []))[1].append(
                 {
                     "op": "query",
@@ -626,7 +596,6 @@ class Supervisor:
                     "database": pending.database,
                     "top_k": pending.top_k,
                     "deadline": pending.deadline,
-                    "start_rung": start_rung,
                 }
             )
         for worker, frames in sends.values():
@@ -670,9 +639,6 @@ class Supervisor:
             elif worker.state == _BUSY:
                 worker.state = _READY
             shard = self._shards[worker.shard]
-            # any well-formed reply is proof the serving substrate works;
-            # translation-level failures are the *worker's* business
-            shard.breaker.record(True, pending.probe)
             error = decode_error(frame.get("error"))
             ok = bool(frame.get("ok"))
             response = ServerResponse(
@@ -686,10 +652,7 @@ class Supervisor:
                 weight=frame.get("weight"),
                 degradation=tuple(frame.get("degradation", ())),
                 retries=int(frame.get("retries", 0)),
-                probe=pending.probe,
                 cached=bool(frame.get("cached")),
-                worker_breaker_state=frame.get("breaker_state"),
-                shard_breaker_state=shard.breaker.state,
                 worker_pid=worker.pid,
                 error=error,
                 elapsed=float(frame.get("elapsed", 0.0)),
@@ -711,7 +674,6 @@ class Supervisor:
                     outcome=response.outcome,
                     rung=response.rung,
                     worker_pid=worker.pid,
-                    shard_breaker_state=response.shard_breaker_state,
                 )
             if error is not None:
                 span.fail(error)
@@ -887,8 +849,7 @@ class Supervisor:
 
     def _fail_worker(self, worker: _Worker, error, kind: str) -> None:
         """Common crash/hang path: fail in-flight typed, kill the
-        process, record the breaker failure, schedule the restart.
-        Lock held."""
+        process, schedule the restart.  Lock held."""
         shard = self._shards[worker.shard]
         worker.state = _DEAD
         pendings = list(worker.inflight)
@@ -906,42 +867,34 @@ class Supervisor:
                 "repro_server_worker_deaths_total",
                 "Worker processes lost, by shard and kind",
             ).inc(1, shard=shard.name, kind=kind)
+        for pending in pendings:
+            self.stats.failed += 1
+            response = ServerResponse(
+                request_id=pending.request_id,
+                query=pending.query,
+                database=pending.database,
+                ok=False,
+                outcome="failed",
+                worker_pid=worker.pid,
+                error=error,
+                elapsed=(
+                    self.clock() - pending.dispatched_at
+                    if pending.dispatched_at is not None
+                    else 0.0
+                ),
+            )
+            self._count_request(
+                pending.database, "worker-failed", response.elapsed
+            )
+            span = pending.span
+            span.event("worker-failed", kind=kind)
+            if span.enabled:
+                span.set(outcome="failed", worker_pid=worker.pid)
+            span.fail(error)
+            span.finish()
+            pending.future.set_result(response)
         if pendings:
-            # one death is one breaker failure, however many pipelined
-            # requests it takes down with it
-            shard.breaker.record(False, any(p.probe for p in pendings))
-            for pending in pendings:
-                self.stats.failed += 1
-                response = ServerResponse(
-                    request_id=pending.request_id,
-                    query=pending.query,
-                    database=pending.database,
-                    ok=False,
-                    outcome="failed",
-                    probe=pending.probe,
-                    shard_breaker_state=shard.breaker.state,
-                    worker_pid=worker.pid,
-                    error=error,
-                    elapsed=(
-                        self.clock() - pending.dispatched_at
-                        if pending.dispatched_at is not None
-                        else 0.0
-                    ),
-                )
-                self._count_request(
-                    pending.database, "worker-failed", response.elapsed
-                )
-                span = pending.span
-                span.event("worker-failed", kind=kind)
-                if span.enabled:
-                    span.set(outcome="failed", worker_pid=worker.pid)
-                span.fail(error)
-                span.finish()
-                pending.future.set_result(response)
             self._done.notify_all()
-        else:
-            # an idle death still counts against the shard's health
-            shard.breaker.record(False)
         self._plan_restart(shard, worker)
 
     def _plan_restart(self, shard: _Shard, worker: _Worker) -> None:
@@ -990,7 +943,6 @@ class Supervisor:
                         database=stale.database,
                         ok=False,
                         outcome="failed",
-                        shard_breaker_state=shard.breaker.state,
                         error=error,
                     )
                 )
@@ -1212,9 +1164,6 @@ class Supervisor:
     def closed(self) -> bool:
         return self._closed
 
-    def breaker(self, database: str = DEFAULT_SHARD) -> CircuitBreaker:
-        return self._shards[database].breaker
-
     def worker_pids(self, database: str = DEFAULT_SHARD) -> list[int]:
         """Live worker pids for one shard (chaos harness seam)."""
         with self._lock:
@@ -1239,7 +1188,6 @@ class Supervisor:
                     "ready": ready,
                     "down": shard.down,
                     "down_reason": shard.down_reason,
-                    "breaker": shard.breaker.state,
                     "workers": {
                         "live": len(live),
                         "configured": self.config.workers_per_shard,
@@ -1273,7 +1221,6 @@ class Supervisor:
                 "readiness": self.readiness(),
                 "shards": {
                     name: {
-                        "breaker": shard.breaker.snapshot(),
                         "restart_times": [
                             round(t, 6) for t in shard.restart_times
                         ],

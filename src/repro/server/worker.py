@@ -4,8 +4,7 @@ A worker is one OS process owning everything a shard needs to serve
 queries: the backend built from a picklable :class:`DatabaseSpec`, a
 private :class:`~repro.core.context.TranslationContext`, and a
 one-thread :class:`~repro.service.QueryService` (which brings the
-per-request deadline budgets, retry policy and the worker's *own*
-circuit breaker along for free).  Crash isolation is the point: a
+per-request deadline budgets and retry policy along for free).  Crash isolation is the point: a
 poisoned query, an OOM, or a native crash takes down this process only —
 the supervisor fails the in-flight request typed and restarts.
 
@@ -141,7 +140,6 @@ def _response_payload(request_id: int, response) -> dict[str, Any]:
         "weight": first.weight if first is not None else None,
         "degradation": list(first.degradation) if first is not None else [],
         "retries": response.retries,
-        "breaker_state": response.breaker_state,
         "cached": response.cached,
         "elapsed": round(response.elapsed, 6),
         "error": (
@@ -174,7 +172,6 @@ def _apply_chaos(directive: str, conn, request_id: int) -> dict[str, Any]:
         "weight": 0.0,
         "degradation": [],
         "retries": 0,
-        "breaker_state": "closed",
         "elapsed": 0.0,
         "error": None,
     }
@@ -308,7 +305,6 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                 database=frame.get("database") or "default",
                 top_k=frame.get("top_k"),
                 deadline=frame.get("deadline"),
-                start_rung=frame.get("start_rung"),
             )
             results.append(_response_payload(request_id, response))
             if (

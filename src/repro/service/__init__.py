@@ -1,6 +1,6 @@
 """Concurrent serving layer over the schema-free translation pipeline.
 
-:class:`QueryService` runs translations on a thread pool with four
+:class:`QueryService` runs translations on a thread pool with three
 behaviours a front end needs under load (DESIGN.md §10):
 
 * **admission control** — capacity is ``workers + queue_limit``
@@ -12,17 +12,19 @@ behaviours a front end needs under load (DESIGN.md §10):
   queue wait counts against it and overruns degrade down the ladder
   instead of failing;
 * **retries** — transient faults retry with exponential backoff and
-  deterministic per-request jitter (:class:`RetryPolicy`);
-* **a circuit breaker per database** — consecutive budget-pressure
-  failures open the breaker, which *pins* new requests to a cheap
-  ladder rung until a half-open probe recovers
-  (:class:`CircuitBreaker`).
+  deterministic per-request jitter (:class:`RetryPolicy`).
+
+The service owns no health state: each failure domain has one owner
+(DESIGN.md §10.4).  A budget that runs out is handled per request by
+the translator's degradation ladder, and backend health by
+:class:`~repro.backends.ResilientBackend`, whose advice the translator
+folds.
 
 Every request's journey is observable: pass ``tracer=`` /
 ``metrics=`` to :class:`QueryService` and each request gets one
-``service.request`` span carrying admission, queue-wait, retry and
-breaker events, plus the ``repro_service_*`` / ``repro_breaker_*``
-metric families — the full catalog is docs/OBSERVABILITY.md.
+``service.request`` span carrying admission, queue-wait and retry
+events, plus the ``repro_service_*`` metric family — the full catalog
+is docs/OBSERVABILITY.md.
 
 **Exit codes.**  The CLI (``python -m repro``, see :mod:`repro.cli`)
 maps this layer's outcomes — and the translator's typed errors — onto
@@ -59,8 +61,7 @@ The budget/degradation side of this table lives in
 See :mod:`repro.service.service` for the threading architecture.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
-from .retry import NO_RETRY, RetryPolicy, jitter_fraction
+from ..backends.retry import NO_RETRY, RetryPolicy, jitter_fraction
 from .service import (
     DEFAULT_DATABASE,
     QueryService,
@@ -73,13 +74,8 @@ from .service import (
 )
 
 __all__ = [
-    "BreakerConfig",
-    "CircuitBreaker",
-    "CLOSED",
     "DEFAULT_DATABASE",
-    "HALF_OPEN",
     "NO_RETRY",
-    "OPEN",
     "QueryService",
     "RetryPolicy",
     "ServiceClosed",

@@ -15,17 +15,17 @@ behaviours a production front end needs:
   under a fresh :meth:`~repro.core.resilience.Budget.slice` of it, so
   the attempt inherits exactly the time that remains;
 * **retries** — transient faults are retried under
-  :class:`~repro.service.retry.RetryPolicy` with exponential backoff
+  :class:`~repro.backends.retry.RetryPolicy` with exponential backoff
   and deterministic jitter.  The backoff "sleep" and the budget clock
   are both injectable: built with a
   :class:`~repro.testing.faults.FaultInjector` the service reuses its
   virtual clock, so backoff and timeout paths are testable without
-  wall-clock sleeping;
-* **circuit breaking** — a per-database
-  :class:`~repro.service.breaker.CircuitBreaker` watches for budget
-  pressure and, once tripped, pins new requests to a lower rung of the
-  degradation ladder (the translator's ``start_rung``), probing
-  half-open recovery after a cooldown.
+  wall-clock sleeping.
+
+A budget that runs out is the translator's to handle, per request, by
+walking its degradation ladder; backend health is the backend's own
+(:class:`~repro.backends.ResilientBackend`, whose advice the translator
+folds).  The service keeps no health state of its own.
 
 Translator instances are **per worker thread** (their scratch state is
 not shared); the per-database context *is* shared, which is safe because
@@ -52,23 +52,17 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Un
 
 from ..core.config import DEFAULT_CONFIG, TranslatorConfig
 from ..core.context import TranslationContext
-from ..core.resilience import LADDER, Budget, BudgetExceeded
+from ..core.resilience import Budget
 from ..core.translator import SchemaFreeTranslator, Translation
 from ..engine import Database
 from ..errors import Diagnostic, ReproError
+from ..backends.retry import RetryPolicy
 from ..obs import NULL_SPAN, NULL_TRACER, MetricsRegistry, record_translation
-from .breaker import BreakerConfig, CircuitBreaker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backends.base import Backend
-from .retry import RetryPolicy
 
 DEFAULT_DATABASE = "default"
-
-#: degradation-step substrings that mean "a budgeted rung was abandoned"
-#: (as opposed to rungs skipped by pinning or failing for non-budget
-#: reasons) — the breaker's failure signal
-_BUDGET_PRESSURE_MARKERS = ("abandoned:", "deadline passed")
 
 
 class ServiceOverloaded(ReproError):
@@ -104,7 +98,6 @@ class ServiceConfig:
     degrade: bool = True
     translator: TranslatorConfig = DEFAULT_CONFIG
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: test/instrumentation seam: called in the worker thread as each
     #: admitted request starts processing (e.g. to block workers and
     #: exercise admission control deterministically)
@@ -124,9 +117,6 @@ class ServiceRequest:
     database: str = DEFAULT_DATABASE
     top_k: Optional[int] = None
     deadline: Optional[float] = None
-    #: ladder rung advised from outside (e.g. a supervisor's per-shard
-    #: breaker); the weaker of this and the service breaker's pin wins
-    start_rung: Optional[str] = None
 
 
 @dataclass
@@ -141,8 +131,6 @@ class ServiceResponse:
     rung: Optional[str] = None
     retries: int = 0
     shed: bool = False
-    probe: bool = False
-    breaker_state: Optional[str] = None
     error: Optional[ReproError] = None
     elapsed: float = 0.0
 
@@ -186,7 +174,6 @@ class ServiceResponse:
             "outcome": self.outcome,
             "rung": self.rung,
             "retries": self.retries,
-            "breaker_state": self.breaker_state,
             "cached": self.cached,
             "sql": self.sql,
             "error": None if self.error is None else str(self.error),
@@ -203,7 +190,6 @@ class ServiceStats:
     failed: int = 0
     shed: int = 0
     retries: int = 0
-    probes: int = 0
     rungs: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
@@ -213,21 +199,18 @@ class ServiceStats:
             "failed": self.failed,
             "shed": self.shed,
             "retries": self.retries,
-            "probes": self.probes,
             "rungs": dict(self.rungs),
         }
 
 
 class _DatabaseState:
-    """Shared per-database serving state: context + breaker."""
+    """Shared per-database serving state: backend + context."""
 
     def __init__(
         self,
         name: str,
         database: "Backend",
         config: ServiceConfig,
-        clock: Callable[[], float],
-        on_transition: Optional[Callable[[str, str, str, str], None]] = None,
         tracer=None,  # Optional[repro.obs.Tracer]
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -252,9 +235,6 @@ class _DatabaseState:
         #: frames so the chaos harness can assert fleet-wide sharing
         self.artifact_loaded = (
             self.artifact_path is not None and self.artifact_error is None
-        )
-        self.breaker = CircuitBreaker(
-            config.breaker, clock=clock, name=name, on_transition=on_transition
         )
 
 
@@ -287,15 +267,7 @@ class QueryService:
         if not databases:
             raise ValueError("QueryService needs at least one database")
         self._states: dict[str, _DatabaseState] = {
-            name: _DatabaseState(
-                name,
-                db,
-                self.config,
-                self.clock,
-                self._on_breaker_transition if metrics is not None else None,
-                self.tracer,
-                metrics,
-            )
+            name: _DatabaseState(name, db, self.config, self.tracer, metrics)
             for name, db in databases.items()
         }
         self._lock = threading.Lock()
@@ -303,7 +275,7 @@ class QueryService:
         self._next_id = 0
         self.stats = ServiceStats()
         #: deterministic-per-request event trace:
-        #: ("shed", id) / ("retry", id, attempt, delay) / ("probe", id)
+        #: ("shed", id) / ("retry", id, attempt, delay) / ("closed", id)
         self.events: list[tuple] = []
         capacity = self.config.workers + self.config.queue_limit
         self._slots = threading.Semaphore(capacity)
@@ -346,14 +318,11 @@ class QueryService:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def breaker(self, database: str = DEFAULT_DATABASE) -> CircuitBreaker:
-        return self._states[database].breaker
-
     def context(self, database: str = DEFAULT_DATABASE) -> TranslationContext:
         return self._states[database].context
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable service state (stats + breakers + memo)."""
+        """JSON-serialisable service state (stats + memo + backends)."""
         with self._lock:
             stats = self.stats.as_dict()
         return {
@@ -364,14 +333,8 @@ class QueryService:
                 "max_candidates": self.config.max_candidates,
                 "max_expansions": self.config.max_expansions,
                 "retries": self.config.retry.max_retries,
-                "breaker_threshold": self.config.breaker.failure_threshold,
-                "breaker_pinned_rung": self.config.breaker.pinned_rung,
             },
             "stats": stats,
-            "breakers": {
-                name: state.breaker.snapshot()
-                for name, state in self._states.items()
-            },
             "memo": {
                 name: state.context.stats.as_dict()
                 for name, state in self._states.items()
@@ -405,25 +368,6 @@ class QueryService:
         with self._lock:
             self.events.append(tuple(event))
 
-    #: numeric encoding for the breaker-state gauge
-    _BREAKER_STATE_VALUES = {"closed": 0, "half-open": 1, "open": 2}
-
-    def _on_breaker_transition(
-        self, name: str, before: str, to: str, reason: str
-    ) -> None:
-        """Breaker observer (called while the breaker lock is held)."""
-        metrics = self.metrics
-        if metrics is None:
-            return
-        metrics.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions, by database and edge",
-        ).inc(1, **{"database": name, "from": before, "to": to})
-        metrics.gauge(
-            "repro_breaker_state",
-            "Current breaker state (0=closed, 1=half-open, 2=open)",
-        ).set(self._BREAKER_STATE_VALUES.get(to, -1), database=name)
-
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
@@ -433,7 +377,6 @@ class QueryService:
         database: str = DEFAULT_DATABASE,
         top_k: Optional[int] = None,
         deadline: Optional[float] = None,
-        start_rung: Optional[str] = None,
     ) -> "Future[ServiceResponse]":
         """Submit one query; never blocks.
 
@@ -443,18 +386,9 @@ class QueryService:
         error — load shedding is bounded-latency by construction.
         Submissions after (or racing) :meth:`close` resolve to a typed
         :class:`ServiceClosed` failure the same way.
-
-        ``start_rung`` pins the request to a degradation-ladder rung
-        decided *outside* this service (the multi-process supervisor's
-        per-shard breaker); the weaker of it and this service's own
-        breaker pin is what the translator sees.
         """
         if database not in self._states:
             raise KeyError(f"unknown database {database!r}")
-        if start_rung is not None and start_rung not in LADDER:
-            raise ValueError(
-                f"unknown ladder rung {start_rung!r}; expected one of {LADDER}"
-            )
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
@@ -465,7 +399,6 @@ class QueryService:
             database=database,
             top_k=top_k,
             deadline=self.config.deadline if deadline is None else deadline,
-            start_rung=start_rung,
         )
         # one span per request, started at submission so queue wait and
         # admission-control outcomes land on the same trace; the worker
@@ -534,13 +467,12 @@ class QueryService:
         database: str = DEFAULT_DATABASE,
         top_k: Optional[int] = None,
         deadline: Optional[float] = None,
-        start_rung: Optional[str] = None,
     ) -> ServiceResponse:
         """Process one request synchronously in the *calling* thread.
 
         Semantically identical to ``submit(...).result()`` — admission
-        accounting, deadline budget, breaker, retries and metrics all
-        run — minus the pool handoff: no queue, no worker-thread
+        accounting, deadline budget, retries and metrics all run —
+        minus the pool handoff: no queue, no worker-thread
         context switch.  Built for callers that are themselves
         single-threaded request loops (the multi-process serving
         worker), where the two extra switches per request are pure
@@ -548,10 +480,6 @@ class QueryService:
         """
         if database not in self._states:
             raise KeyError(f"unknown database {database!r}")
-        if start_rung is not None and start_rung not in LADDER:
-            raise ValueError(
-                f"unknown ladder rung {start_rung!r}; expected one of {LADDER}"
-            )
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
@@ -562,7 +490,6 @@ class QueryService:
             database=database,
             top_k=top_k,
             deadline=self.config.deadline if deadline is None else deadline,
-            start_rung=start_rung,
         )
         span = self.tracer.start_span("service.request")
         if span.enabled:
@@ -603,14 +530,12 @@ class QueryService:
                 },
             ),
         )
-        state = self._states[request.database]
         response = ServiceResponse(
             request_id=request.request_id,
             query=request.query,
             database=request.database,
             ok=False,
             shed=True,
-            breaker_state=state.breaker.state,
             error=error,
         )
         with self._lock:
@@ -622,7 +547,7 @@ class QueryService:
             queue_limit=self.config.queue_limit,
         )
         if span.enabled:
-            span.set(outcome="shed", breaker_state=response.breaker_state)
+            span.set(outcome="shed")
         span.fail(error)
         span.finish()
         if self.metrics is not None:
@@ -736,38 +661,6 @@ class QueryService:
         self, request: ServiceRequest, budget: Budget, span=NULL_SPAN
     ) -> ServiceResponse:
         state = self._states[request.database]
-        start_rung, probe = state.breaker.admit()
-        if probe:
-            with self._lock:
-                self.stats.probes += 1
-                self.events.append(("probe", request.request_id))
-            span.event("probe")
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_service_probes_total",
-                    "Half-open breaker probes dispatched",
-                ).inc(1, database=request.database)
-        # A resilient backend advertises its own demotion (tripped
-        # backend breaker, degraded statistics); the weaker of the two
-        # pins wins so backend trouble shows up at admission, not buried
-        # inside the translator.
-        advice = getattr(state.database, "recommended_start_rung", None)
-        if (
-            advice in LADDER
-            and LADDER.index(advice) > LADDER.index(start_rung)
-        ):
-            start_rung = advice
-            span.event("backend-pinned", rung=advice)
-        # ... as does a pin advised by the caller (the multi-process
-        # supervisor's per-shard breaker, threaded through submit())
-        if (
-            request.start_rung is not None
-            and LADDER.index(request.start_rung) > LADDER.index(start_rung)
-        ):
-            start_rung = request.start_rung
-            span.event("caller-pinned", rung=request.start_rung)
-        if span.enabled and start_rung != "full":
-            span.set(pinned_rung=start_rung)
         translator = self._translator(state)
         started = self.clock()
         retries = 0
@@ -779,14 +672,6 @@ class QueryService:
                     top_k=request.top_k or self.config.top_k,
                     budget=budget.slice(),
                     degrade=self.config.degrade,
-                    start_rung=start_rung,
-                )
-            except BudgetExceeded as exc:
-                # ran out even after degrading: breaker-visible failure
-                state.breaker.record(False, probe)
-                return self._finish(
-                    request, state, started, retries, probe,
-                    ok=False, error=exc, rung=start_rung, span=span,
                 )
             except ReproError as exc:
                 if (
@@ -813,48 +698,29 @@ class QueryService:
                     self._sleep(delay)
                     retries += 1
                     continue
-                # non-budget failures say nothing about load: the
-                # breaker only hears about budget pressure (below)
+                # not retryable: a syntax error, an unmappable query, or
+                # a BudgetExceeded the ladder could not degrade away
                 return self._finish(
-                    request, state, started, retries, probe,
+                    request, started, retries,
                     ok=False, error=exc, rung=None, span=span,
                 )
-            pressure = self._budget_pressure(translations)
-            state.breaker.record(not pressure, probe)
-            rung = translations[0].rung if translations else start_rung
+            rung = translations[0].rung if translations else "full"
             return self._finish(
-                request, state, started, retries, probe,
+                request, started, retries,
                 ok=True, translations=translations, rung=rung, span=span,
             )
-
-    @staticmethod
-    def _budget_pressure(translations: list[Translation]) -> bool:
-        """Did this result only survive by abandoning budgeted rungs?"""
-        for translation in translations[:1]:
-            for step in translation.degradation:
-                if any(m in step for m in _BUDGET_PRESSURE_MARKERS):
-                    return True
-        return False
 
     def _finish(
         self,
         request: ServiceRequest,
-        state: _DatabaseState,
         started: float,
         retries: int,
-        probe: bool,
         ok: bool,
         translations: Optional[list[Translation]] = None,
         error: Optional[ReproError] = None,
         rung: Optional[str] = None,
         span=NULL_SPAN,
     ) -> ServiceResponse:
-        if not ok and probe:
-            # a probe that failed for non-budget reasons still has to
-            # release the probe slot without closing the breaker; budget
-            # failures were already recorded against it
-            if error is not None and not isinstance(error, BudgetExceeded):
-                state.breaker.abstain(probe)
         response = ServiceResponse(
             request_id=request.request_id,
             query=request.query,
@@ -863,8 +729,6 @@ class QueryService:
             translations=translations,
             rung=rung,
             retries=retries,
-            probe=probe,
-            breaker_state=state.breaker.state,
             error=error,
             elapsed=self.clock() - started,
         )
@@ -879,7 +743,6 @@ class QueryService:
             span.set(
                 outcome=response.outcome,
                 retries=retries,
-                breaker_state=response.breaker_state,
                 elapsed=round(response.elapsed, 6),
             )
             if rung is not None:

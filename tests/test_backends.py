@@ -489,6 +489,36 @@ class TestBackendOnlyTranslation:
                     offenders.append(f"{module.name}: {stripped}")
         assert offenders == []
 
+    def test_backends_import_no_serving_layer(self):
+        """Backends sit below the serving tiers: no module under
+        repro/backends imports repro.service or repro.server, lazily or
+        not."""
+        import ast
+
+        backends = (
+            Path(__file__).resolve().parent.parent / "src" / "repro" / "backends"
+        )
+        package = ["repro", "backends"]
+        offenders = []
+        for module in sorted(backends.glob("*.py")):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1]
+                    names = [
+                        ".".join(base + ([node.module] if node.module else []))
+                        if node.level
+                        else node.module or ""
+                    ]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith(("repro.service", "repro.server")):
+                        offenders.append(f"{module.name}:{node.lineno}: {name}")
+        assert offenders == []
+
 
 # ---------------------------------------------------------------------------
 # export_to_sqlite

@@ -6,8 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import (
+    CLOSED,
     BackendDegraded,
     BackendUnavailable,
+    BreakerConfig,
     MemoryBackend,
     ResilientBackend,
     TransientBackendError,
@@ -15,8 +17,7 @@ from repro.backends import (
 from repro.cli import EXIT_BACKEND, exit_code_for
 from repro.core import SchemaFreeTranslator
 from repro.obs import MetricsRegistry, RingBufferExporter, Tracer
-from repro.service.breaker import CLOSED, BreakerConfig
-from repro.service.retry import NO_RETRY, RetryPolicy
+from repro.backends.retry import NO_RETRY, RetryPolicy
 from repro.testing import (
     BACKEND_OPS,
     DropForeignKey,

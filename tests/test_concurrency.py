@@ -26,7 +26,7 @@ import pytest
 
 from repro import Budget, BudgetExceeded, Database, QueryService, SchemaFreeTranslator
 from repro.errors import ReproError
-from repro.service import BreakerConfig, RetryPolicy, ServiceConfig
+from repro.service import RetryPolicy, ServiceConfig
 from repro.testing.faults import FaultInjector, VirtualClock
 
 from tests.conftest import make_fig1_catalog, populate_fig1
@@ -276,7 +276,6 @@ class TestServiceStress:
             workers=THREADS,
             queue_limit=256,
             retry=RetryPolicy(max_retries=2),
-            breaker=BreakerConfig(failure_threshold=3),
         )
         queries = STRESS_QUERIES * REPEATS
         with QueryService(db, config, faults=injector) as service:
@@ -317,10 +316,6 @@ class TestServiceStress:
         for request_id in retried:
             assert by_id[request_id].retries == 1
             assert by_id[request_id].ok  # retried to success
-
-        # breaker never tripped, no probes ran
-        assert service.breaker().trip_count == 0
-        assert service.stats.probes == 0
 
         # the shared context was never invalidated (no writes), and the
         # memo actually carried load across threads

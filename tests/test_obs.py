@@ -3,7 +3,7 @@
 Covers the ``repro.obs`` primitives in isolation (span trees, ring
 buffer bounds, exporters, registry semantics, Prometheus exposition),
 the end-to-end span surface produced by a real translation, the
-service-level trace with admission/retry/breaker events, and the
+service-level trace with admission/retry events, and the
 non-interference property: tracing must never change a translation.
 """
 
@@ -39,12 +39,7 @@ from repro.obs import (
     render_trace,
     validate_metric_name,
 )
-from repro.service import (
-    BreakerConfig,
-    NO_RETRY,
-    RetryPolicy,
-    ServiceConfig,
-)
+from repro.service import RetryPolicy, ServiceConfig
 from repro.testing.faults import FaultInjector
 
 from tests.conftest import make_fig1_catalog, populate_fig1
@@ -555,7 +550,7 @@ class TestTranslatorTracing:
 
 
 # ---------------------------------------------------------------------------
-# service span integration: admission, retries, breaker on one trace
+# service span integration: admission and retries on one trace
 # ---------------------------------------------------------------------------
 
 
@@ -624,34 +619,6 @@ class TestServiceTracing:
             ]
             == 1
         )
-
-    def test_breaker_trip_recorded_in_spans_and_metrics(self):
-        injector = FaultInjector()
-        injector.inject_budget_exhaustion("network", trigger=1)
-        injector.inject_budget_exhaustion("network", trigger=2)
-        config = ServiceConfig(
-            workers=1,
-            retry=NO_RETRY,
-            breaker=BreakerConfig(
-                failure_threshold=2, cooldown=60.0, pinned_rung="greedy"
-            ),
-        )
-        responses, spans, metrics = self.run_service(
-            [CAMERON, CAMERON, CAMERON], config=config, injector=injector
-        )
-        assert all(r.ok for r in responses)
-        assert responses[2].rung == "greedy"  # pinned by the open breaker
-        requests = [s for s in spans if s.name == "service.request"]
-        pinned = [
-            s for s in requests if s.attributes.get("pinned_rung") == "greedy"
-        ]
-        assert len(pinned) == 1
-        snapshot = metrics.snapshot()
-        transitions = snapshot["repro_breaker_transitions_total"]["values"]
-        assert transitions == {"database=default,from=closed,to=open": 1}
-        assert snapshot["repro_breaker_state"]["values"] == {
-            "database=default": 2  # 2 = open
-        }
 
     def test_shed_request_gets_failed_span(self):
         import threading

@@ -41,7 +41,7 @@ from repro.server import (
     encode_frame,
 )
 from repro.server.http import ServerApp, _handle_connection, _status_for
-from repro.service import BreakerConfig, ServiceConfig, ServiceOverloaded
+from repro.service import ServiceConfig, ServiceOverloaded
 from repro.service import QueryService
 from repro.testing import FaultInjector, VirtualClock
 
@@ -234,7 +234,7 @@ class TestSupervisorServing:
         assert [r.sql for r in responses] == [b.sql for b in baseline]
         assert all(r.worker_pid is not None for r in responses)
         assert snapshot["stats"]["submitted"] == len(WORKLOAD)
-        assert snapshot["shards"]["movies"]["breaker"]["state"] == "closed"
+        assert not snapshot["readiness"]["shards"]["movies"]["down"]
 
     def test_unknown_database_raises_key_error(self):
         supervisor, _ = make_supervisor()
@@ -368,15 +368,13 @@ class TestWatchdog:
 
 
 class TestRestartBudget:
-    def test_budget_trip_pins_rung_then_marks_shard_down(self):
+    def test_crash_means_restart_not_pin_then_marks_shard_down(self):
         supervisor, clock = make_supervisor(
-            max_restarts=2,
-            restart_window=60.0,
-            breaker=BreakerConfig(
-                failure_threshold=2, cooldown=120.0, pinned_rung="greedy"
-            ),
+            max_restarts=2, restart_window=60.0
         )
         with supervisor:
+            before = supervisor.run([CAMERON], database="movies")[0]
+            assert before.ok and before.rung == "full"
             for expected_restarts in (1, 2):
                 crash = supervisor.submit(
                     "%crash", database="movies"
@@ -384,13 +382,12 @@ class TestRestartBudget:
                 assert isinstance(crash.error, WorkerCrashed)
                 restart_and_wait(supervisor, clock)
                 assert supervisor.stats.restarts == expected_restarts
-            # two crashes tripped the shard breaker: degraded mode —
-            # requests now dispatch pinned to the breaker's rung
-            assert supervisor.breaker("movies").state == "open"
-            pinned = supervisor.run([CAMERON], database="movies")[0]
-            assert pinned.ok
-            assert pinned.rung == "greedy"
-            assert pinned.shard_breaker_state == "open"
+            # two crashes inside the budget cost two restarts, not a
+            # cheaper translation: the replacement serves at full
+            after = supervisor.run([CAMERON], database="movies")[0]
+            assert after.ok
+            assert after.rung == "full"
+            assert after.sql == before.sql
             # the third crash exceeds max_restarts: the shard goes down
             crash = supervisor.submit("%crash", database="movies").result(
                 timeout=30

@@ -7,6 +7,7 @@ manual counters or the fault injector's virtual clock, and backoff
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -18,17 +19,19 @@ from repro import (
     SqlSyntaxError,
     TranslationError,
 )
-from repro.service import (
+from repro.backends import (
     CLOSED,
     HALF_OPEN,
-    NO_RETRY,
     OPEN,
     BreakerConfig,
     CircuitBreaker,
-    RetryPolicy,
-    ServiceConfig,
-    jitter_fraction,
+    MemoryBackend,
+    ResilientBackend,
 )
+from repro.core import SchemaFreeTranslator
+from repro.core.config import DEFAULT_CONFIG
+from repro.service import NO_RETRY, RetryPolicy, ServiceConfig, jitter_fraction
+from repro.testing import FaultyBackend, VirtualClock
 from repro.testing.faults import FaultInjector, InjectedFault
 
 from tests.conftest import make_fig1_catalog, populate_fig1
@@ -79,7 +82,7 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker state machine (manual clock, no sleeps)
+# the backend circuit breaker's state machine (manual clock, no sleeps)
 # ---------------------------------------------------------------------------
 
 
@@ -324,7 +327,6 @@ class TestDeadlines:
             workers=1,
             deadline=0.5,
             retry=NO_RETRY,
-            breaker=BreakerConfig(failure_threshold=1000),
         )
         with QueryService(make_db(), config, faults=injector) as service:
             response = service.translate_one(CAMERON)
@@ -332,6 +334,17 @@ class TestDeadlines:
         assert response.rung != "full"
         steps = " ".join(response.translations[0].degradation)
         assert "abandoned" in steps or "deadline passed" in steps
+
+    def test_budget_pressure_degrades_only_its_own_request(self):
+        # the service keeps no health state: three requests that lose
+        # their full-search budget leave the fourth at full strength
+        injector = FaultInjector()
+        for visit in (1, 2, 3):
+            injector.inject_budget_exhaustion("network", trigger=visit)
+        config = ServiceConfig(workers=1, retry=NO_RETRY)
+        with QueryService(make_db(), config, faults=injector) as service:
+            rungs = [service.translate_one(CAMERON).rung for _ in range(4)]
+        assert rungs == ["reduced", "reduced", "reduced", "full"]
 
     def test_deadline_none_never_degrades(self):
         with QueryService(make_db(), ServiceConfig(workers=1)) as service:
@@ -342,123 +355,43 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker wired into the service
+# backend advice: folded once, by the translator
 # ---------------------------------------------------------------------------
 
 
-def pressure_injector(failures: int) -> FaultInjector:
-    """An injector whose first *failures* requests lose their full-search
-    budget (each fault fires once, on consecutive network visits)."""
-    injector = FaultInjector()
-    for visit in range(1, failures + 1):
-        injector.inject_budget_exhaustion("network", trigger=visit)
-    return injector
+class TestBackendAdvice:
+    """A ResilientBackend's rung advice reaches a served request through
+    the translator alone, so the reason it records survives serving."""
 
+    STEP = "backend degraded (statistics sampling failed)"
+    CACHED = dataclasses.replace(DEFAULT_CONFIG, result_cache_size=16)
 
-class TestBreakerIntegration:
-    def make_service(self, failures=2, threshold=2, cooldown=60.0):
-        injector = pressure_injector(failures)
-        config = ServiceConfig(
-            workers=1,
-            retry=NO_RETRY,
-            breaker=BreakerConfig(
-                failure_threshold=threshold,
-                cooldown=cooldown,
-                pinned_rung="greedy",
-            ),
+    def make_backend(self) -> ResilientBackend:
+        injector = FaultInjector(clock=VirtualClock(origin=None))
+        faulty = FaultyBackend(MemoryBackend(make_db()), injector)
+        faulty.inject_error("sample", repeat=True)
+        return ResilientBackend(
+            faulty, clock=injector.clock, sleep=injector.advance
         )
-        return QueryService(make_db(), config, faults=injector), injector
 
-    def test_budget_pressure_trips_and_pins(self):
-        service, _ = self.make_service(failures=2, threshold=2)
-        with service:
-            # two budget-pressured requests: degraded to "reduced", and
-            # each counts as a breaker failure
-            for _ in range(2):
-                response = service.translate_one(CAMERON)
-                assert response.ok
-                assert response.rung == "reduced"
-            assert service.breaker().state == OPEN
-            # new requests are pinned to the greedy rung
-            pinned = service.translate_one(CAMERON)
-            assert pinned.ok
-            assert pinned.rung == "greedy"
-            assert pinned.breaker_state == OPEN
-            steps = " ".join(pinned.translations[0].degradation)
-            assert "ladder pinned at 'greedy'" in steps
-        assert service.breaker().trip_count == 1
-        assert service.stats.rungs == {"reduced": 2, "greedy": 1}
+    def test_served_request_keeps_the_backend_reason(self):
+        translator = SchemaFreeTranslator(self.make_backend(), self.CACHED)
+        translator.translate(CAMERON)  # sampling fails: health degrades
+        direct = translator.translate(CAMERON)[0]
 
-    def test_half_open_probe_recovers(self):
-        service, injector = self.make_service(
-            failures=2, threshold=2, cooldown=30.0
-        )
-        with service:
-            for _ in range(2):
-                service.translate_one(CAMERON)
-            assert service.breaker().state == OPEN
-            # cooldown not elapsed: still pinned
-            assert service.translate_one(CAMERON).rung == "greedy"
-            injector.advance(30.0)
-            # the faults are exhausted, so the probe runs clean at full
-            probe = service.translate_one(CAMERON)
-            assert probe.probe
-            assert probe.ok
-            assert probe.rung == "full"
-            assert service.breaker().state == CLOSED
-            # and service is back to full strength
-            assert service.translate_one(CAMERON).rung == "full"
-        states = [(a, b) for a, b, _ in service.breaker().transitions]
-        assert states == [
-            (CLOSED, OPEN),
-            (OPEN, HALF_OPEN),
-            (HALF_OPEN, CLOSED),
-        ]
-        assert service.stats.probes == 1
+        config = ServiceConfig(workers=1, translator=self.CACHED)
+        with QueryService(self.make_backend(), config) as service:
+            service.serve_inline(CAMERON)
+            stored = service.context().result_cache_entries()
+            served = service.serve_inline(CAMERON)
+            assert service.context().result_cache_entries() == stored
 
-    def test_failed_probe_reopens(self):
-        # 3 pressure faults: two trip the breaker, the third hits the probe
-        service, injector = self.make_service(
-            failures=3, threshold=2, cooldown=30.0
-        )
-        with service:
-            for _ in range(2):
-                service.translate_one(CAMERON)
-            assert service.breaker().state == OPEN
-            injector.advance(30.0)
-            probe = service.translate_one(CAMERON)
-            assert probe.probe
-            assert probe.rung == "reduced"  # still under pressure
-            assert service.breaker().state == OPEN
-            assert service.breaker().trip_count == 2
-
-    def test_per_database_breakers_are_independent(self):
-        injector = pressure_injector(2)
-        config = ServiceConfig(
-            workers=1,
-            retry=NO_RETRY,
-            breaker=BreakerConfig(failure_threshold=2, cooldown=60.0),
-        )
-        databases = {"a": make_db(), "b": make_db()}
-        with QueryService(databases, config, faults=injector) as service:
-            for _ in range(2):
-                service.translate_one(CAMERON, database="a")
-            assert service.breaker("a").state == OPEN
-            assert service.breaker("b").state == CLOSED
-            # b still serves at full strength (faults exhausted by a)
-            response = service.translate_one(CAMERON, database="b")
-            assert response.rung == "full"
-            assert service.breaker("b").state == CLOSED
-
-    def test_user_errors_do_not_trip_breaker(self):
-        config = ServiceConfig(
-            workers=1, breaker=BreakerConfig(failure_threshold=1)
-        )
-        with QueryService(make_db(), config) as service:
-            for _ in range(3):
-                response = service.translate_one("SELECT name? WHERE")
-                assert not response.ok
-            assert service.breaker().state == CLOSED
+        assert served.ok
+        steps = served.translations[0].degradation
+        assert sum(step.startswith(self.STEP) for step in steps) == 1
+        assert served.rung == direct.rung != "full"
+        assert steps == direct.degradation
+        assert not served.cached
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +411,14 @@ class TestResponseSurface:
         assert data["sql"].startswith("SELECT")
 
     def test_snapshot_has_stats_breakers_memo(self):
-        with QueryService(make_db(), ServiceConfig(workers=2)) as service:
+        backend = ResilientBackend(MemoryBackend(make_db()))
+        with QueryService(backend, ServiceConfig(workers=2)) as service:
             service.run([CAMERON, HANKS])
             snapshot = service.snapshot()
         assert snapshot["stats"]["completed"] == 2
-        assert snapshot["breakers"]["default"]["state"] == CLOSED
+        # the one breaker is the backend's
+        assert "breakers" not in snapshot
+        assert snapshot["backends"]["default"]["breaker"]["state"] == CLOSED
         assert "tree_sim_misses" in snapshot["memo"]["default"]
 
     def test_close_is_idempotent(self):
@@ -492,7 +428,7 @@ class TestResponseSurface:
 
 
 # ---------------------------------------------------------------------------
-# close semantics and caller rung pinning (served-tier contract)
+# close semantics (served-tier contract)
 # ---------------------------------------------------------------------------
 
 
@@ -555,37 +491,6 @@ class TestCloseAndPinning:
             thread.join()
         assert service.closed
 
-    def test_caller_pinned_start_rung_is_honoured(self):
-        with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            response = service.submit(CAMERON, start_rung="greedy").result()
-        assert response.ok
-        assert response.rung == "greedy"
-
-    def test_caller_pin_never_weakens_breaker_pin(self):
-        """A caller pin earlier on the ladder than the breaker's own pin
-        must not un-degrade a tripped database."""
-        injector = pressure_injector(2)
-        config = ServiceConfig(
-            workers=1,
-            retry=NO_RETRY,
-            breaker=BreakerConfig(
-                failure_threshold=2, cooldown=60.0, pinned_rung="greedy"
-            ),
-        )
-        with QueryService(make_db(), config, faults=injector) as service:
-            for _ in range(2):
-                service.submit(CAMERON).result()
-            assert service.breaker().state == OPEN
-            response = service.submit(CAMERON, start_rung="reduced").result()
-        # breaker pin (greedy) is later on the ladder than the caller's
-        # "reduced" ask, so the breaker wins
-        assert response.rung == "greedy"
-
-    def test_unknown_start_rung_raises_value_error(self):
-        with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            with pytest.raises(ValueError):
-                service.submit(CAMERON, start_rung="bogus")
-
 
 class TestServeInline:
     """serve_inline: submit().result() semantics without the pool hop."""
@@ -609,12 +514,6 @@ class TestServeInline:
         with QueryService(make_db(), config) as service:
             service.serve_inline(CAMERON)
         assert seen == [threading.main_thread()]
-
-    def test_honours_caller_pin(self):
-        with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            response = service.serve_inline(CAMERON, start_rung="greedy")
-        assert response.ok
-        assert response.rung == "greedy"
 
     def test_refuses_typed_after_close(self):
         from repro import ServiceClosed
