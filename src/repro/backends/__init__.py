@@ -16,9 +16,9 @@ two implementations and one wrapper:
   graceful degradation (empty samples, partial catalogs) and a
   per-backend :class:`CircuitBreaker` that pins translation to a
   degraded ladder rung.  It is the one breaker in the system: backend
-  health is this package's to judge, and the translator folds the
-  resulting ``recommended_start_rung`` into its ladder (DESIGN.md
-  §10.4).  Typed failures live in :mod:`repro.backends.errors`.
+  health is this package's to judge, and the translator starts its
+  ladder at the resulting ``start_advice`` (DESIGN.md §10.4).  Typed
+  failures live in :mod:`repro.backends.errors`.
 
 :func:`as_backend` upgrades a raw Database (which satisfies the
 protocol structurally) into a MemoryBackend; anything already

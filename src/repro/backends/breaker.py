@@ -5,8 +5,7 @@ cheaper option: the translator's degradation ladder (``full → reduced →
 greedy → partial``) means a database whose backend keeps failing can
 still be served, just at a weaker rung.  The breaker therefore doesn't
 reject requests — :class:`~repro.backends.ResilientBackend` reads its
-state into ``recommended_start_rung``, which the translator folds into
-its ladder:
+state into ``start_advice``, the translator's start rung:
 
 * **closed** — translation runs at full strength.
   ``failure_threshold`` consecutive terminal backend failures trip the
@@ -99,17 +98,17 @@ class CircuitBreaker:
         self._state = to
 
     # ------------------------------------------------------------------
-    def admit(self) -> tuple[str, bool]:
+    def admit(self) -> bool:
         """Admission decision for one backend operation.
 
-        Returns ``(start_rung, is_probe)``: the ladder rung the breaker
-        pins, and whether the operation is the half-open recovery probe
+        Returns whether the operation is the half-open recovery probe
         (the caller must report the probe's outcome via :meth:`record`
-        with ``probe=True``).
+        with ``probe=True``).  Every operation is admitted: the pin is
+        read from :attr:`state` by ``ResilientBackend.start_advice``.
         """
         with self._lock:
             if self._state == CLOSED:
-                return "full", False
+                return False
             if (
                 self._state == OPEN
                 and not self._probe_in_flight
@@ -118,13 +117,13 @@ class CircuitBreaker:
             ):
                 self._transition(HALF_OPEN, "cooldown elapsed: probing")
                 self._probe_in_flight = True
-                return "full", True
+                return True
             if self._state == HALF_OPEN and not self._probe_in_flight:
                 # previous probe completed without closing us (e.g. it
                 # abstained): send another
                 self._probe_in_flight = True
-                return "full", True
-            return self.config.pinned_rung, False
+                return True
+            return False
 
     def record(self, success: bool, probe: bool = False) -> None:
         """Report one finished backend operation.

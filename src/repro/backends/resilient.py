@@ -25,8 +25,8 @@ operation (``reflect`` / ``sample`` / ``execute`` / ``count`` /
   the partial catalog, and a failed *version* probe serves the last
   known version.  Every degradation appends a structured
   :class:`~repro.errors.Diagnostic` to :attr:`ResilientBackend.health`
-  and demotes :attr:`recommended_start_rung`, which the translator folds
-  into its degradation ladder;
+  and demotes :attr:`start_advice`, which the translator reads once per
+  translation as its start rung;
 * **circuit breaking** — a per-backend :class:`~repro.backends.breaker.
   CircuitBreaker` counts terminal failures; once tripped it pins the
   backend's databases to its ``pinned_rung`` until a half-open probe
@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
-from ..core.resilience import LADDER, Budget
+from ..core.resilience import Budget, weaker_rung
 from ..errors import Diagnostic, ReproError
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from .base import Backend
@@ -82,15 +82,6 @@ DEFAULT_TIMEOUTS: Mapping[str, float] = {
 
 #: How many degradation diagnostics :class:`BackendHealth` retains.
 _HEALTH_DIAGNOSTIC_CAP = 32
-
-
-def _weaker_rung(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    """The lower (weaker) of two ladder rungs; None means no opinion."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if LADDER.index(a) >= LADDER.index(b) else b
 
 
 @dataclass
@@ -210,17 +201,27 @@ class ResilientBackend:
         return self._inner
 
     @property
-    def recommended_start_rung(self) -> Optional[str]:
-        """Weakest rung this backend's state demands, or None when
-        healthy.  A tripped breaker pins to its configured rung; lost
-        statistics or a partial catalog demote to ``reduced`` (expensive
-        search over wrong statistics wastes the budget)."""
+    def start_advice(self) -> Optional[tuple[str, str]]:
+        """``(rung, reason)`` when this backend's state demands a start
+        rung below ``full``, else None.  A tripped breaker pins to its
+        configured rung; lost statistics or a partial catalog demote to
+        ``reduced`` (expensive search over wrong statistics wastes the
+        budget).  The reason names the set health flags, else the open
+        breaker."""
+        health = self.health
         advised: Optional[str] = None
         if self.breaker.state != CLOSED:
             advised = self.breaker.config.pinned_rung
-        if self.health.stats_degraded or self.health.catalog_partial:
-            advised = _weaker_rung(advised, "reduced")
-        return advised
+        if health.stats_degraded or health.catalog_partial:
+            advised = weaker_rung(advised, "reduced")
+        if advised in (None, "full"):
+            return None
+        causes = [cause for flag, cause in (
+            (health.stats_degraded, "statistics sampling failed"),
+            (health.catalog_partial, "partial catalog"),
+            (health.version_stale, "stale data version"),
+        ) if flag]
+        return advised, ", ".join(causes) or "circuit breaker open"
 
     # ------------------------------------------------------------------
     # the guard
@@ -278,7 +279,7 @@ class ResilientBackend:
         fold in.  The breaker records terminal failures and successes;
         semantic errors abstain.
         """
-        probe = self.breaker.admit()[1]
+        probe = self.breaker.admit()
         attempt = 0
         while True:
             budget = self._op_budget(op)

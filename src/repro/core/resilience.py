@@ -14,6 +14,10 @@ ladder (see ``translator.SchemaFreeTranslator._generate_networks``):
         → greedy single join path
           → best-effort partial translation (no join search at all)
 
+The search rungs are the rows of :data:`SEARCH_RUNGS`; :func:`weaker_rung`
+is the one rung-order comparison.  A translation starts at ``full``
+unless its backend's ``start_advice`` names a weaker rung.
+
 ``Budget.clock`` is injectable so tests (and the fault-injection harness
 in ``repro.testing.faults``) can advance time deterministically.
 
@@ -32,12 +36,52 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import Diagnostic, ReproError
 
 #: Names of the degradation-ladder rungs, strongest first.
 LADDER = ("full", "reduced", "greedy", "partial")
+
+
+def weaker_rung(a: Optional[str], b: Optional[str]) -> Optional[str]:
+    """The lower (weaker) of two ladder rungs; None means no opinion."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if LADDER.index(a) >= LADDER.index(b) else b
+
+
+@dataclass(frozen=True)
+class SearchRung:
+    """One MTJN search rung: what it searches and the steps it records.
+
+    ``None`` keeps the caller's mapping sets, k and expansion cap;
+    ``failed`` is formatted with the ``NoJoinNetworkError`` as ``exc``.
+    """
+
+    name: str
+    time_fraction: float  # of the remaining time (Budget.slice)
+    counter_scale: float  # applied to the budget's counter caps
+    mapping_limit: Optional[int]  # candidates kept per relation tree
+    keep_views: bool  # search over session and user-fragment views
+    k: Optional[int]
+    max_expansions: Optional[int]
+    succeeded: Optional[str]  # step on success (None: not degraded)
+    failed: str  # step when the search completes without a network
+
+
+#: The search rungs, strongest first; ``greedy`` and ``partial`` follow.
+SEARCH_RUNGS = (
+    SearchRung("full", 0.55, 1.0, None, True, None, None, None,
+               "full search failed: {exc}"),
+    SearchRung("reduced", 0.6, 0.5, 2, False, 1, 2000,
+               "reduced search succeeded "
+               "(k=1, ≤2 mappings per tree, views pruned)",
+               "reduced search found no join network"),
+)
 
 
 class BudgetExceeded(ReproError):

@@ -41,7 +41,7 @@ from .mtjn import GenerationStats, MTJNGenerator, network_signature
 from .query_log import QueryLog, views_from_sql
 from .relation_tree import RelationTree, TreeKey, build_relation_trees
 from .rescache import fingerprint_parsed, memoized_fingerprint
-from .resilience import LADDER, Budget, BudgetExceeded
+from .resilience import LADDER, SEARCH_RUNGS, Budget, BudgetExceeded, weaker_rung
 from .similarity import SimilarityEvaluator
 from .triples import ExtractionResult, JoinFragment, extract
 from .view_graph import ExtendedViewGraph, View, ViewGraph, ViewJoin, XNode
@@ -122,7 +122,9 @@ class SchemaFreeTranslator:
         self.last_stats: Optional[GenerationStats] = None
         self.last_degradation: list[str] = []
         self.last_diagnostic: Optional[Diagnostic] = None
-        #: why the backend demoted the current translation's start rung
+        #: the current translation's start rung, and why the backend
+        #: demoted it there (both set once per translate() call)
+        self._start_rung = "full"
         self._backend_note: Optional[str] = None
         self.last_translation_stats: Optional[TranslationStats] = None
         self._active_stats: Optional[TranslationStats] = None
@@ -189,39 +191,21 @@ class SchemaFreeTranslator:
     # ------------------------------------------------------------------
     # translation
     # ------------------------------------------------------------------
-    def _fold_backend_advice(self, start_rung: str) -> str:
-        """Demote the start rung when the backend says it is unwell.
+    def _fold_backend_advice(self) -> None:
+        """Start the ladder where the backend advises.
 
         A :class:`~repro.backends.ResilientBackend` exposes
-        ``recommended_start_rung`` — the pinned rung of a tripped
-        circuit breaker, or ``"reduced"`` after statistics/reflection
-        degradation (an expensive search over missing statistics just
-        burns budget).  Plain backends expose nothing and translation
-        is unaffected.  The demotion reason is recorded as a
-        degradation step on every translated block.
+        ``start_advice``: ``(rung, reason)`` while a tripped breaker or
+        lost statistics call for a weaker start rung.  Plain backends
+        expose nothing.  The reason becomes a degradation step on every
+        translated block.
         """
-        self._backend_note = None
-        advised = getattr(self.database, "recommended_start_rung", None)
-        if advised is None or advised not in LADDER:
-            return start_rung
-        if LADDER.index(advised) <= LADDER.index(start_rung):
-            return start_rung
-        health = getattr(self.database, "health", None)
-        reason = "circuit breaker open"
-        if health is not None and getattr(health, "degraded", False):
-            causes = []
-            if getattr(health, "stats_degraded", False):
-                causes.append("statistics sampling failed")
-            if getattr(health, "catalog_partial", False):
-                causes.append("partial catalog")
-            if getattr(health, "version_stale", False):
-                causes.append("stale data version")
-            if causes:
-                reason = ", ".join(causes)
-        self._backend_note = (
-            f"backend degraded ({reason}): start rung demoted to {advised!r}"
+        advice = getattr(self.database, "start_advice", None)
+        self._start_rung, reason = advice or ("full", None)
+        self._backend_note = None if reason is None else (
+            f"backend degraded ({reason}): start rung demoted to "
+            f"{self._start_rung!r}"
         )
-        return advised
 
     def _parse(
         self, query: Union[str, ast.Node], meter: Optional[Budget]
@@ -243,7 +227,6 @@ class SchemaFreeTranslator:
         fingerprint: Optional[str],
         raw_text: Optional[str],
         k: int,
-        start_rung: str,
     ) -> Optional[tuple]:
         """The full consistency-contract key for this call, or None when
         the call is not cacheable.  *query* may still be unparsed text
@@ -251,14 +234,14 @@ class SchemaFreeTranslator:
 
         Not cacheable: the cache is disabled, a fault injector is
         attached (injected faults must keep firing on every call), or
-        the start rung is pinned below ``full`` (a pinned caller, or a
-        backend advising a weaker rung, asked for a *cheap* translation;
-        serving the cached full-strength one would hide that advice).
+        the backend advised a start rung below ``full`` (it asked for a
+        *cheap* translation; serving the cached full-strength one would
+        hide that advice).
         """
         if (
             self.config.result_cache_size <= 0
             or self.faults is not None
-            or start_rung != "full"
+            or self._start_rung != "full"
         ):
             return None
         with self._stage_guard("cache"), self._timed("cache"):
@@ -340,7 +323,6 @@ class SchemaFreeTranslator:
         top_k: Optional[int] = None,
         budget: Optional[Budget] = None,
         degrade: Optional[bool] = None,
-        start_rung: str = "full",
     ) -> list[Translation]:
         """Translate to full SQL; returns the top-k interpretations.
 
@@ -352,22 +334,17 @@ class SchemaFreeTranslator:
         returned translations' ``degradation`` / ``diagnostic`` fields.
         Every failure raises a :class:`~repro.errors.ReproError`.
 
-        ``start_rung`` pins the ladder: translation starts at that rung
-        (one of :data:`~repro.core.resilience.LADDER`) instead of the
-        full top-k search.  A backend's ``recommended_start_rung`` (a
-        tripped :class:`~repro.backends.ResilientBackend` breaker, lost
-        statistics) is folded in here, the one place it is read.
+        Translation starts at the full top-k search unless the backend
+        advises a weaker start rung (a tripped
+        :class:`~repro.backends.ResilientBackend` breaker, lost
+        statistics): its ``start_advice`` is read here, once per call.
 
         Every call is instrumented: the returned translations carry a
         shared :class:`TranslationStats` (per-stage wall time, candidate
         and expansion counters, memo effectiveness), also available as
         ``last_translation_stats`` — including after a failure.
         """
-        if start_rung not in LADDER:
-            raise ValueError(
-                f"unknown ladder rung {start_rung!r}; expected one of {LADDER}"
-            )
-        start_rung = self._fold_backend_advice(start_rung)
+        self._fold_backend_advice()
         if degrade is None:
             degrade = budget is not None
         self.context.ensure_current()
@@ -398,7 +375,7 @@ class SchemaFreeTranslator:
                 query=str(text)[:200],
                 database=self.database.catalog.name,
                 top_k=top_k or self.config.top_k,
-                start_rung=start_rung,
+                start_rung=self._start_rung,
             )
         with root:
             try:
@@ -412,18 +389,23 @@ class SchemaFreeTranslator:
                 if fingerprint is None:
                     query = self._parse(query, meter)
                 cache_key = self._result_cache_key(
-                    query, fingerprint, raw_text, k, start_rung
+                    query, fingerprint, raw_text, k
                 )
                 hit = self._result_cache_lookup(cache_key, stats, root)
                 if hit is not None:
                     return hit
                 query = self._parse(query, meter)
                 translations = self._translate_query(
-                    query, {}, k, meter, degrade, start_rung
+                    query, {}, k, meter, degrade
                 )
                 for translation in translations:
                     translation.stats = stats
-                if cache_key is not None:
+                # a backend that turned unwell during this call ran it on
+                # failing statistics: admit nothing it produced
+                if (
+                    cache_key is not None
+                    and getattr(self.database, "start_advice", None) is None
+                ):
                     self._result_cache_store(cache_key, translations)
                 if root.enabled and translations:
                     root.set(
@@ -480,7 +462,6 @@ class SchemaFreeTranslator:
         top_k: Optional[int] = None,
         budget: Optional[Budget] = None,
         degrade: Optional[bool] = None,
-        start_rung: str = "full",
     ) -> list[list[Translation]]:
         """Translate a whole workload over one shared context and budget.
 
@@ -498,11 +479,7 @@ class SchemaFreeTranslator:
         for query in queries:
             results.append(
                 self.translate(
-                    query,
-                    top_k=top_k,
-                    budget=budget,
-                    degrade=degrade,
-                    start_rung=start_rung,
+                    query, top_k=top_k, budget=budget, degrade=degrade
                 )
             )
             if self.last_translation_stats is not None:
@@ -515,10 +492,9 @@ class SchemaFreeTranslator:
         query: Union[str, ast.Node],
         budget: Optional[Budget] = None,
         degrade: Optional[bool] = None,
-        start_rung: str = "full",
     ) -> Translation:
         translations = self.translate(
-            query, top_k=1, budget=budget, degrade=degrade, start_rung=start_rung
+            query, top_k=1, budget=budget, degrade=degrade
         )
         if not translations:
             text = query if isinstance(query, str) else render(query)
@@ -551,14 +527,13 @@ class SchemaFreeTranslator:
         k: int,
         budget: Optional[Budget] = None,
         degrade: bool = False,
-        start_rung: str = "full",
     ) -> list[Translation]:
         if isinstance(query, ast.SetOp):
             left = self._translate_query(
-                query.left, outer_bindings, 1, budget, degrade, start_rung
+                query.left, outer_bindings, 1, budget, degrade
             )
             right = self._translate_query(
-                query.right, outer_bindings, 1, budget, degrade, start_rung
+                query.right, outer_bindings, 1, budget, degrade
             )
             if not left or not right:
                 side = "left" if not left else "right"
@@ -575,9 +550,7 @@ class SchemaFreeTranslator:
                 query.op, left[0].query, right[0].query, all=query.all
             )
             degradation = left[0].degradation + right[0].degradation
-            rung = max(
-                left[0].rung, right[0].rung, key=LADDER.index
-            )
+            rung = weaker_rung(left[0].rung, right[0].rung)
             return [
                 Translation(
                     combined,
@@ -595,9 +568,7 @@ class SchemaFreeTranslator:
                     token=type(query).__name__,
                 ),
             )
-        return self._translate_block(
-            query, outer_bindings, k, budget, degrade, start_rung
-        )
+        return self._translate_block(query, outer_bindings, k, budget, degrade)
 
     def _translate_block(
         self,
@@ -606,7 +577,6 @@ class SchemaFreeTranslator:
         k: int,
         budget: Optional[Budget] = None,
         degrade: bool = False,
-        start_rung: str = "full",
     ) -> list[Translation]:
         with self._stage_guard("parse"), self._timed("parse"), \
                 self.tracer.span("extract") as extract_span:
@@ -634,14 +604,14 @@ class SchemaFreeTranslator:
             rewritten = self._rewrite_outer_only(select, outer_bindings)
             if extraction.has_subqueries:
                 rewritten = self._translate_subqueries(
-                    rewritten, outer_bindings, k, budget, degrade, start_rung
+                    rewritten, outer_bindings, k, budget, degrade
                 )
             return [Translation(rewritten, 1.0)]
 
         steps: list[str] = []
         gen_stats = GenerationStats()
         mappings, xgraph, networks, rung = self._generate_networks(
-            trees, extraction, k, budget, degrade, steps, gen_stats, start_rung
+            trees, extraction, k, budget, degrade, steps, gen_stats
         )
         if self._active_stats is not None:
             for key, value in gen_stats.as_dict().items():
@@ -683,7 +653,7 @@ class SchemaFreeTranslator:
                     inner_context = dict(outer_bindings)
                     inner_context.update(composed.bindings)
                     final = self._translate_subqueries(
-                        final, inner_context, 1, budget, degrade, start_rung
+                        final, inner_context, 1, budget, degrade
                     )
                 translations.append(
                     Translation(
@@ -716,146 +686,117 @@ class SchemaFreeTranslator:
         degrade: bool,
         steps: list[str],
         gen_stats: Optional[GenerationStats] = None,
-        start_rung: str = "full",
     ) -> tuple[dict[TreeKey, TreeMappings], ExtendedViewGraph, list[JoinNetwork], str]:
         """Produce join networks, degrading instead of failing.
 
-        Rungs: full top-k search → reduced search (k=1, ≤2 mappings per
-        tree, views pruned) → greedy single join path → best-effort
-        partial composition.  Each abandoned rung appends one step to
-        ``steps``.  Mapping failures (a tree matching nothing) stay fatal
-        on every rung — there is nothing sensible to compose without a
-        relation.
+        Rungs: the search rows of :data:`SEARCH_RUNGS` (full top-k
+        search, then reduced: k=1, ≤2 mappings per tree, views pruned)
+        → greedy single join path → best-effort partial composition.
+        Each abandoned rung appends one step to ``steps``.  Mapping
+        failures (a tree matching nothing) stay fatal on every rung —
+        there is nothing sensible to compose without a relation.
 
-        ``start_rung`` skips the rungs above it entirely (a pin, or an
-        unwell backend's advice); the skip is recorded as a degradation
-        step so callers can see the translation was pinned.
+        A backend's advised start rung skips the rungs above it entirely;
+        the skip is recorded as a degradation step so callers can see
+        the translation was pinned.
         """
         required = [tree.key for tree in trees]
         mappings: Optional[dict[TreeKey, TreeMappings]] = None
-        start = LADDER.index(start_rung)
-        if start:
+        start_rung = self._start_rung
+        skipped = [
+            rung for rung in LADDER if weaker_rung(rung, start_rung) != rung
+        ]
+        if skipped:
             if self._backend_note is not None:
                 steps.append(self._backend_note)
             steps.append(
                 f"ladder pinned at {start_rung!r}: "
-                f"skipping {', '.join(LADDER[:start])}"
+                f"skipping {', '.join(skipped)}"
             )
         self._fire("map", budget)
 
-        # ---- rung 1: full top-k MTJN search --------------------------
-        if start <= LADDER.index("full"):
-            with self.tracer.span("rung:full") as rung_span:
+        # ---- rungs 1 & 2: the MTJN search rows ----------------------
+        for rung in SEARCH_RUNGS:
+            if rung.name in skipped:
+                continue
+            # only the first row maps under its budget, fires the network
+            # fault point and raises its failure when degrade is off
+            first = rung is SEARCH_RUNGS[0]
+            with self.tracer.span(f"rung:{rung.name}") as rung_span:
                 try:
-                    rung_budget = (
-                        budget.slice(0.55) if budget is not None else None
-                    )
-                    with self._stage_guard("map"), self._timed("map"):
-                        mappings = self.mapper.map_trees(trees, rung_budget)
-                    self._check_mappings(trees, mappings)
-                    self._fire("network", rung_budget)
-                    with self._stage_guard("network"), self._timed("network"), \
-                            self.tracer.span("network") as net_span:
-                        user_views = self._fragment_views(
-                            extraction.fragments, trees, mappings, extraction
-                        )
-                        session_views = self.view_graph.views + user_views
-                        xgraph, networks, search_stats = self._search_networks(
-                            trees,
-                            mappings,
-                            session_views,
-                            k,
-                            self.config,
-                            rung_budget,
-                            gen_stats,
-                            net_span,
-                        )
-                    if networks:
-                        if rung_span.enabled:
-                            rung_span.set(
-                                outcome="ok", networks=len(networks)
-                            )
-                        return mappings, xgraph, networks, "full"
-                    labels = ", ".join(tree.label for tree in trees)
-                    raise NoJoinNetworkError(
-                        f"no join network connects all relation trees "
-                        f"({labels})",
-                        diagnostic=Diagnostic(
-                            stage="network",
-                            message=(
-                                "search exhausted without a total join network"
-                            ),
-                            token=labels,
-                            candidates=sum(
-                                len(mappings[key].candidates)
-                                for key in mappings
-                            ),
-                            detail={"expanded": search_stats.expanded},
-                        ),
-                    )
-                except BudgetExceeded as exc:
-                    if not degrade:
-                        raise
-                    if rung_span.enabled:
-                        rung_span.set(outcome="budget-exhausted")
-                    steps.append(f"full search abandoned: {exc}")
-                except NoJoinNetworkError as exc:
-                    if not degrade:
-                        raise
-                    if rung_span.enabled:
-                        rung_span.set(outcome="no-network")
-                    steps.append(f"full search failed: {exc}")
-
-        # ---- rung 2: reduced search ---------------------------------
-        if start <= LADDER.index("reduced"):
-            with self.tracer.span("rung:reduced") as rung_span:
-                try:
-                    rung_budget = (
-                        budget.slice(0.6, counter_scale=0.5)
-                        if budget is not None
-                        else None
+                    rung_budget = None if budget is None else budget.slice(
+                        rung.time_fraction, rung.counter_scale
                     )
                     if mappings is None:
-                        # mapping was interrupted mid-rung: redo it
-                        # unbudgeted (polynomial in schema size, unlike
-                        # the network search)
+                        # a later row redoes a mapping interrupted mid-rung
+                        # unbudgeted (polynomial, unlike the network search)
                         with self._stage_guard("map"), self._timed("map"):
-                            mappings = self.mapper.map_trees(trees)
+                            mappings = self.mapper.map_trees(
+                                trees, rung_budget if first else None
+                            )
                     self._check_mappings(trees, mappings)
-                    reduced = self._truncate_mappings(mappings, 2)
+                    if first:
+                        self._fire("network", rung_budget)
+                    searched = mappings
+                    if rung.mapping_limit is not None:
+                        searched = self._truncate_mappings(
+                            mappings, rung.mapping_limit
+                        )
                     with self._stage_guard("network"), self._timed("network"), \
                             self.tracer.span("network") as net_span:
-                        config = dataclasses.replace(
-                            self.config,
-                            max_expansions=min(
-                                self.config.max_expansions, 2000
+                        views: Sequence[View] = ()
+                        if rung.keep_views:
+                            views = self.view_graph.views + self._fragment_views(
+                                extraction.fragments, trees, searched, extraction
+                            )
+                        config = self.config
+                        if rung.max_expansions is not None:
+                            config = dataclasses.replace(
+                                config,
+                                max_expansions=min(
+                                    config.max_expansions, rung.max_expansions
+                                ),
+                            )
+                        xgraph, networks, search_stats = self._search_networks(
+                            trees, searched, views,
+                            k if rung.k is None else rung.k, config,
+                            rung_budget, gen_stats, net_span,
+                        )
+                    if not networks:
+                        labels = ", ".join(tree.label for tree in trees)
+                        raise NoJoinNetworkError(
+                            f"no join network connects all relation trees "
+                            f"({labels})",
+                            diagnostic=Diagnostic(
+                                stage="network",
+                                message=(
+                                    "search exhausted without a total join "
+                                    "network"
+                                ),
+                                token=labels,
+                                candidates=sum(
+                                    len(tm.candidates) for tm in searched.values()
+                                ),
+                                detail={"expanded": search_stats.expanded},
                             ),
                         )
-                        xgraph, networks, _ = self._search_networks(
-                            trees,
-                            reduced,
-                            (),  # views pruned on this rung
-                            1,
-                            config,
-                            rung_budget,
-                            gen_stats,
-                            net_span,
-                        )
-                    if networks:
-                        steps.append(
-                            "reduced search succeeded "
-                            "(k=1, ≤2 mappings per tree, views pruned)"
-                        )
-                        if rung_span.enabled:
-                            rung_span.set(outcome="ok", networks=1)
-                        return reduced, xgraph, networks, "reduced"
+                    if rung.succeeded is not None:
+                        steps.append(rung.succeeded)
                     if rung_span.enabled:
-                        rung_span.set(outcome="no-network")
-                    steps.append("reduced search found no join network")
+                        rung_span.set(outcome="ok", networks=len(networks))
+                    return searched, xgraph, networks, rung.name
                 except BudgetExceeded as exc:
+                    if first and not degrade:
+                        raise
                     if rung_span.enabled:
                         rung_span.set(outcome="budget-exhausted")
-                    steps.append(f"reduced search abandoned: {exc}")
+                    steps.append(f"{rung.name} search abandoned: {exc}")
+                except NoJoinNetworkError as exc:
+                    if first and not degrade:
+                        raise
+                    if rung_span.enabled:
+                        rung_span.set(outcome="no-network")
+                    steps.append(rung.failed.format(exc=exc))
 
         # ---- rungs 3 & 4: greedy path, then partial composition -----
         if mappings is None:
@@ -877,7 +818,7 @@ class SchemaFreeTranslator:
                 )
                 if net_span.enabled:
                     net_span.set(**xgraph.summary())
-            if start > LADDER.index("greedy"):
+            if start_rung == "partial":
                 pass  # pinned at "partial": no join search at all
             elif budget is not None and budget.time_exceeded():
                 steps.append("greedy join path skipped: deadline passed")
@@ -1154,14 +1095,13 @@ class SchemaFreeTranslator:
         k: int,
         budget: Optional[Budget] = None,
         degrade: bool = False,
-        start_rung: str = "full",
     ) -> ast.Select:
         """Replace each first-level sub-query with its best translation."""
 
         def rewrite(node: ast.Node) -> Optional[ast.Node]:
             if isinstance(node, ast.SUBQUERY_NODES):
                 translated = self._translate_query(
-                    node.query, context, 1, budget, degrade, start_rung
+                    node.query, context, 1, budget, degrade
                 )
                 if not translated:
                     raise TranslationError(

@@ -94,8 +94,6 @@ class ServiceConfig:
     max_expansions: Optional[int] = None
     #: interpretations returned per request
     top_k: int = 1
-    #: walk the degradation ladder instead of failing on budget exhaustion
-    degrade: bool = True
     translator: TranslatorConfig = DEFAULT_CONFIG
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: test/instrumentation seam: called in the worker thread as each
@@ -667,11 +665,11 @@ class QueryService:
         while True:
             attempt = retries + 1
             try:
+                # with a budget, translate() walks the degradation ladder
                 translations = translator.translate(
                     request.query,
                     top_k=request.top_k or self.config.top_k,
                     budget=budget.slice(),
-                    degrade=self.config.degrade,
                 )
             except ReproError as exc:
                 if (

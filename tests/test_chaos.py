@@ -150,7 +150,7 @@ class TestResilientBackend:
         faulty.inject_error("sample", repeat=True)
         assert rb.column_values("Movie", "title") == []
         assert rb.health.stats_degraded
-        assert rb.recommended_start_rung == "reduced"
+        assert rb.start_advice == ("reduced", "statistics sampling failed")
         assert rb.health.diagnostics
 
     def test_hang_times_out_on_virtual_clock_then_recovers(self, fig1_db):
@@ -166,7 +166,7 @@ class TestResilientBackend:
         catalog = rb.catalog
         assert len(catalog.relations) == len(fig1_db.catalog.relations) - 1
         assert rb.health.catalog_partial
-        assert rb.recommended_start_rung == "reduced"
+        assert rb.start_advice == ("reduced", "partial catalog")
         # cached: the second read does not re-reflect
         assert rb.catalog is catalog
 
@@ -203,7 +203,7 @@ class TestResilientBackend:
             with pytest.raises(BackendUnavailable):
                 rb.count("Movie")
         assert rb.breaker.state != CLOSED
-        assert rb.recommended_start_rung == "greedy"
+        assert rb.start_advice == ("greedy", "circuit breaker open")
 
     def test_retry_and_degrade_metrics_and_spans(self, fig1_db):
         ring = RingBufferExporter()

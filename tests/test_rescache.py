@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, SchemaFreeTranslator
+from repro.backends import BreakerConfig, MemoryBackend, ResilientBackend
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.context import TranslationContext
 from repro.core.rescache import (
@@ -23,7 +24,13 @@ from repro.core.rescache import (
     schema_fingerprint,
 )
 from repro.sqlkit import parse, render
-from repro.testing import RenameTable, evolve
+from repro.testing import (
+    FaultInjector,
+    FaultyBackend,
+    RenameTable,
+    VirtualClock,
+    evolve,
+)
 
 from .conftest import make_fig1_catalog, populate_fig1
 
@@ -257,12 +264,33 @@ class TestTranslatorCache:
         assert not tr.translate(QUERY)[0].cached
 
     def test_pinned_start_rung_bypasses(self):
-        tr, ctx = cached_translator()
+        backend = ResilientBackend(
+            MemoryBackend(make_db()), breaker=BreakerConfig(failure_threshold=1)
+        )
+        tr, ctx = cached_translator(backend)
         tr.translate(QUERY)
-        pinned = tr.translate(QUERY, start_rung="greedy")
+        entries = ctx.result_cache_entries()
+        backend.breaker.record(False)  # tripped: the backend advises greedy
+        pinned = tr.translate(QUERY)
+        assert pinned[0].rung == "greedy"
         assert not pinned[0].cached
         # and the pinned result was not admitted either
-        assert not tr.translate(QUERY, start_rung="greedy")[0].cached
+        assert not tr.translate(QUERY)[0].cached
+        assert ctx.result_cache_entries() == entries
+
+    def test_backend_demoted_mid_call_is_not_admitted(self):
+        injector = FaultInjector(clock=VirtualClock(origin=None))
+        faulty = FaultyBackend(MemoryBackend(make_db()), injector)
+        faulty.inject_error("sample", repeat=True)
+        backend = ResilientBackend(
+            faulty, clock=injector.clock, sleep=injector.advance
+        )
+        tr, ctx = cached_translator(backend)
+        # advice is None at the start of the call, so it runs at full,
+        # but its statistics sampling fails on the way
+        assert tr.translate(QUERY)[0].rung == "full"
+        assert backend.start_advice is not None
+        assert ctx.result_cache_entries() == 0
 
     def test_top_k_is_part_of_the_key(self):
         config = dataclasses.replace(CACHED_CONFIG, top_k=1)

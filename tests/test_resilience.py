@@ -4,6 +4,7 @@ taxonomy with structured diagnostics."""
 
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,9 @@ from repro.cli import (
     exit_code_for,
     main,
 )
+import repro
 from repro.core import LADDER, NoJoinNetworkError
+from repro.core.resilience import SEARCH_RUNGS, weaker_rung
 from repro.testing import FaultInjector, InjectedFault
 from repro.testing.faults import STAGES
 
@@ -310,6 +313,23 @@ class TestBudgetExhaustionPaths:
 class TestDegradationLadder:
     def test_ladder_rungs(self):
         assert LADDER == ("full", "reduced", "greedy", "partial")
+        assert tuple(rung.name for rung in SEARCH_RUNGS) == LADDER[:2]
+
+    def test_weaker_rung(self):
+        assert weaker_rung("full", "greedy") == "greedy"
+        assert weaker_rung("partial", "reduced") == "partial"
+        assert weaker_rung("reduced", "reduced") == "reduced"
+        assert weaker_rung(None, "reduced") == "reduced"
+        assert weaker_rung("full", None) == "full"
+
+    def test_rung_order_is_compared_only_in_resilience(self):
+        package = Path(repro.__file__).parent
+        users = sorted(
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if "LADDER.index" in path.read_text(encoding="utf-8")
+        )
+        assert users == ["core/resilience.py"]
 
     def test_full_rung_with_generous_budget(self, fig1_translator, fig1_db):
         budget = Budget(deadline=60.0, max_candidates=100_000, max_expansions=100_000)

@@ -113,7 +113,8 @@ class TestCircuitBreaker:
     def test_starts_closed_full_strength(self):
         breaker, _ = self.make()
         assert breaker.state == CLOSED
-        assert breaker.admit() == ("full", False)
+        assert breaker.admit() is False
+        assert breaker.state == CLOSED
 
     def test_trips_after_threshold_consecutive_failures(self):
         breaker, _ = self.make(threshold=3)
@@ -123,7 +124,8 @@ class TestCircuitBreaker:
         breaker.record(False)
         assert breaker.state == OPEN
         assert breaker.trip_count == 1
-        assert breaker.admit() == ("greedy", False)
+        assert breaker.admit() is False
+        assert breaker.state == OPEN
 
     def test_success_resets_consecutive_count(self):
         breaker, _ = self.make(threshold=2)
@@ -138,48 +140,53 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN
         # before cooldown: still pinned
         clock.advance(4.9)
-        assert breaker.admit() == ("greedy", False)
+        assert breaker.admit() is False
+        assert breaker.state == OPEN
         clock.advance(0.2)
-        assert breaker.admit() == ("full", True)  # the probe
+        assert breaker.admit() is True  # the probe
         assert breaker.state == HALF_OPEN
         # others stay pinned while the probe is in flight
-        assert breaker.admit() == ("greedy", False)
+        assert breaker.admit() is False
+        assert breaker.state == HALF_OPEN
 
     def test_probe_success_closes(self):
         breaker, clock = self.make(threshold=1, cooldown=1.0)
         breaker.record(False)
         clock.advance(1.0)
-        _, probe = breaker.admit()
+        probe = breaker.admit()
         assert probe
         breaker.record(True, probe=True)
         assert breaker.state == CLOSED
-        assert breaker.admit() == ("full", False)
+        assert breaker.admit() is False
+        assert breaker.state == CLOSED
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
         breaker, clock = self.make(threshold=1, cooldown=5.0)
         breaker.record(False)
         clock.advance(5.0)
-        _, probe = breaker.admit()
+        probe = breaker.admit()
         assert probe
         breaker.record(False, probe=True)
         assert breaker.state == OPEN
         assert breaker.trip_count == 2
         # cooldown restarted at the re-open
         clock.advance(4.0)
-        assert breaker.admit() == ("greedy", False)
+        assert breaker.admit() is False
+        assert breaker.state == OPEN
         clock.advance(1.0)
-        assert breaker.admit() == ("full", True)
+        assert breaker.admit() is True
+        assert breaker.state == HALF_OPEN
 
     def test_abstain_releases_probe_without_closing(self):
         breaker, clock = self.make(threshold=1, cooldown=1.0)
         breaker.record(False)
         clock.advance(1.0)
-        _, probe = breaker.admit()
+        probe = breaker.admit()
         assert probe
         breaker.abstain(probe=True)
         assert breaker.state == HALF_OPEN
         # the next admit sends another probe
-        assert breaker.admit() == ("full", True)
+        assert breaker.admit() is True
 
     def test_transition_trace_is_exact(self):
         breaker, clock = self.make(threshold=1, cooldown=1.0)
@@ -200,6 +207,17 @@ class TestCircuitBreaker:
         breaker.record(False)
         breaker.record(False)
         assert breaker.trip_count == 1
+
+    def test_open_breaker_pins_the_start_advice(self):
+        clock = ManualClock()
+        backend = ResilientBackend(
+            MemoryBackend(make_db()),
+            breaker=BreakerConfig(failure_threshold=1, pinned_rung="partial"),
+            clock=clock,
+        )
+        assert backend.start_advice is None
+        backend.breaker.record(False)
+        assert backend.start_advice == ("partial", "circuit breaker open")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
