@@ -13,8 +13,9 @@ Every warm translation is checked byte-for-byte against its cold
 counterpart — the context memoizes, it must never change outcomes.
 Results (per-workload timings, speedups, and the warm pass's memo
 counters) are written to ``BENCH_translate.json``.  The warm pass's
-stage shares back two ratchets: ``--max-network-share`` (memoized MTJN
-search) and ``--max-map-share`` (the per-fingerprint mapping memo).
+stage shares back three ratchets: ``--max-network-share`` (memoized MTJN
+search), ``--max-map-share`` (the per-fingerprint mapping memo) and
+``--max-compose-share`` (one compose call per block).
 
 The warm pass is also re-run with structured tracing *enabled* (a real
 :class:`~repro.obs.Tracer` exporting into a ring buffer) to measure the
@@ -568,6 +569,16 @@ def main(argv=None) -> int:
         "translation time on any benchmarked workload (e.g. 0.15 — the "
         "ratchet holding a warm tree at one mapping-memo probe)",
     )
+    parser.add_argument(
+        "--max-compose-share",
+        type=float,
+        default=None,
+        metavar="FRACTION",
+        help="fail when the compose stage takes more than this share of "
+        "warm translation time on any benchmarked workload (e.g. 0.45 — "
+        "the ratchet holding a block's top-k networks at one shared "
+        "name rewrite)",
+    )
     args = parser.parse_args(argv)
 
     report = {name: bench_workload(name) for name in args.workloads}
@@ -621,6 +632,7 @@ def main(argv=None) -> int:
     for stage, cap in (
         ("network", args.max_network_share),
         ("map", args.max_map_share),
+        ("compose", args.max_compose_share),
     ):
         if cap is None:
             continue

@@ -632,34 +632,35 @@ class SchemaFreeTranslator:
         translations: list[Translation] = []
         with self._stage_guard("compose"), \
                 self.tracer.span("compose") as compose_span:
-            for network in networks:
-                weight = (
-                    0.0
-                    if rung == "partial"
-                    else network.best_weight(xgraph.view_instances)
+            weights = [
+                0.0
+                if rung == "partial"
+                else network.best_weight(xgraph.view_instances)
+                for network in networks
+            ]
+            with self._timed("compose"):
+                composed = self.composer.compose(
+                    select,
+                    trees,
+                    mappings,
+                    networks,
+                    extraction.from_bindings,
+                    outer_bindings,
+                    weights=weights,
                 )
-                with self._timed("compose"):
-                    composed = self.composer.compose(
-                        select,
-                        trees,
-                        mappings,
-                        network,
-                        extraction.from_bindings,
-                        outer_bindings,
-                        weight=weight,
-                    )
-                final = composed.select
+            for result in composed:
+                final = result.select
                 if extraction.has_subqueries:
                     inner_context = dict(outer_bindings)
-                    inner_context.update(composed.bindings)
+                    inner_context.update(result.bindings)
                     final = self._translate_subqueries(
                         final, inner_context, 1, budget, degrade
                     )
                 translations.append(
                     Translation(
                         final,
-                        weight,
-                        network,
+                        result.weight,
+                        result.network,
                         degradation=tuple(steps),
                         diagnostic=diagnostic,
                         rung=rung,
@@ -716,12 +717,13 @@ class SchemaFreeTranslator:
         self._fire("map", budget)
 
         # ---- rungs 1 & 2: the MTJN search rows ----------------------
-        for rung in SEARCH_RUNGS:
-            if rung.name in skipped:
-                continue
-            # only the first row maps under its budget, fires the network
-            # fault point and raises its failure when degrade is off
+        runs = [rung for rung in SEARCH_RUNGS if rung.name not in skipped]
+        for rung in runs:
+            # only the first row maps under its budget and fires the
+            # network fault point; with degrade off, the first row that
+            # runs (a pinned ladder skips some) raises its failure
             first = rung is SEARCH_RUNGS[0]
+            raises = not degrade and rung is runs[0]
             with self.tracer.span(f"rung:{rung.name}") as rung_span:
                 try:
                     rung_budget = None if budget is None else budget.slice(
@@ -786,13 +788,13 @@ class SchemaFreeTranslator:
                         rung_span.set(outcome="ok", networks=len(networks))
                     return searched, xgraph, networks, rung.name
                 except BudgetExceeded as exc:
-                    if first and not degrade:
+                    if raises:
                         raise
                     if rung_span.enabled:
                         rung_span.set(outcome="budget-exhausted")
                     steps.append(f"{rung.name} search abandoned: {exc}")
                 except NoJoinNetworkError as exc:
-                    if first and not degrade:
+                    if raises:
                         raise
                     if rung_span.enabled:
                         rung_span.set(outcome="no-network")

@@ -114,6 +114,8 @@ def transform(
     values = None
     for index, name in enumerate(names):
         value = getattr(node, name)
+        if not isinstance(value, (Node, tuple)):
+            continue  # a name, literal value, flag or None
         new_value = _transform_value(value, fn, within_block)
         if new_value is not value:
             if values is None:
@@ -133,7 +135,7 @@ def _transform_value(
         if within_block and isinstance(value, (Select, SetOp)):
             return value
         return transform(value, fn, within_block)
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and value:
         items = tuple(
             _transform_value(item, fn, within_block) for item in value
         )

@@ -1,18 +1,39 @@
 """Unit tests for the Standard SQL Composer (paper §6.2)."""
 
+import dataclasses
+import itertools
+
 import pytest
 
+from repro import Catalog, Database, DataType, SchemaFreeTranslator
 from repro.core import TranslatorConfig
-from repro.core.composer import Composer, TranslationError
+from repro.core.composer import Composer, TranslationError, _conjunct_key
 from repro.core.mapper import RelationTreeMapper
 from repro.core.mtjn import MTJNGenerator
 from repro.core.relation_tree import build_relation_trees
 from repro.core.similarity import SimilarityEvaluator
 from repro.core.triples import extract
 from repro.core.view_graph import ExtendedViewGraph, ViewGraph
-from repro.sqlkit import ast, parse
+from repro.datasets import make_course_database, make_movie_database
+from repro.sqlkit import ast, parse, render
+from repro.workloads import COURSE_QUERIES, TEXTBOOK_QUERIES
 
 from tests.helpers import PAPER_QUERY
+
+
+def block_inputs(db, sql, k):
+    """(select, trees, mappings, top-k networks, FROM bindings) of *sql*."""
+    config = TranslatorConfig()
+    query = parse(sql)
+    extraction = extract(query)
+    trees = build_relation_trees(extraction)
+    evaluator = SimilarityEvaluator(db, config)
+    mappings = RelationTreeMapper(db, config, evaluator).map_trees(trees)
+    graph = ExtendedViewGraph(
+        ViewGraph(db.catalog), trees, mappings, evaluator, config
+    )
+    networks = MTJNGenerator(graph, config).generate(k)
+    return query, trees, mappings, networks, extraction.from_bindings
 
 
 def compose_best(db, sql, outer_bindings=None):
@@ -39,10 +60,11 @@ def compose_best(db, sql, outer_bindings=None):
     )
     network = MTJNGenerator(graph, config).generate(1)[0]
     composer = Composer(db.catalog)
-    return composer.compose(
-        query, trees, mappings, network, extraction.from_bindings,
+    [composed] = composer.compose(
+        query, trees, mappings, [network], extraction.from_bindings,
         outer_bindings=outer_bindings,
     )
+    return composed
 
 
 class TestStep1NameInstantiation:
@@ -118,6 +140,256 @@ class TestStep3JoinConditions:
         assert "movie" in composed.bindings.values() or "movie" in {
             v.lower() for v in composed.bindings.values()
         }
+
+
+class TestJoinConditionDedup:
+    """A user condition equal to an FK edge's suppresses the edge; the
+    comparison is structural, never rendered."""
+
+    @staticmethod
+    def person_id_conditions(composed):
+        return [
+            c
+            for c in _conjuncts(composed.select.where)
+            if isinstance(c, ast.BinaryOp)
+            and isinstance(c.left, ast.ColumnRef)
+            and isinstance(c.right, ast.ColumnRef)
+            and c.left.attribute.text.lower() == "person_id"
+        ]
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "d.person_id = p.person_id",  # reversed orientation
+            "P.PERSON_ID = D.Person_Id",  # other letter case
+        ],
+    )
+    def test_user_condition_not_duplicated(self, fig1_db, condition):
+        composed = compose_best(
+            fig1_db,
+            "SELECT p.name FROM Person p, Director d "
+            f"WHERE {condition} AND d.movie_id = 10",
+        )
+        assert len(self.person_id_conditions(composed)) == 1
+        assert len(composed.network.all_edges) == 1
+
+    def test_quoted_identifier_condition_not_duplicated(self):
+        catalog = Catalog("quoted")
+        catalog.create_relation(
+            "customer",
+            [("customer_id", DataType.INTEGER), ("name", DataType.TEXT)],
+            primary_key=["customer_id"],
+        )
+        catalog.create_relation(
+            "order",
+            [("order_id", DataType.INTEGER), ("Customer Ref", DataType.INTEGER)],
+            primary_key=["order_id"],
+        )
+        catalog.add_foreign_key("order", "Customer Ref", "customer")
+        db = Database(catalog)
+        db.insert("customer", [1, "Ann"])
+        db.insert("order", [7, 1])
+        composed = compose_best(
+            db,
+            'SELECT c.name FROM customer c, "order" o '
+            'WHERE c.customer_id = o."Customer Ref"',
+        )
+        assert composed.sql == (
+            'SELECT c.name FROM customer AS c, "order" AS o '
+            'WHERE c.customer_id = o."Customer Ref"'
+        )
+        assert db.execute(composed.select).rows == [("Ann",)]
+
+    def test_non_column_equality_never_suppresses_an_edge(self, fig1_db):
+        composed = compose_best(
+            fig1_db,
+            "SELECT p.name FROM Person p, Director d WHERE d.movie_id = 10",
+        )
+        conjuncts = _conjuncts(composed.select.where)
+        assert render(conjuncts[0]) == "d.movie_id = 10"
+        assert len(conjuncts) == 1 + len(composed.network.all_edges)
+
+    def test_keys_partition_conditions_as_rendering_does(self):
+        # the render-based key this replaces: two conditions are one
+        # condition when their sides render equal after lower()
+        def rendered(condition):
+            return frozenset(
+                (render(condition.left).lower(), render(condition.right).lower())
+            )
+
+        relations = ["p", "P", "order", "ORDER", "line item", 'a"b', "a.b"]
+        attributes = ["id", "ID", "select", "Line Item", "b.c"]
+        columns = [
+            ast.ColumnRef(ast.exact(attribute), ast.exact(relation))
+            for relation in relations
+            for attribute in attributes
+        ]
+        conditions = [
+            ast.BinaryOp("=", left, right)
+            for left, right in itertools.product(columns, repeat=2)
+        ]
+        by_render: dict = {}
+        by_key: dict = {}
+        for index, condition in enumerate(conditions):
+            by_render.setdefault(rendered(condition), set()).add(index)
+            by_key.setdefault(_conjunct_key(condition), set()).add(index)
+        assert None not in by_key
+        assert sorted(map(sorted, by_render.values())) == sorted(
+            map(sorted, by_key.values())
+        )
+        # no conjunct left without a key renders like an exact condition
+        others = [
+            ast.BinaryOp(
+                "=",
+                ast.ColumnRef(ast.NameTerm("id", ast.Certainty.GUESS), ast.exact("p")),
+                columns[0],
+            ),
+            ast.BinaryOp("=", ast.ColumnRef(ast.exact("id")), columns[0]),
+            ast.BinaryOp("=", columns[0], ast.Literal(10)),
+            ast.BinaryOp("<", columns[0], columns[1]),
+        ]
+        for other in others:
+            assert _conjunct_key(other) is None
+            if other.op == "=":
+                assert rendered(other) not in by_render
+
+
+def composed_fields(composed):
+    return (
+        composed.select,
+        composed.sql,
+        composed.weight,
+        composed.bindings,
+        composed.network,
+    )
+
+
+class TestBlockComposition:
+    """Composing a block's networks in one call shares the rewrite;
+    the results must equal composing each network alone."""
+
+    def assert_shared_equals_alone(self, composer, select, trees, mappings,
+                                   networks, from_bindings, outer=None,
+                                   weights=None):
+        together = composer.compose(
+            select, trees, mappings, networks, from_bindings, outer,
+            weights=weights,
+        )
+        assert len(together) == len(networks)
+        for index, network in enumerate(networks):
+            [alone] = composer.compose(
+                select, trees, mappings, [network], from_bindings, outer,
+                weights=None if weights is None else [weights[index]],
+            )
+            assert composed_fields(together[index]) == composed_fields(alone)
+
+    def test_paper_query(self, fig1_db):
+        inputs = block_inputs(fig1_db, PAPER_QUERY, 3)
+        assert len(inputs[3]) > 1
+        self.assert_shared_equals_alone(Composer(fig1_db.catalog), *inputs)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT name? WHERE title? = 'Avatar'",
+            "SELECT person?.name?, p2?.name? WHERE movie?.title? = 'Titanic'",
+        ],
+    )
+    def test_repeated_relation_bound_differently(self, fig1_db, sql):
+        inputs = block_inputs(fig1_db, sql, 6)
+        composer = Composer(fig1_db.catalog)
+        results = composer.compose(*inputs)
+        # one tree's relation is bound plainly in some networks and as a
+        # Name_rtK alias in others: the rewrite cannot be shared by all
+        aliased = ["_rt" in " ".join(result.bindings) for result in results]
+        assert any(aliased) and not all(aliased)
+        self.assert_shared_equals_alone(composer, *inputs)
+
+    @pytest.mark.parametrize(
+        "make_database, queries",
+        [
+            (make_course_database, COURSE_QUERIES),
+            (make_movie_database, TEXTBOOK_QUERIES),
+        ],
+        ids=["courses", "textbook"],
+    )
+    def test_workload_blocks(self, monkeypatch, make_database, queries):
+        # every block the translator composes on a shipped workload
+        # (textbook has nested and correlated blocks)
+        calls = []
+        original = Composer.compose
+
+        def recording(self, *args, **kwargs):
+            calls.append((self, args, kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Composer, "compose", recording)
+        translator = SchemaFreeTranslator(make_database())
+        for query in queries:
+            translator.translate(query.sf_sql or query.gold_sql, top_k=3)
+        monkeypatch.setattr(Composer, "compose", original)
+        assert any(len(args[3]) > 1 for _, args, _ in calls)
+        for composer, args, kwargs in calls:
+            self.assert_shared_equals_alone(composer, *args, **kwargs)
+
+    def test_later_network_failure_raises_as_alone(self, fig1_db):
+        select, trees, mappings, networks, from_bindings = block_inputs(
+            fig1_db, "SELECT name? WHERE title? = 'Avatar'", 3
+        )
+        [tree] = [t for t in trees if t.key == ("attr", "name")]
+        first = networks[0].nodes
+        second = next(
+            node.relation
+            for node in networks[1].nodes.values()
+            if node.tree_key == tree.key
+        )
+        assert all(node.relation != second for node in first.values())
+        # the name tree loses the relation the second network maps it to
+        mappings = dict(mappings)
+        mappings[tree.key] = dataclasses.replace(
+            mappings[tree.key],
+            candidates=[
+                c for c in mappings[tree.key].candidates
+                if c.relation.key != second
+            ],
+        )
+        composer = Composer(fig1_db.catalog)
+        composer.compose(select, trees, mappings, networks[:1], from_bindings)
+        with pytest.raises(TranslationError) as alone:
+            composer.compose(select, trees, mappings, networks[1:2], from_bindings)
+        with pytest.raises(TranslationError) as together:
+            composer.compose(select, trees, mappings, networks, from_bindings)
+        assert str(together.value) == str(alone.value)
+        assert together.value.diagnostic == alone.value.diagnostic
+        assert together.value.diagnostic.stage == "compose"
+
+    def test_composing_a_block_renders_nothing(self, fig1_db, monkeypatch):
+        import importlib
+
+        import repro.core.composer as composer_module
+
+        render_module = importlib.import_module("repro.sqlkit.render")
+
+        inputs = block_inputs(
+            fig1_db,
+            "SELECT p.name FROM Person p, Director d "
+            "WHERE d.person_id = p.person_id AND d.movie_id = 10",
+            3,
+        )
+        renders = []
+
+        def counting(node, *args):
+            renders.append(node)
+            raise AssertionError("compose rendered a node")
+
+        monkeypatch.setattr(composer_module, "render", counting)
+        for name in ("render", "_render_expr", "_render_query"):
+            monkeypatch.setattr(render_module, name, counting)
+        monkeypatch.setattr(ast.NameTerm, "render", counting)
+        monkeypatch.setattr(ast.ColumnRef, "render", counting)
+        results = Composer(fig1_db.catalog).compose(*inputs)
+        assert results
+        assert renders == []
 
 
 class TestOuterReferences:

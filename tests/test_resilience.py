@@ -296,6 +296,37 @@ class TestBudgetExhaustionPaths:
         with pytest.raises(BudgetExceeded):
             fig1_translator.translate(PAPER_QUERY, budget=budget, degrade=False)
 
+    @staticmethod
+    def pinned_translator(db) -> SchemaFreeTranslator:
+        """A translator whose backend advises starting at ``reduced``."""
+        from repro.backends import MemoryBackend, ResilientBackend
+
+        backend = ResilientBackend(MemoryBackend(db))
+        backend.health.stats_degraded = True
+        assert backend.start_advice[0] == "reduced"
+        return SchemaFreeTranslator(backend)
+
+    def test_pinned_ladder_raises_budget_without_degrade(self, fig1_db):
+        # the full row is skipped, so the reduced row is the first that
+        # runs: with degrade off it raises, as full does when unpinned
+        translator = self.pinned_translator(fig1_db)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            translator.translate_best(
+                "SELECT title? WHERE director?.name = 'James Cameron'",
+                budget=Budget(max_expansions=2),
+                degrade=False,
+            )
+        assert exc_info.value.diagnostic.stage == "network"
+        assert translator.last_degradation == []
+
+    def test_pinned_ladder_raises_no_network_without_degrade(self):
+        translator = self.pinned_translator(make_islands_db())
+        with pytest.raises(NoJoinNetworkError) as exc_info:
+            translator.translate_best(
+                "SELECT alpha_name?, beta_name?", degrade=False
+            )
+        assert exc_info.value.diagnostic.stage == "network"
+
     def test_degradation_defaults_on_when_budgeted(self, fig1_translator, fig1_db):
         # same starved budget, but degrade is left to default: the ladder
         # kicks in instead of the error surfacing
