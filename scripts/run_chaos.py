@@ -17,8 +17,9 @@ Four phases, one report (``CHAOS_report.json``):
   below 1.0 is a measurement, not a failure; a query with no verdict is;
 * **artifacts** — a published translation-context artifact is mutated
   every way a disk can betray it (truncations at several depths, seeded
-  byte flips, a future format version) and each mutant must surface as
-  a typed :class:`~repro.artifacts.ArtifactError` whose fallback
+  byte flips, a future format version, and re-signed bodies whose
+  checksum matches but whose state does not decode) and each mutant must
+  surface as a typed :class:`~repro.artifacts.ArtifactError` whose fallback
   context translates the workload byte-identically to a fresh build —
   a wrong answer or an unhandled exception fails the phase.
 
@@ -241,6 +242,8 @@ def run_artifacts(artifact_dir: Path) -> dict:
     Every mutant of a published artifact must either load (the pristine
     copy) or surface as a typed :class:`ArtifactError` whose fallback
     context translates byte-identically to a fresh build."""
+    import io
+    import pickle
     import random
     import struct
 
@@ -250,6 +253,7 @@ def run_artifacts(artifact_dir: Path) -> dict:
         build_artifact,
         load_or_build_context,
     )
+    from repro.artifacts.format import sign
 
     factory, workload = WORKLOADS["textbook"]
     queries = [q.sf_sql or q.gold_sql for q in workload][:6]
@@ -272,6 +276,23 @@ def run_artifacts(artifact_dir: Path) -> dict:
     skewed = bytearray(image)
     struct.pack_into("<H", skewed, 8, 0xFFFF)  # a future format version
     mutants["version-skew"] = bytes(skewed)
+    # re-signed bodies: the checksum matches, so decoding must catch them
+    prelude = len(sign(b""))
+
+    def split(data: bytes) -> tuple[bytes, bytes]:
+        stream = io.BytesIO(data)
+        stream.seek(prelude)
+        pickle.load(stream)  # the key tuple
+        return data[prelude : stream.tell()], data[stream.tell() :]
+
+    key, _ = split(image)
+    foreign_store = ArtifactStore(str(artifact_dir / "foreign"))
+    _, foreign = split(
+        Path(build_artifact(make_course_database(), foreign_store)).read_bytes()
+    )
+    mutants["resigned-cut"] = sign(key)
+    mutants["resigned-foreign"] = sign(key + foreign)
+    mutants["resigned-type"] = sign(key + pickle.dumps(["not", "a", "state"]))
 
     entries = {}
     ok = True

@@ -4,9 +4,10 @@ The paper's offline preparation (schema graph + attribute statistics)
 paid once, kept: a built :class:`~repro.core.context.TranslationContext`
 is snapshotted into a versioned, checksummed ``*.rpra`` file keyed by
 (schema fingerprint, data_version, config digest, format version), so
-cold start across a worker fleet collapses to one ``mmap`` attach per
-process instead of one full rebuild each.  docs/ARTIFACTS.md is the
-format, keying, GC and fallback-contract reference.
+cold start across a worker fleet collapses to one checksummed read and
+unpickle per process instead of one full rebuild each.
+docs/ARTIFACTS.md is the format, keying, GC and fallback-contract
+reference.
 
 Public surface::
 
@@ -32,7 +33,7 @@ from .errors import (
     ArtifactKeyMismatch,
     ArtifactVersionSkew,
 )
-from .format import FORMAT_VERSION, ArtifactReader, LazySampleTable, encode
+from .format import FORMAT_VERSION, ArtifactReader, encode
 from .store import (
     DEFAULT_DISK_BUDGET,
     ArtifactStore,
@@ -49,7 +50,6 @@ __all__ = [
     "ArtifactVersionSkew",
     "DEFAULT_DISK_BUDGET",
     "FORMAT_VERSION",
-    "LazySampleTable",
     "StoredArtifact",
     "artifact_key",
     "build_artifact",

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from ..core.config import DEFAULT_CONFIG, TranslatorConfig
 from ..core.context import TranslationContext
 from ..core.rescache import schema_fingerprint
-from ..core.similarity import SimilarityEvaluator
 from ..obs import NULL_TRACER
 from .errors import ArtifactError
 from .format import ArtifactReader, encode
@@ -130,7 +129,7 @@ def build_artifact(
         schema_state, memos = context.export_state()
         image = encode(schema_state, memos, backend.data_version, config)
         path = store.put(key, image)
-        evicted = store.gc()
+        evicted = store.gc(keep=key)
         span.set(
             bytes=len(image),
             samples=len(memos.samples),
@@ -166,19 +165,11 @@ def load_context(
                 backend.data_version,
                 config,
             )
-        schema_state = reader.schema_state(backend.catalog)
+        schema_state, memos = reader.state(backend.catalog)
         context = TranslationContext.from_artifact(
-            backend,
-            config,
-            schema_state,
-            sample_source=reader.sample_table(),
+            backend, config, schema_state, memos
         )
-        evaluator = SimilarityEvaluator(backend, config, context)
-        context.seed_memos(reader.memo_state(context, evaluator))
-        span.set(
-            samples=len(reader.header.get("sample_index", ())),
-            data_version=reader.data_version,
-        )
+        span.set(samples=len(memos.samples), data_version=reader.data_version)
     _count(metrics, "loads")
     if metrics is not None:
         register_metrics(metrics)["load_seconds"].observe(

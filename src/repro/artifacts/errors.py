@@ -39,14 +39,14 @@ class ArtifactError(ReproError):
 
 
 class ArtifactCorrupt(ArtifactError):
-    """Truncated file, bad magic, checksum mismatch, or undecodable
-    section — the bytes cannot be trusted."""
+    """Truncated file, bad magic, checksum mismatch, or undecodable key
+    or state — the bytes cannot be trusted."""
 
 
 class ArtifactVersionSkew(ArtifactError):
     """The file's format version differs from this build's
     :data:`~repro.artifacts.format.FORMAT_VERSION`; the layout may have
-    changed, so nothing past the header is interpreted."""
+    changed, so nothing past the prelude is interpreted."""
 
 
 class ArtifactKeyMismatch(ArtifactError):

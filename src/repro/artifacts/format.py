@@ -1,80 +1,57 @@
 """Binary layout of a translation-context artifact (``*.rpra``).
 
-One file persists the buildable half of a :class:`~repro.core.context.
-TranslationContext` plus a snapshot of its memo tables, so a worker
-process attaches in milliseconds instead of rebuilding neighbor lists,
-q-gram indexes, FK path tables, column samples and similarity memos
-from the backend.  Layout (integers little-endian)::
+One file persists the exported state of a :class:`~repro.core.context.
+TranslationContext` — its buildable schema half plus a snapshot of its
+memo tables, column samples included — so a worker process attaches in
+milliseconds instead of rebuilding neighbor lists, q-gram indexes, FK
+path tables, column samples and similarity memos from the backend.
+Layout (integers little-endian)::
 
     offset  size  field
     0       8     MAGIC  (b"REPROART")
     8       2     format version (u16)
     10      32    SHA-256 over everything after this field
-    42      4     JSON header length (u32)
-    46      n     JSON header
-    46+n    ...   payload sections
+    42      ...   body: two pickles back to back
 
-The header carries the content-address key — ``schema_fingerprint``,
-``data_version``, ``config_digest``, ``format_version`` — plus a
-``sections`` offset table and a ``sample_index`` mapping each sampled
-column to its byte range inside the ``samples`` section.  Offsets are
-relative to the payload start, so the header can be rewritten without
-touching payload bytes.
+The body's first pickle is the plain key tuple ``(schema fingerprint,
+data_version, config digest)``, read before anything else so a file
+built for another database is :class:`ArtifactKeyMismatch` without
+decoding its state.  The second is the ``(ContextSchemaState,
+ContextMemoState)`` pair.  A loader reads the file with one ``read()``
+and verifies the checksum over the whole body before a single pickled
+byte is interpreted.
 
-Three payload sections:
-
-``schema``
-    The pickled :class:`~repro.core.context.ContextSchemaState`.
-``memos``
-    The pickled :class:`~repro.core.context.ContextMemoState` with its
-    ``samples`` dict emptied (samples get their own lazy section).
-``samples``
-    Concatenated per-column pickle blobs, decoded individually on
-    first use through :class:`LazySampleTable` — attaching a context
-    is O(header), not O(data), and the ``mmap`` backing means N
-    workers on one host share the page cache for one artifact.
-
-Pickling uses the *persistent id* protocol to cut the object graph at
-runtime boundaries: memoized extended view graphs reference the live
-context, its similarity evaluator, the catalog, and interned
-:class:`~repro.catalog.Relation` objects (identity-compared across the
-pipeline), none of which belong in the file.  Each is replaced by a
-tag on write and resolved against the *loading* process's live objects
-on read, which is also what makes the file safe to load into a
-different process than built it.
+Interned :class:`~repro.catalog.Relation` objects (identity-compared
+across the pipeline) are cut from the state by the *persistent id*
+protocol: each is written as its key and resolved against the loading
+process's live catalog, which is also what makes the file safe to load
+into a different process than built it.  Memoized view graphs, which
+reference the live context, are slimmed to :class:`MemoizedGraph`
+before encoding, so no other runtime object reaches the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
-import mmap
 import pickle
 import struct
 from dataclasses import fields
-from typing import Any, Optional
+from typing import Any
 
 from ..catalog import Catalog, Relation, SchemaError
 from ..core.config import TranslatorConfig
-from ..core.context import (
-    ContextMemoState,
-    ContextSchemaState,
-    SampleSource,
-    TranslationContext,
-)
-from ..core.resilience import Budget
-from ..core.similarity import SimilarityEvaluator
+from ..core.context import ContextMemoState, ContextSchemaState
 from ..core.view_graph import ViewInstance, XEdge
 from .errors import ArtifactCorrupt, ArtifactKeyMismatch, ArtifactVersionSkew
-from .integrity import DIGEST_SIZE, digest, verify
 
 MAGIC = b"REPROART"
 #: bump on any layout or pickling-scheme change; a mismatch is
 #: :class:`ArtifactVersionSkew` and the loader rebuilds fresh
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_PRELUDE = struct.Struct(f"<8sH{DIGEST_SIZE}sI")
+#: magic, format version, SHA-256 of the body
+_PRELUDE = struct.Struct("<8sH32s")
 
 #: config fields that do not affect translation outcomes (they bound the
 #: per-process result cache, which is never persisted) — excluded from
@@ -96,14 +73,14 @@ def config_digest(config: TranslatorConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# persistent-id pickling
+# pickling
 # ---------------------------------------------------------------------------
 
 
 #: frozen dataclasses whose ``__dict__`` accumulates lazily-computed
 #: caches (``XEdge._key``, ``ViewInstance._edge_keys``) that are pure
 #: functions of the declared fields — persisted stripped, rebuilt on
-#: first use, which measurably cuts memo-section decode time.
+#: first use, which measurably cuts memo decode time.
 #: :class:`~repro.core.join_network.JoinNetwork` is deliberately *not*
 #: here: its ``_best_weight`` cache is the one we want in the file.
 _STRIP_CACHES = (XEdge, ViewInstance)
@@ -116,14 +93,9 @@ def _rebuild_stripped(cls: type, state: dict) -> Any:
 
 
 class _ArtifactPickler(pickle.Pickler):
-    """Cuts the memo object graph at runtime boundaries.
-
-    A memoized :class:`~repro.core.view_graph.ExtendedViewGraph` holds
-    the live context (which holds a lock and the backend), the
-    evaluator, sometimes an exhausted budget, the catalog, and interned
-    relations.  All are replaced by tags; everything else (frozen
-    dataclasses, join networks, plain dicts) pickles by value.
-    """
+    """Writes interned relations as their keys and strips lazy caches;
+    everything else (frozen dataclasses, join networks, plain dicts)
+    pickles by value."""
 
     def reducer_override(self, obj: Any) -> Any:
         cls = type(obj)
@@ -133,78 +105,20 @@ class _ArtifactPickler(pickle.Pickler):
         return NotImplemented
 
     def persistent_id(self, obj: Any) -> Any:
-        if isinstance(obj, TranslationContext):
-            return "context"
-        if isinstance(obj, SimilarityEvaluator):
-            return "evaluator"
-        if isinstance(obj, Budget):
-            # the translator nulls graph budgets before memoizing; any
-            # survivor is exhausted serving state, not context state
-            return "budget"
-        if isinstance(obj, Catalog):
-            return "catalog"
         if isinstance(obj, Relation):
-            return ("relation", obj.key)
+            return obj.key
         return None
 
 
 class _ArtifactUnpickler(pickle.Unpickler):
-    """Resolves the pickler's tags against the loading process."""
+    """Resolves relation keys against the loading process's catalog."""
 
-    def __init__(
-        self,
-        file: io.BytesIO,
-        *,
-        catalog: Catalog,
-        context: Optional[TranslationContext] = None,
-        evaluator: Optional[SimilarityEvaluator] = None,
-    ) -> None:
+    def __init__(self, file: io.BytesIO, catalog: Catalog) -> None:
         super().__init__(file)
         self._catalog = catalog
-        self._context = context
-        self._evaluator = evaluator
 
     def persistent_load(self, pid: Any) -> Any:
-        if pid == "context":
-            if self._context is None:
-                raise pickle.UnpicklingError(
-                    "schema section references the live context"
-                )
-            return self._context
-        if pid == "evaluator":
-            if self._evaluator is None:
-                raise pickle.UnpicklingError(
-                    "schema section references the live evaluator"
-                )
-            return self._evaluator
-        if pid == "budget":
-            return None
-        if pid == "catalog":
-            return self._catalog
-        if isinstance(pid, tuple) and len(pid) == 2 and pid[0] == "relation":
-            return self._catalog.relation(pid[1])
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
-def _dumps(obj: Any) -> bytes:
-    buffer = io.BytesIO()
-    _ArtifactPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    return buffer.getvalue()
-
-
-def _loads(
-    payload: bytes,
-    *,
-    catalog: Catalog,
-    context: Optional[TranslationContext] = None,
-    evaluator: Optional[SimilarityEvaluator] = None,
-) -> Any:
-    return _ArtifactUnpickler(
-        io.BytesIO(payload),
-        catalog=catalog,
-        context=context,
-        evaluator=evaluator,
-    ).load()
+        return self._catalog.relation(pid)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +201,15 @@ def _slim_entry(xgraph: Any, networks: tuple) -> tuple[MemoizedGraph, tuple]:
     return slim, networks
 
 
+def sign(body: bytes) -> bytes:
+    """The full file image for *body*: the prelude (magic, format
+    version, SHA-256 of *body*) followed by *body*."""
+    return (
+        _PRELUDE.pack(MAGIC, FORMAT_VERSION, hashlib.sha256(body).digest())
+        + body
+    )
+
+
 def encode(
     schema_state: ContextSchemaState,
     memos: ContextMemoState,
@@ -294,52 +217,22 @@ def encode(
     config: TranslatorConfig,
 ) -> bytes:
     """Serialize one context snapshot to the full file image."""
-    sample_blobs: list[bytes] = []
-    sample_index: list[list[Any]] = []
-    offset = 0
-    for (relation, attribute), sample in sorted(memos.samples.items()):
-        blob = pickle.dumps(sample, protocol=pickle.HIGHEST_PROTOCOL)
-        sample_index.append([relation, attribute, offset, len(blob)])
-        sample_blobs.append(blob)
-        offset += len(blob)
-    samples_section = b"".join(sample_blobs)
-    schema_section = _dumps(schema_state)
-    memos_section = _dumps(
-        ContextMemoState(
-            samples={},
-            tree_sims=memos.tree_sims,
-            conditions=memos.conditions,
-            networks={
-                signature: _slim_entry(xgraph, networks_)
-                for signature, (xgraph, networks_) in memos.networks.items()
-            },
-        )
-    )
-    sections: dict[str, list[int]] = {}
-    payload_parts: list[bytes] = []
-    cursor = 0
-    for name, section in (
-        ("schema", schema_section),
-        ("memos", memos_section),
-        ("samples", samples_section),
-    ):
-        sections[name] = [cursor, len(section)]
-        payload_parts.append(section)
-        cursor += len(section)
-    header = json.dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "schema_fingerprint": schema_state.schema_fingerprint,
-            "data_version": data_version,
-            "config_digest": config_digest(config),
-            "sections": sections,
-            "sample_index": sample_index,
+    key = (schema_state.schema_fingerprint, data_version, config_digest(config))
+    slim = ContextMemoState(
+        samples=memos.samples,
+        tree_sims=memos.tree_sims,
+        conditions=memos.conditions,
+        networks={
+            signature: _slim_entry(xgraph, networks_)
+            for signature, (xgraph, networks_) in memos.networks.items()
         },
-        separators=(",", ":"),
-    ).encode()
-    hashed = header + b"".join(payload_parts)
-    prelude = _PRELUDE.pack(MAGIC, FORMAT_VERSION, digest(hashed), len(header))
-    return prelude + hashed
+    )
+    buffer = io.BytesIO()
+    pickle.dump(key, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    _ArtifactPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
+        (schema_state, slim)
+    )
+    return sign(buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -347,75 +240,26 @@ def encode(
 # ---------------------------------------------------------------------------
 
 
-class LazySampleTable(SampleSource):
-    """Column samples decoded one-at-a-time from the mapped payload.
-
-    Holds the reader (and through it the ``mmap``) alive; each ``get``
-    decodes one column's blob, so a worker that only ever touches a few
-    columns never pays for the rest.
-    """
-
-    def __init__(self, reader: "ArtifactReader") -> None:
-        self._reader = reader
-        self._index = {
-            (relation, attribute): (offset, length)
-            for relation, attribute, offset, length in reader.header[
-                "sample_index"
-            ]
-        }
-
-    def keys(self) -> list[tuple[str, str]]:
-        return list(self._index)
-
-    def get(self, key: tuple[str, str]) -> Optional[list[Any]]:
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        offset, length = entry
-        blob = self._reader.section_bytes("samples", offset, length)
-        try:
-            sample = pickle.loads(blob)
-        except Exception as exc:  # re-raises as a typed ArtifactError
-            raise ArtifactCorrupt(
-                self._reader.path, f"undecodable sample blob for {key}: {exc}"
-            ) from exc
-        if not isinstance(sample, list):
-            raise ArtifactCorrupt(
-                self._reader.path, f"sample blob for {key} is not a list"
-            )
-        return sample
-
-
 class ArtifactReader:
-    """One opened, checksum-verified artifact file.
+    """One opened, checksum-verified artifact file with its key decoded.
 
-    ``mmap``-backed where the platform allows (falling back to a plain
-    read), verified in one pass before any pickled byte is interpreted.
-    Keep the reader alive as long as a :class:`LazySampleTable` handed
-    out by :meth:`sample_table` is in use.
+    The constructor reads the file, checks magic and format version,
+    verifies the checksum and unpickles the key; :meth:`state` decodes
+    the rest against the live catalog once :meth:`check_key` has passed.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         try:
             with open(path, "rb") as handle:
-                try:
-                    self._buffer: Any = mmap.mmap(
-                        handle.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-                except (ValueError, OSError):
-                    # zero-length or unmappable file: fall back to bytes
-                    # (a truncated prelude still fails cleanly below)
-                    handle.seek(0)
-                    self._buffer = handle.read()
+                data = handle.read()
         except OSError as exc:
             raise ArtifactCorrupt(path, f"unreadable: {exc}") from exc
-        view = memoryview(self._buffer)
-        if len(view) < _PRELUDE.size:
+        if len(data) < _PRELUDE.size:
             raise ArtifactCorrupt(
-                path, f"truncated prelude ({len(view)} bytes)"
+                path, f"truncated prelude ({len(data)} bytes)"
             )
-        magic, version, stored, header_len = _PRELUDE.unpack_from(view)
+        magic, version, stored = _PRELUDE.unpack_from(data)
         if magic != MAGIC:
             raise ArtifactCorrupt(path, f"bad magic {magic!r}")
         if version != FORMAT_VERSION:
@@ -424,44 +268,22 @@ class ArtifactReader:
                 f"format version {version} (this build reads "
                 f"{FORMAT_VERSION})",
             )
-        hashed = view[_PRELUDE.size :]
-        if header_len > len(hashed):
+        actual = hashlib.sha256(memoryview(data)[_PRELUDE.size :]).digest()
+        if actual != stored:
             raise ArtifactCorrupt(
                 path,
-                f"header length {header_len} exceeds file "
-                f"({len(hashed)} bytes past prelude)",
+                f"checksum mismatch: stored {stored.hex()[:16]}…, "
+                f"computed {actual.hex()[:16]}…",
             )
-        verify(path, stored, hashed)
+        self._body = io.BytesIO(data)
+        self._body.seek(_PRELUDE.size)
         try:
-            self.header: dict[str, Any] = json.loads(
-                bytes(hashed[:header_len])
-            )
-        except ValueError as exc:
-            raise ArtifactCorrupt(path, f"undecodable header: {exc}") from exc
-        self._payload = hashed[header_len:]
-        for name in ("schema", "memos", "samples"):
-            entry = self.header.get("sections", {}).get(name)
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or entry[0] + entry[1] > len(self._payload)
-            ):
-                raise ArtifactCorrupt(
-                    path, f"missing or out-of-range section {name!r}"
-                )
-
-    # -- keying --------------------------------------------------------
-    @property
-    def schema_fingerprint(self) -> str:
-        return str(self.header["schema_fingerprint"])
-
-    @property
-    def data_version(self) -> int:
-        return int(self.header["data_version"])
-
-    @property
-    def config_digest(self) -> str:
-        return str(self.header["config_digest"])
+            fingerprint, data_version, digest = pickle.load(self._body)
+            self.schema_fingerprint = str(fingerprint)
+            self.data_version = int(data_version)
+            self.config_digest = str(digest)
+        except Exception as exc:  # re-raises as a typed ArtifactError
+            raise ArtifactCorrupt(path, f"undecodable key: {exc}") from exc
 
     def check_key(
         self,
@@ -491,79 +313,30 @@ class ArtifactReader:
                 f"live config {live[:12]}…",
             )
 
-    # -- sections ------------------------------------------------------
-    def section_bytes(self, name: str, offset: int = 0, length: int = -1) -> bytes:
-        start, size = self.header["sections"][name]
-        if length < 0:
-            length = size
-        if offset + length > size:
-            raise ArtifactCorrupt(
-                self.path, f"out-of-range read in section {name!r}"
-            )
-        return bytes(self._payload[start + offset : start + offset + length])
-
-    def schema_state(self, catalog: Catalog) -> ContextSchemaState:
-        """Decode the buildable half against the live *catalog*."""
+    def state(
+        self, catalog: Catalog
+    ) -> tuple[ContextSchemaState, ContextMemoState]:
+        """Decode the exported context state against the live *catalog*."""
         try:
-            state = _loads(self.section_bytes("schema"), catalog=catalog)
-        except (ArtifactCorrupt, ArtifactKeyMismatch):
-            raise
+            state = _ArtifactUnpickler(self._body, catalog).load()
         except SchemaError as exc:
-            # a relation tag that the live catalog cannot resolve means
-            # the file belongs to a different schema than its header
-            # claims — corrupt, not merely mismatched
+            # a relation the live catalog cannot resolve means the state
+            # belongs to a different schema than the key claims —
+            # corrupt, not merely mismatched
             raise ArtifactCorrupt(
-                self.path, f"schema section references {exc}"
+                self.path, f"state references {exc}"
             ) from exc
         except Exception as exc:  # re-raises as a typed ArtifactError
             raise ArtifactCorrupt(
-                self.path, f"undecodable schema section: {exc}"
+                self.path, f"undecodable state: {exc}"
             ) from exc
-        if not isinstance(state, ContextSchemaState):
+        if not (
+            isinstance(state, tuple)
+            and len(state) == 2
+            and isinstance(state[0], ContextSchemaState)
+            and isinstance(state[1], ContextMemoState)
+        ):
             raise ArtifactCorrupt(
-                self.path,
-                f"schema section decoded to {type(state).__name__}",
+                self.path, f"state decoded to {type(state).__name__}"
             )
         return state
-
-    def memo_state(
-        self, context: TranslationContext, evaluator: SimilarityEvaluator
-    ) -> ContextMemoState:
-        """Decode the memo snapshot against the freshly-attached
-        *context* (memoized view graphs reference it)."""
-        try:
-            memos = _loads(
-                self.section_bytes("memos"),
-                catalog=context.database.catalog,
-                context=context,
-                evaluator=evaluator,
-            )
-        except (ArtifactCorrupt, ArtifactKeyMismatch):
-            raise
-        except Exception as exc:  # re-raises as a typed ArtifactError
-            raise ArtifactCorrupt(
-                self.path, f"undecodable memo section: {exc}"
-            ) from exc
-        if not isinstance(memos, ContextMemoState):
-            raise ArtifactCorrupt(
-                self.path,
-                f"memo section decoded to {type(memos).__name__}",
-            )
-        return memos
-
-    def sample_table(self) -> LazySampleTable:
-        try:
-            return LazySampleTable(self)
-        except ArtifactCorrupt:
-            raise
-        except Exception as exc:  # re-raises as a typed ArtifactError
-            raise ArtifactCorrupt(
-                self.path, f"malformed sample index: {exc}"
-            ) from exc
-
-    def close(self) -> None:
-        """Release the mapping (safe only once no LazySampleTable handed
-        out by this reader will be used again)."""
-        if isinstance(self._buffer, mmap.mmap):
-            self._payload = b""
-            self._buffer.close()

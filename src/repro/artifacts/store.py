@@ -15,7 +15,8 @@ key converge on identical bytes (last rename wins, both files valid).
 :meth:`ArtifactStore.gc` enforces a byte budget by deleting the
 least-recently-*used* files first — every :meth:`get` hit re-touches
 the file's mtime, so hot artifacts survive and abandoned epochs age
-out.  GC runs opportunistically after every :meth:`put`.
+out.  A build runs GC right after its :meth:`put`, sparing the file
+it just published.
 """
 
 from __future__ import annotations
@@ -134,12 +135,17 @@ class ArtifactStore:
     def total_bytes(self) -> int:
         return sum(entry.size for entry in self.list())
 
-    def gc(self, max_bytes: int | None = None) -> list[StoredArtifact]:
+    def gc(
+        self, max_bytes: int | None = None, *, keep: str | None = None
+    ) -> list[StoredArtifact]:
         """Delete least-recently-used artifacts until the directory fits
-        the byte budget; returns what was evicted."""
+        the byte budget; returns what was evicted.  The artifact under
+        *keep* (the one a builder just published) counts toward the
+        budget but is never evicted."""
         budget = self.max_bytes if max_bytes is None else max_bytes
         entries = self.list()
         total = sum(entry.size for entry in entries)
+        entries = [entry for entry in entries if entry.key != keep]
         evicted: list[StoredArtifact] = []
         while total > budget and entries:
             victim = entries.pop()  # oldest mtime last

@@ -1008,8 +1008,7 @@ def run_artifacts(argv: Optional[list[str]] = None, out=None) -> int:
                 reader = ArtifactReader(entry.path)
                 detail = (
                     f"schema {reader.schema_fingerprint[:12]}… "
-                    f"data_version {reader.data_version} "
-                    f"samples {len(reader.header.get('sample_index', ()))}"
+                    f"data_version {reader.data_version}"
                 )
             except _ReproError as exc:
                 detail = f"UNREADABLE: {exc.args[0]}"

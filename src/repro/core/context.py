@@ -49,7 +49,7 @@ semantics and :class:`TranslationStats` can report cache effectiveness.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -84,9 +84,6 @@ class ContextStats:
     sample_builds: int = 0
     #: sample lookups answered from the cache
     sample_hits: int = 0
-    #: samples decoded from an attached artifact (repro.artifacts) —
-    #: neither a backend build nor an in-memory hit
-    sample_loads: int = 0
     #: whole-tree similarity memo hits / misses
     tree_sim_hits: int = 0
     tree_sim_misses: int = 0
@@ -328,22 +325,6 @@ class ContextMemoState:
     networks: dict[tuple, tuple] = field(default_factory=dict)
 
 
-class SampleSource:
-    """Read-only provider of column samples decoded on first use.
-
-    The artifact loader implements this over an ``mmap``-backed buffer
-    (:class:`repro.artifacts.format.LazySampleTable`); the context only
-    requires ``get`` — returning the decoded sample for a (relation
-    key, attribute key) pair or ``None`` — and ``keys``.
-    """
-
-    def get(self, key: tuple[str, str]):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def keys(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 def _same_sample(old: list[Any], new: list[Any]) -> bool:
     """Whether a re-read sample equals its baseline, value *and* type
     (``1 == 1.0 == True``, but a condition may tell them apart)."""
@@ -390,8 +371,7 @@ class TranslationContext:
         database: "Backend",
         config: TranslatorConfig,
         schema_state: ContextSchemaState,
-        memos: Optional[ContextMemoState] = None,
-        sample_source: Optional[SampleSource] = None,
+        memos: ContextMemoState,
     ) -> "TranslationContext":
         """A context restored from persisted state instead of built.
 
@@ -402,15 +382,13 @@ class TranslationContext:
         structurally identical to what :meth:`_build_schema_state`
         would produce.  Mutable serving state (result cache, aliases,
         stats, lock) starts as fresh as a built context's; the memo
-        tables start from the artifact's snapshot and grow normally
-        from there.  ``sample_source`` supplies buffer-backed column
-        samples decoded on first use, so attaching is O(header) rather
-        than O(data).
+        tables, column samples included, start from the artifact's
+        snapshot and grow normally from there.
         """
         context = cls.__new__(cls)
         context._init_runtime(database, config)
         context._apply_schema_state(schema_state)
-        context._init_data_state(memos or ContextMemoState(), sample_source)
+        context._init_data_state(memos)
         return context
 
     def _init_runtime(
@@ -493,15 +471,10 @@ class TranslationContext:
         self.schema_components = state.schema_components
         self.schema_fingerprint = state.schema_fingerprint
 
-    def _init_data_state(
-        self,
-        memos: ContextMemoState,
-        sample_source: Optional[SampleSource] = None,
-    ) -> None:
+    def _init_data_state(self, memos: ContextMemoState) -> None:
         # -- data-derived (revalidated after a Database mutation) ------
         #: (relation key, attribute key) -> sample of the current epoch
-        self._samples: dict[tuple[str, str], list[Any]] = {}
-        self._sample_source = sample_source
+        self._samples: dict[tuple[str, str], list[Any]] = dict(memos.samples)
         #: relation key -> {tree fingerprint: (score, attribute pairs,
         #: sampled columns)}; see :meth:`cached_tree_similarity`
         self._tree_sims: dict[str, dict[TreeFingerprint, tuple]] = {}
@@ -520,71 +493,41 @@ class TranslationContext:
         #: relation key -> {attribute key: sample its memos were built
         #: on}, for every column not yet re-read since the bump
         self._baseline: dict[str, dict[str, list[Any]]] = {}
-        #: an attached artifact's sample table from before the last bump,
-        #: the baseline of every column it holds and _baseline lacks
-        self._baseline_source: Optional[SampleSource] = None
         # -- generated-network memo (terminal-relation signature) ------
         #: signature -> (ExtendedViewGraph, tuple[JoinNetwork, ...]),
         #: LRU-bounded; see :meth:`cached_networks`
-        self._network_memo: dict[tuple, tuple] = {}
-        self._merge_memos(memos)
-
-    def _merge_memos(self, memos: ContextMemoState) -> None:
-        """Fold a flat memo snapshot into the partitioned tables (caller
-        holds the lock or owns the context).  Existing entries win."""
-        for key, sample in memos.samples.items():
-            self._samples.setdefault(key, sample)
+        self._network_memo: dict[tuple, tuple] = dict(
+            itertools.islice(memos.networks.items(), self._network_memo_cap)
+        )
+        # fold the flat snapshot into the partitioned tables
         for (fingerprint, relation), (score, attribute_map) in (
             memos.tree_sims.items()
         ):
             # the flat shape carries no sampled columns: None = all
-            self._tree_sims.setdefault(relation, {}).setdefault(
-                fingerprint, (score, tuple(attribute_map.items()), None)
+            self._tree_sims.setdefault(relation, {})[fingerprint] = (
+                score,
+                tuple(attribute_map.items()),
+                None,
             )
         for (probe, relation, attribute), status in memos.conditions.items():
-            self._conditions.setdefault((relation, attribute), {}).setdefault(
-                sys.intern(probe), status
-            )
-        for key, entry in memos.networks.items():
-            if len(self._network_memo) >= self._network_memo_cap:
-                break
-            self._network_memo.setdefault(key, entry)
-
-    def seed_memos(self, memos: ContextMemoState) -> None:
-        """Merge a persisted memo snapshot into the live tables.
-
-        Split from :meth:`from_artifact` because decoding the memo
-        section needs the live context to exist first — memoized
-        extended view graphs reference it — so the loader constructs
-        the context from the schema state, then seeds.  Existing
-        entries win: they were computed against this very epoch.
-        """
-        with self._lock:
-            self._merge_memos(memos)
+            self._conditions.setdefault((relation, attribute), {})[
+                sys.intern(probe)
+            ] = status
 
     def export_state(self) -> tuple[ContextSchemaState, ContextMemoState]:
         """A consistent snapshot of both halves for artifact writing.
 
         The snapshot is of the backend's current data epoch: a pending
         ``data_version`` bump is applied and every stale relation
-        revalidated first.  Lazily-sourced samples are materialised so
-        the exported memo state stands alone; the memo tables are copied
-        flat under the lock, so a concurrent translator can keep serving
-        while the artifact builder pickles.
+        revalidated first.  The memo tables are copied flat under the
+        lock, so a concurrent translator can keep serving while the
+        artifact builder pickles.
         """
         self.ensure_current()
         with self._lock:
             for relation in self._relation_by_key:
                 if relation in self._stale or relation in self._baseline:
                     self._touch(relation)
-            source = self._sample_source
-            pending = (
-                [k for k in source.keys() if k not in self._samples]
-                if source is not None
-                else []
-            )
-        for key in pending:
-            self.column_sample(*key)
         schema_state = ContextSchemaState(
             relations=self.relations,
             neighbors=self._neighbors,
@@ -688,10 +631,6 @@ class TranslationContext:
             for (relation, attribute), sample in self._samples.items():
                 self._baseline.setdefault(relation, {})[attribute] = sample
             self._samples.clear()
-            if self._sample_source is not None:
-                # an attached artifact's samples are one more baseline
-                self._baseline_source = self._sample_source
-                self._sample_source = None
             self._stale.update(self._relation_by_key)
             # finished translations bake in condition evidence, so they
             # go stale with the data too (docs/CACHING.md, trigger 1)
@@ -730,14 +669,10 @@ class TranslationContext:
                     if key not in self._conditions:
                         continue
                     sample = old.get(attribute.key)
-                    if sample is None and self._baseline_source is not None:
-                        sample = self._baseline_source.get(key)
                     if sample is not None:
                         pending[attribute.key] = sample
                 if pending:
                     self._baseline[relation] = pending
-                if not self._stale:
-                    self._baseline_source = None
             pending = self._baseline.get(relation, {})
             for attribute in list(
                 pending if attributes is None else attributes
@@ -892,15 +827,6 @@ class TranslationContext:
             if cached is not None:
                 self.stats.sample_hits += 1
                 return cached
-            if self._sample_source is not None:
-                loaded = self._sample_source.get(key)
-                if loaded is not None:
-                    # decoded from an attached artifact: identical bytes
-                    # to what a fresh build would produce for this epoch
-                    sample = list(loaded)
-                    self._samples[key] = sample
-                    self.stats.sample_loads += 1
-                    return sample
             # build under the lock: serialises the (cheap, deterministic)
             # sample construction so concurrent workers never build the
             # same column twice and the build counter stays exact

@@ -18,7 +18,10 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
+import pickle
 import struct
 
 import pytest
@@ -39,7 +42,7 @@ from repro.artifacts import (
     load_or_build_context,
     register_metrics,
 )
-from repro.artifacts.format import MAGIC, config_digest
+from repro.artifacts.format import MAGIC, config_digest, encode, sign
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.context import TranslationContext
 from repro.core.rescache import schema_fingerprint
@@ -110,6 +113,19 @@ class TestStore:
         evicted = store.gc()
         assert sorted(e.key for e in evicted) == ["k0", "k1"]
         assert sorted(e.key for e in store.list()) == ["k2", "k3"]
+
+    def test_build_spares_its_own_artifact(self, tmp_path):
+        """A budget smaller than one image evicts every older artifact
+        but never the one the build just published."""
+        store = ArtifactStore(str(tmp_path), max_bytes=1000)
+        stale = store.put("stale", bytes(500))
+        os.utime(stale, (0, 0))
+        path = build_artifact(make_movie_database(), store)
+        assert os.path.exists(path)
+        assert [entry.path for entry in store.list()] == [path]
+        context, error = load_or_build_context(make_movie_database(), path)
+        assert error is None
+        assert context.stats.neighbor_builds == 0
 
     def test_key_depends_on_all_components(self):
         base = artifact_key("fp", 1, DEFAULT_CONFIG)
@@ -193,13 +209,15 @@ class TestRoundTrip:
         assert len(store.list()) == 2
 
     def test_samples_load_lazily(self, workload_artifact):
+        """An attached context answers column samples from the file's
+        state: no backend scan, one cache hit."""
         _, factory, _, path, _ = workload_artifact
         database = factory()
         context = load_context(path, database)
-        assert context.stats.sample_loads == 0
         relation = context.relations[0]
         context.column_sample(relation.name, relation.attributes[0].name)
-        assert context.stats.sample_loads == 1
+        assert context.stats.sample_builds == 0
+        assert context.stats.sample_hits == 1
 
     def test_ensure_artifact_hits_published_file(self, tmp_path):
         database = make_movie_database()
@@ -212,6 +230,19 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------------
 # robustness: every failure is typed, diagnosed, and survivable
 # ---------------------------------------------------------------------------
+
+
+#: bytes before the body: magic, format version, checksum
+PRELUDE_SIZE = len(sign(b""))
+
+
+def split_body(image: bytes) -> tuple[bytes, bytes]:
+    """(key pickle, state pickle) of one artifact image."""
+    stream = io.BytesIO(image)
+    stream.seek(PRELUDE_SIZE)
+    pickle.load(stream)
+    cut = stream.tell()
+    return image[PRELUDE_SIZE:cut], image[cut:]
 
 
 def assert_artifact_diagnostic(error: ArtifactError) -> None:
@@ -248,12 +279,15 @@ class TestRobustness:
     def test_version_skew(self, workload_artifact, tmp_path):
         _, factory, _, path, _ = workload_artifact
         skewed = str(tmp_path / "skewed.rpra")
-        data = bytearray(open(path, "rb").read())
-        struct.pack_into("<H", data, len(MAGIC), 999)  # future format
-        open(skewed, "wb").write(bytes(data))
-        with pytest.raises(ArtifactVersionSkew) as excinfo:
-            load_context(skewed, factory())
-        assert_artifact_diagnostic(excinfo.value)
+        # a future format, and the sectioned layout of format version 1
+        for version in (999, 1):
+            data = bytearray(open(path, "rb").read())
+            struct.pack_into("<H", data, len(MAGIC), version)
+            open(skewed, "wb").write(bytes(data))
+            with pytest.raises(ArtifactVersionSkew) as excinfo:
+                load_context(skewed, factory())
+            assert f"format version {version}" in str(excinfo.value)
+            assert_artifact_diagnostic(excinfo.value)
 
     def test_bad_magic(self, workload_artifact, tmp_path):
         _, factory, _, path, _ = workload_artifact
@@ -286,6 +320,7 @@ class TestRobustness:
             ("truncated", lambda d: d[:40]),
             ("flipped", lambda d: d[:-5] + bytes([d[-5] ^ 1]) + d[-4:]),
             ("empty", lambda d: b""),
+            ("resigned-cut", lambda d: sign(split_body(d)[0])),
         ):
             target = str(tmp_path / f"{label}.rpra")
             open(target, "wb").write(bytes(mutate(bytes(data))))
@@ -295,6 +330,60 @@ class TestRobustness:
             context, error = load_or_build_context(database, target)
             assert isinstance(error, ArtifactError)
             assert translate_all(database, queries[:2], context) == fresh[:2]
+
+
+# ---------------------------------------------------------------------------
+# re-signed bodies: the checksum matches, so decoding must catch the fault
+# ---------------------------------------------------------------------------
+
+
+class TestResignedBodies:
+    @pytest.fixture
+    def movie_image(self, tmp_path):
+        path = build_artifact(
+            make_movie_database(), ArtifactStore(str(tmp_path / "store"))
+        )
+        return open(path, "rb").read()
+
+    def load_resigned(self, tmp_path, body: bytes) -> ArtifactCorrupt:
+        target = str(tmp_path / "resigned.rpra")
+        open(target, "wb").write(sign(body))
+        with pytest.raises(ArtifactCorrupt) as excinfo:
+            load_context(target, make_movie_database())
+        assert_artifact_diagnostic(excinfo.value)
+        return excinfo.value
+
+    def test_sign_matches_encoder(self, movie_image):
+        key, state = split_body(movie_image)
+        assert sign(key + state) == movie_image
+        assert movie_image[PRELUDE_SIZE - 32 : PRELUDE_SIZE] == (
+            hashlib.sha256(key + state).digest()
+        )
+
+    def test_body_cut_after_key(self, movie_image, tmp_path):
+        key, _ = split_body(movie_image)
+        error = self.load_resigned(tmp_path, key)
+        assert "undecodable state" in error.reason
+
+    def test_state_of_another_catalog(self, movie_image, tmp_path):
+        key, _ = split_body(movie_image)
+        courses = make_course_database()
+        _, foreign = split_body(
+            encode(
+                *TranslationContext(courses).export_state(),
+                courses.data_version,
+                DEFAULT_CONFIG,
+            )
+        )
+        error = self.load_resigned(tmp_path, key + foreign)
+        assert "unknown relation" in error.reason
+
+    def test_state_of_wrong_type(self, movie_image, tmp_path):
+        key, _ = split_body(movie_image)
+        error = self.load_resigned(
+            tmp_path, key + pickle.dumps(["not", "a", "state"])
+        )
+        assert "state decoded to list" in error.reason
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,7 @@ class TestArtifactBaseline:
         translator = SchemaFreeTranslator(database, context=context)
         for query in QUERIES:
             outcomes(translator, query)
-        # every tree-sim came from the artifact, so no sample was decoded:
-        # the lazily-sourced table is the only baseline
+        # every tree-sim came from the artifact
         assert context.stats.tree_sim_misses == 0
         stats = context.stats
         database.insert("movie", insert_row("movie", "Titanic"))
@@ -209,7 +208,6 @@ class TestArtifactBaseline:
         assert_matches_fresh(translator, database, QUERIES)
         assert stats.revalidation_drops >= 1  # movie.title moved
         assert stats.tree_sim_hits > hits  # the other relations' memos held
-        assert context._baseline_source is None  # released once settled
 
 # ---------------------------------------------------------------------------
 # a re-read that fails leaves no unverified memo behind
