@@ -1,12 +1,14 @@
-"""Serial-vs-concurrent throughput benchmark for the query service.
+"""Throughput benchmark for the query service, in-process and pooled.
 
-Runs the shipped workloads through :class:`repro.service.QueryService`
-twice —
+Runs the shipped workloads through :class:`repro.service.QueryService`,
+one :meth:`~repro.service.QueryService.serve_inline` call after another
+on this thread —
 
-* **serial** — one worker, so the service machinery (admission,
-  budgets, retries) runs but nothing overlaps;
-* **concurrent** — ``--workers`` threads sharing one lock-protected
-  :class:`~repro.core.context.TranslationContext` per database;
+* **serial** — the result cache off, so the service machinery
+  (admission, budgets, retries) and the full translator run per query;
+* **cached** — the translation result cache on (docs/CACHING.md): the
+  repeats of the workload must hit (``--min-cache-hit-rate``; CI pins
+  0.25);
 * **processes** (``--processes N``, optional) — the same workload
   through the supervised multi-process pool
   (:class:`repro.server.Supervisor`), measuring what crash isolation
@@ -14,27 +16,21 @@ twice —
   built and ready — process spawn is a deployment cost, frame
   round-trips are the serving cost this pass measures.
 
-Every concurrent (and process-pool) response is checked byte-for-byte
-against its serial counterpart — concurrency and process isolation
-change throughput, never results.  A further pass re-runs the
-concurrent pool with the translation result cache enabled
-(docs/CACHING.md): the first copy of the workload runs to completion
-before its repeats are submitted, so no query is ever in flight twice
-and the hit rate measures the cache, not thread scheduling.  The
-repeats must hit (``--min-cache-hit-rate``; CI pins 0.25) and cached
-responses must still match the serial ones byte-for-byte.  ``--max-process-overhead F`` turns
-the fault-free process-pool overhead into a gate: exit nonzero when
-``(process - thread) / thread`` exceeds ``F`` (CI pins 0.10).  The
-JSON report (per-workload timings plus the full service snapshot:
-aggregate stats, context memo counters) is written to
-``SERVICE_stats.json``; CI uploads it as an artifact next to
+Every cached and process-pool response is checked byte-for-byte against
+its serial counterpart — caching and process isolation change
+throughput, never results.  ``--max-process-overhead F`` turns the
+fault-free process-pool overhead into a gate: exit nonzero when
+``(process - serial) / serial`` exceeds ``F`` (CI pins 0.10), best of
+three cold passes each.  The JSON report (per-workload timings plus the
+full service snapshot: aggregate stats, context memo counters) is
+written to ``SERVICE_stats.json``; CI uploads it as an artifact next to
 ``BENCH_translate.json``.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_service.py
     PYTHONPATH=src python benchmarks/bench_service.py \
-        --workers 8 --repeat 4 --output /tmp/service.json
+        --repeat 4 --output /tmp/service.json
     PYTHONPATH=src python benchmarks/bench_service.py \
         --processes 1 --max-process-overhead 0.10
 """
@@ -65,7 +61,7 @@ WORKLOADS: dict[str, tuple[Callable[[], Database], list[WorkloadQuery]]] = {
     "courses48": (make_course_database, COURSE_QUERIES),
 }
 
-#: cold passes per pool when gating; the minimum is the gated number
+#: cold passes per side when gating; the minimum is the gated number
 GATE_RUNS = 3
 
 #: workload name -> the dataset its worker processes rebuild
@@ -81,25 +77,15 @@ def queries_of(workload: list[WorkloadQuery], repeat: int) -> list[str]:
 
 
 def run_service(
-    database: Database,
-    queries: list[str],
-    workers: int,
-    cache: int = 0,
-    warm: int = 0,
+    database: Database, queries: list[str], cache: int = 0
 ) -> tuple[float, list, dict]:
-    """Serve *queries* on a fresh service; the first *warm* of them run
-    to completion before the rest are submitted."""
-    translator = DEFAULT_CONFIG
-    if cache > 0:
-        translator = dataclasses.replace(
-            DEFAULT_CONFIG, result_cache_size=cache
-        )
+    """Serve *queries* in order on a fresh service, on this thread."""
     config = ServiceConfig(
-        workers=workers, queue_limit=len(queries), translator=translator
+        translator=dataclasses.replace(DEFAULT_CONFIG, result_cache_size=cache)
     )
     with QueryService(database, config) as service:
         started = time.perf_counter()
-        responses = service.run(queries[:warm]) + service.run(queries[warm:])
+        responses = [service.serve_inline(query) for query in queries]
         elapsed = time.perf_counter() - started
         snapshot = service.snapshot()
     return elapsed, responses, snapshot
@@ -136,7 +122,7 @@ def run_processes(
 
 
 def check_identical(serial: list, other: list, label: str) -> None:
-    """Neither concurrency nor process isolation may change a byte."""
+    """Neither caching nor process isolation may change a byte."""
     for a, b in zip(serial, other):
         if a.sql != b.sql or a.outcome != b.outcome:
             raise AssertionError(
@@ -146,32 +132,22 @@ def check_identical(serial: list, other: list, label: str) -> None:
             )
 
 
-def bench_workload(
-    name: str, workers: int, repeat: int, processes: int = 0
-) -> dict:
+def bench_workload(name: str, repeat: int, processes: int = 0) -> dict:
     factory, workload = WORKLOADS[name]
     queries = queries_of(workload, repeat)
-    serial_seconds, serial_responses, _ = run_service(factory(), queries, 1)
-    conc_seconds, conc_responses, snapshot = run_service(
-        factory(), queries, workers
+    serial_seconds, serial_responses, snapshot = run_service(
+        factory(), queries
     )
-    check_identical(serial_responses, conc_responses, "concurrent")
-    speedup = serial_seconds / conc_seconds if conc_seconds > 0 else float("inf")
     # the same repeated workload with the translation result cache on:
-    # the first copy finishes before the repeats start, so every repeat
-    # can hit and the ideal rate is (repeat-1)/repeat
+    # every repeat can hit, so the ideal rate is (repeat-1)/repeat
     cached_seconds, cached_responses, cached_snapshot = run_service(
-        factory(), queries, workers, cache=len(queries) + 16,
-        warm=len(workload),
+        factory(), queries, cache=len(queries) + 16
     )
     check_identical(serial_responses, cached_responses, "cached")
     hit_rate = cache_hit_rate(cached_snapshot)
     row = {
         "queries": len(queries),
-        "workers": workers,
         "serial_seconds": round(serial_seconds, 4),
-        "concurrent_seconds": round(conc_seconds, 4),
-        "speedup": round(speedup, 2),
         "cached_seconds": round(cached_seconds, 4),
         "cache_hit_rate": round(hit_rate, 4),
         "identical": True,
@@ -180,20 +156,18 @@ def bench_workload(
     print(
         f"{name:>14}: {len(queries):>3} queries  "
         f"serial {serial_seconds:7.3f}s  "
-        f"x{workers} workers {conc_seconds:7.3f}s  "
-        f"speedup {speedup:5.2f}x  "
         f"cached {cached_seconds:7.3f}s ({hit_rate:.0%} hits)"
     )
     if processes > 0:
-        # compare the process pool against a thread pool of equal width
-        # so scheduling is apples-to-apples and the delta is pure IPC;
-        # best-of-N keeps scheduler noise out of the gated number
-        thread_seconds = float("inf")
+        # the process pool against the serial in-process service: the
+        # delta is what frames and process isolation cost; best-of-N,
+        # interleaved, keeps scheduler noise out of the gated number
+        best_serial = float("inf")
         proc_seconds = float("inf")
         proc_responses = None
         for _ in range(GATE_RUNS):
-            thread_seconds = min(
-                thread_seconds, run_service(factory(), queries, processes)[0]
+            best_serial = min(
+                best_serial, run_service(factory(), queries)[0]
             )
             seconds, responses = run_processes(name, queries, processes)
             if proc_responses is None:
@@ -201,19 +175,19 @@ def bench_workload(
             proc_seconds = min(proc_seconds, seconds)
         check_identical(serial_responses, proc_responses, "process-pool")
         overhead = (
-            (proc_seconds - thread_seconds) / thread_seconds
-            if thread_seconds > 0
+            (proc_seconds - best_serial) / best_serial
+            if best_serial > 0
             else 0.0
         )
         row.update(
             processes=processes,
-            thread_pool_seconds=round(thread_seconds, 4),
+            best_serial_seconds=round(best_serial, 4),
             process_pool_seconds=round(proc_seconds, 4),
             process_overhead=round(overhead, 4),
             process_identical=True,
         )
         print(
-            f"{'':>14}  x{processes} threads {thread_seconds:7.3f}s  "
+            f"{'':>14}  serial {best_serial:7.3f}s  "
             f"x{processes} processes {proc_seconds:7.3f}s  "
             f"overhead {overhead:+7.1%}"
         )
@@ -230,9 +204,6 @@ def main(argv=None) -> int:
         help="workloads to benchmark (default: all)",
     )
     parser.add_argument(
-        "--workers", type=int, default=8, help="concurrent worker threads"
-    )
-    parser.add_argument(
         "--repeat",
         type=int,
         default=2,
@@ -244,8 +215,8 @@ def main(argv=None) -> int:
         default=0,
         metavar="N",
         help="also run each workload through N supervised worker "
-        "processes and report the fault-free overhead vs an N-thread "
-        "pool (default: 0 = skip)",
+        "processes and report the fault-free overhead vs the serial "
+        "in-process service (default: 0 = skip)",
     )
     parser.add_argument(
         "--max-process-overhead",
@@ -272,9 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = {
-        name: bench_workload(
-            name, args.workers, args.repeat, processes=args.processes
-        )
+        name: bench_workload(name, args.repeat, processes=args.processes)
         for name in args.workloads
     }
     with open(args.output, "w") as handle:

@@ -1,9 +1,9 @@
-"""Run a workload through the concurrent service with observability on.
+"""Run a workload through the query service with observability on.
 
-This is the CI "observability" job's driver: it pushes one of the
-shipped workloads through an 8-worker :class:`repro.service.
-QueryService` with a real tracer (JSONL exporter) and a metrics
-registry attached, then writes both artifacts:
+This is the CI "observability" job's driver: it serves one of the
+shipped workloads, query by query, through :meth:`repro.service.
+QueryService.serve_inline` with a real tracer (JSONL exporter) and a
+metrics registry attached, then writes both artifacts:
 
 * ``TRACE_<workload>.jsonl`` — one finished span per line (validated
   against the span schema by ``scripts/check_trace.py``);
@@ -14,7 +14,7 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/trace_workload.py
     PYTHONPATH=src python benchmarks/trace_workload.py \
-        --workload courses48 --workers 4 --deadline 1.0
+        --workload courses48 --deadline 1.0
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ def main(argv=None) -> int:
         help="workload to run (default: textbook)",
     )
     parser.add_argument(
-        "--workers", type=int, default=8, help="service worker threads"
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=2.0,
@@ -80,13 +77,11 @@ def main(argv=None) -> int:
     metrics = MetricsRegistry()
     with JsonlExporter(trace_path) as jsonl:
         tracer = Tracer(exporters=[jsonl])
-        config = ServiceConfig(
-            workers=max(1, args.workers), deadline=args.deadline
-        )
+        config = ServiceConfig(deadline=args.deadline)
         with QueryService(
             database, config, tracer=tracer, metrics=metrics
         ) as service:
-            responses = service.run(queries)
+            responses = [service.serve_inline(query) for query in queries]
 
     with open(metrics_path, "w", encoding="utf-8") as handle:
         json.dump(metrics.snapshot(), handle, indent=2)
@@ -96,10 +91,7 @@ def main(argv=None) -> int:
     for response in responses:
         outcomes[response.outcome] = outcomes.get(response.outcome, 0) + 1
     summary = "  ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
-    print(
-        f"{args.workload}: {len(responses)} requests over "
-        f"{config.workers} workers  {summary}"
-    )
+    print(f"{args.workload}: {len(responses)} requests  {summary}")
     print(f"wrote {trace_path} and {metrics_path}")
     failed = outcomes.get("failed", 0) + outcomes.get("shed", 0)
     if failed:

@@ -168,7 +168,7 @@ def run_parity() -> dict:
             DATASETS[shard](), ServiceConfig(workers=1)
         ) as service:
             for qid, sf_sql in workload_pairs(queries):
-                response = service.submit(sf_sql).result()
+                response = service.serve_inline(sf_sql)
                 baseline[f"{name}:{qid}"] = (
                     response.sql or "",
                     type(response.error).__name__ if response.error else "",

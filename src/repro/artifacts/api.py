@@ -12,7 +12,8 @@ Three verbs, all keyed by :func:`~repro.artifacts.store.artifact_key`:
   ArtifactError` on *any* disappointment, so callers wrap it in the
   fallback contract (catch, log the diagnostic, build fresh);
 * :func:`ensure_artifact` — the supervisor/CLI entry point: return the
-  published path for the backend's current key, building only on miss.
+  published path for the backend's current key once the file verifies,
+  building on a miss or on a published file that no longer verifies.
 
 Every verb traces (``artifact.build`` / ``artifact.load`` /
 ``artifact.verify`` spans) and counts
@@ -188,15 +189,28 @@ def ensure_artifact(
     metrics: Optional["MetricsRegistry"] = None,
 ) -> str:
     """The published artifact path for the backend's current key,
-    building (once) on miss."""
-    key = artifact_key(
-        schema_fingerprint(backend.catalog), backend.data_version, config
-    )
+    building on miss.
+
+    A hit is read and key-checked first: a published file that no
+    longer verifies (corrupted on disk, say) counts as a miss labelled
+    with its error type and is rebuilt — ``put`` replaces it atomically
+    — so workers are never handed a file every one of them would reject.
+    """
+    fingerprint = schema_fingerprint(backend.catalog)
+    key = artifact_key(fingerprint, backend.data_version, config)
     existing = store.get(key)
-    if existing is not None:
-        _count(metrics, "hits")
-        return existing
-    _count(metrics, "misses", reason="absent")
+    if existing is None:
+        _count(metrics, "misses", reason="absent")
+    else:
+        try:
+            ArtifactReader(existing).check_key(
+                fingerprint, backend.data_version, config
+            )
+        except ArtifactError as error:
+            _count(metrics, "misses", reason=type(error).__name__)
+        else:
+            _count(metrics, "hits")
+            return existing
     return build_artifact(
         backend, store, config, warmup=warmup, tracer=tracer, metrics=metrics
     )

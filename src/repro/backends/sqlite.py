@@ -23,8 +23,9 @@ as a generic OperationalError, so the backend stashes the original
 engine error and re-raises it with its message intact.
 
 Threading: file-backed sources get one connection **per thread**
-(created lazily, UDFs registered at creation), so ``QueryService``
-workers execute concurrently instead of serialising on one handle.
+(created lazily, UDFs registered at creation), so threads sharing one
+``QueryService`` execute concurrently instead of serialising on one
+handle.
 ``:memory:`` sources and adopted connections cannot be re-opened per
 thread, so they stay on a single shared connection guarded by an RLock
 (sqlite3 objects are not thread-safe even with

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro [--dataset movies|courses|courses-alt] [--top-k N]
     python -m repro --backend sqlite --execute "SELECT title? WHERE gross? > 100"
-    python -m repro --batch queries.txt --workers 8 --deadline 0.5
+    python -m repro --batch queries.txt --deadline 0.5
     python -m repro explain "SELECT title? WHERE gross? > 100"
     python -m repro import mydb.sqlite
 
@@ -46,15 +46,17 @@ Observability (docs/OBSERVABILITY.md):
   text exposition when FILE ends in ``.prom``/``.txt``, JSON otherwise.
 
 Batch mode (``--batch FILE``) reads one query per line (``#`` comments
-and blank lines ignored) and routes the whole file through the
-concurrent :class:`repro.service.QueryService`: ``--workers`` threads,
-``--deadline`` seconds per request, ``--queue-limit`` admission bound.
-Each request reports its outcome, degradation-ladder rung, retry count
-and (on failure) the structured diagnostic; ``--service-stats FILE``
-dumps the service counters as JSON.  Exit codes: 0 all ok, 6 when any
-request was shed by admission control, otherwise the code of the first
-failure (2 syntax / 3 translation / 4 engine / 5 internal); the full
-table lives in ``repro.service``'s module docstring.
+and blank lines ignored) and serves them one after another through
+:meth:`repro.service.QueryService.serve_inline`, with ``--deadline``
+seconds per request.  Each request reports its outcome,
+degradation-ladder rung, retry count and (on failure) the structured
+diagnostic; ``--service-stats FILE`` dumps the service counters as
+JSON.  ``--processes N`` serves the file from N supervised worker
+processes instead, where ``--queue-limit`` bounds admission.  Exit
+codes: 0 all ok, otherwise the code of the first failure (2 syntax /
+3 translation / 4 engine / 5 internal), or 6 when shed ``--processes``
+requests were the only failures; the full table lives in
+``repro.service``'s module docstring.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ EXIT_SYNTAX = 2
 EXIT_TRANSLATION = 3
 EXIT_ENGINE = 4
 EXIT_INTERNAL = 5
-#: batch mode: at least one request shed by admission control
+#: --batch --processes: requests shed by admission control, no other failure
 EXIT_OVERLOADED = 6
 #: the execution backend is unavailable or degraded (corrupted file,
 #: locked database, retries exhausted) — repro.backends.errors
@@ -373,9 +375,7 @@ def read_batch_file(path: str) -> list[str]:
 def run_batch(
     database,  # Database or any repro.backends Backend
     queries: list[str],
-    workers: int,
     deadline: Optional[float],
-    queue_limit: int,
     top_k: int,
     stats_path: Optional[str] = None,
     out=None,
@@ -383,10 +383,10 @@ def run_batch(
     metrics: Optional[MetricsRegistry] = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
 ) -> int:
-    """Route a query batch through the concurrent service.
+    """Serve a query batch in order on this thread.
 
-    Prints one outcome line per request (rung used, retries, shed) plus
-    the diagnostic block for failures, and returns the batch exit code.
+    Prints one outcome line per request (rung used, retries) plus the
+    diagnostic block for failures, and returns the batch exit code.
     """
     import dataclasses
 
@@ -396,8 +396,6 @@ def run_batch(
     if out is None:
         out = sys.stdout
     config = ServiceConfig(
-        workers=max(1, workers),
-        queue_limit=max(0, queue_limit),
         deadline=deadline,
         top_k=max(1, top_k),
         translator=dataclasses.replace(
@@ -407,11 +405,10 @@ def run_batch(
     with QueryService(
         database, config, tracer=tracer, metrics=metrics
     ) as service:
-        responses = service.run(queries)
+        responses = [service.serve_inline(query) for query in queries]
         snapshot = service.snapshot()
 
     first_error: Optional[BaseException] = None
-    any_shed = False
     for response in responses:
         marks = [f"rung={response.rung or '-'}"]
         if response.cached:
@@ -429,8 +426,7 @@ def run_batch(
                 steps = "; ".join(response.translations[0].degradation)
                 print(f"    [degraded: {steps}]", file=out)
         else:
-            any_shed = any_shed or response.shed
-            if first_error is None and not response.shed:
+            if first_error is None:
                 first_error = response.error
             print(f"    error: {response.error}", file=out)
             if response.diagnostic is not None:
@@ -439,16 +435,13 @@ def run_batch(
     stats = snapshot["stats"]
     print(
         f"batch: {stats['completed']} ok, {stats['failed']} failed, "
-        f"{stats['shed']} shed, {stats['retries']} retries "
-        f"({config.workers} workers)",
+        f"{stats['shed']} shed, {stats['retries']} retries",
         file=out,
     )
     if stats_path:
         with open(stats_path, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, default=str)
         print(f"service stats written to {stats_path}", file=out)
-    if any_shed:
-        return EXIT_OVERLOADED
     return exit_code_for(first_error)
 
 
@@ -1080,13 +1073,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--batch",
         metavar="FILE",
         help="translate a file of queries (one per line) through the "
-        "concurrent query service, then exit",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="service worker threads for --batch (default: 4)",
+        "query service, then exit",
     )
     parser.add_argument(
         "--deadline",
@@ -1099,8 +1086,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--queue-limit",
         type=int,
         default=32,
-        help="admission-control queue bound for --batch; requests "
-        "beyond workers + limit are shed (default: 32)",
+        help="admission-control queue bound for --batch --processes; "
+        "requests beyond processes + limit are shed (default: 32)",
     )
     parser.add_argument(
         "--service-stats",
@@ -1122,8 +1109,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=None,
         metavar="N",
         help="with --batch, serve from N supervised worker *processes* "
-        "instead of threads: crash-isolated, restarted on failure; a "
-        "request lost to a crashed or hung worker exits 8",
+        "instead of in this process: crash-isolated, restarted on "
+        "failure; a request lost to a crashed or hung worker exits 8",
     )
     # deterministic chaos directives for harnesses; not a user feature
     parser.add_argument(
@@ -1202,9 +1189,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return run_batch(
                 database,
                 read_batch_file(args.batch),
-                workers=args.workers,
                 deadline=args.deadline,
-                queue_limit=args.queue_limit,
                 top_k=args.top_k,
                 stats_path=args.service_stats,
                 tracer=tracer,

@@ -7,7 +7,7 @@ heavily repetitive) can skip mapper and MTJN search entirely and be
 answered from a cache of finished translations.  This module supplies
 the two halves of that cache; the *storage* lives on
 :class:`~repro.core.context.TranslationContext` (one cache per
-database, shared by every translator, service worker thread, and
+database, shared by every translator, service calling thread, and
 server worker that shares the context), and the *policy* is documented
 as a first-class consistency contract in ``docs/CACHING.md``.
 

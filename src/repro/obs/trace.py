@@ -248,7 +248,7 @@ class Tracer:
     ``clock`` must be a monotonic float clock (seconds); exporters
     receive each span exactly once, when it finishes.  All id
     allocation and exporter fan-out is lock-protected, so one tracer
-    can serve every worker thread of a :class:`~repro.service.
+    can serve every calling thread of a :class:`~repro.service.
     QueryService`; the span *stack* is per-thread, so concurrent
     requests never adopt each other's spans as parents.
     """

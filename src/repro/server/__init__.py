@@ -2,7 +2,7 @@
 
 The process-isolation tier above :class:`~repro.service.QueryService`:
 a :class:`Supervisor` shards databases across worker *processes*
-(crash isolation the thread pool cannot give), watches them with a
+(crash isolation one process cannot give), watches them with a
 heartbeat watchdog on an injectable clock, fails requests on dead or
 hung workers with typed :class:`WorkerCrashed` / :class:`WorkerTimeout`
 (CLI exit code 8), restarts workers under an exponential-backoff

@@ -2,7 +2,7 @@
 
 The :class:`Supervisor` shards databases across worker *processes* (one
 shard per database name, ``workers_per_shard`` processes per shard) and
-gives the serving tier the property the thread-pool
+gives the serving tier the property the in-process
 :class:`~repro.service.QueryService` cannot: a poisoned query, an OOM
 kill, or a native crash costs one worker process, never the service.
 

@@ -3,8 +3,9 @@
 A worker is one OS process owning everything a shard needs to serve
 queries: the backend built from a picklable :class:`DatabaseSpec`, a
 private :class:`~repro.core.context.TranslationContext`, and a
-one-thread :class:`~repro.service.QueryService` (which brings the
-per-request deadline budgets and retry policy along for free).  Crash isolation is the point: a
+:class:`~repro.service.QueryService` served on the process's one
+thread (which brings the per-request deadline budgets and retry policy
+along for free).  Crash isolation is the point: a
 poisoned query, an OOM, or a native crash takes down this process only —
 the supervisor fails the in-flight request typed and restarts.
 
@@ -298,8 +299,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                 if deaf:
                     time.sleep(3600.0)  # idle-hang: stop reading frames
                 continue
-            # inline: this loop IS the worker's one thread, so the
-            # pool handoff submit() pays for would be pure latency
+            # served on this loop's thread: the worker's one thread
             response = service.serve_inline(
                 query,
                 database=frame.get("database") or "default",

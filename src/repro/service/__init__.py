@@ -1,16 +1,17 @@
-"""Concurrent serving layer over the schema-free translation pipeline.
+"""In-process serving layer over the schema-free translation pipeline.
 
-:class:`QueryService` runs translations on a thread pool with three
-behaviours a front end needs under load (DESIGN.md §10):
+:meth:`QueryService.serve_inline` serves one request on the calling
+thread — the serving worker's frame loop, the CLI batch loop, or a
+caller's own threads; the service starts none — with three behaviours a
+front end needs under load (DESIGN.md §10):
 
 * **admission control** — capacity is ``workers + queue_limit``
-  requests in flight; submissions past it are *shed* immediately with
-  a typed :class:`ServiceOverloaded` (bounded latency, no unbounded
-  queues);
+  requests in flight across calling threads; requests past it are
+  *shed* immediately with a typed :class:`ServiceOverloaded` (bounded
+  latency, no unbounded waiting);
 * **deadlines as budgets** — a per-request deadline becomes a
-  :class:`~repro.core.resilience.Budget` created *at admission*, so
-  queue wait counts against it and overruns degrade down the ladder
-  instead of failing;
+  :class:`~repro.core.resilience.Budget` created *at admission*, and
+  overruns degrade down the ladder instead of failing;
 * **retries** — transient faults retry with exponential backoff and
   deterministic per-request jitter (:class:`RetryPolicy`).
 
@@ -22,8 +23,7 @@ folds.
 
 Every request's journey is observable: pass ``tracer=`` /
 ``metrics=`` to :class:`QueryService` and each request gets one
-``service.request`` span carrying admission, queue-wait and retry
-events, plus the ``repro_service_*`` metric family — the full catalog
+``service.request`` span carrying admission and retry events, plus the ``repro_service_*`` metric family — the full catalog
 is docs/OBSERVABILITY.md.
 
 **Exit codes.**  The CLI (``python -m repro``, see :mod:`repro.cli`)
@@ -41,8 +41,8 @@ code   meaning
        (:class:`~repro.core.TranslationError`)
 4      engine execution error (:class:`~repro.engine.EngineError`)
 5      internal error: any other :class:`~repro.errors.ReproError`
-6      batch mode only: at least one request was shed by admission
-       control (:class:`ServiceOverloaded`)
+6      ``--batch --processes`` only: at least one request was shed
+       by the supervisor's admission control
 7      the execution backend is unavailable (corrupted or locked
        file, retries exhausted —
        :class:`~repro.backends.errors.BackendError`)
@@ -52,13 +52,14 @@ code   meaning
        multi-process :mod:`repro.server` layer)
 =====  ==========================================================
 
-Codes 2–5, 7 and 8 come from ``repro.cli.exit_code_for``; 6 dominates
-a batch run because shedding is a capacity signal, not a per-query
+Codes 2–5, 7 and 8 come from ``repro.cli.exit_code_for``; a
+``--processes`` batch exits 6 only when shed requests are its sole
+failures, because shedding is a capacity signal, not a per-query
 verdict.
 The budget/degradation side of this table lives in
 :mod:`repro.core.resilience`.
 
-See :mod:`repro.service.service` for the threading architecture.
+See :mod:`repro.service.service` for the threading model.
 """
 
 from ..backends.retry import NO_RETRY, RetryPolicy, jitter_fraction

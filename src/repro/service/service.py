@@ -1,19 +1,23 @@
-"""Concurrent schema-free query service.
+"""In-process schema-free query service.
 
 :class:`QueryService` wraps one or more databases (each with a shared,
-lock-protected :class:`~repro.core.context.TranslationContext`) behind a
-thread pool and gives the translation pipeline the serving-layer
-behaviours a production front end needs:
+lock-protected :class:`~repro.core.context.TranslationContext`) and
+gives the translation pipeline the serving-layer behaviours a production
+front end needs.  :meth:`QueryService.serve_inline` is its one entry: it
+runs the request on the *calling* thread — a serving worker's frame
+loop, the CLI batch loop, or any threads of the caller's own.  The
+service starts no threads: the four translator stages are CPU-bound
+Python, which threads sharing one interpreter cannot run in parallel.
 
-* **admission control** — a bounded queue (``workers`` running +
-  ``queue_limit`` waiting).  A request that would exceed it is *shed*
-  immediately with a typed :class:`ServiceOverloaded` diagnostic instead
-  of queueing unboundedly;
+* **admission control** — at most ``workers + queue_limit`` requests in
+  flight across calling threads.  A request that would exceed it is
+  *shed* immediately with a typed :class:`ServiceOverloaded` diagnostic
+  instead of waiting;
 * **deadlines** — each request gets a :class:`~repro.core.resilience.
-  Budget` with the request deadline (measured from admission, so queue
-  wait counts) and the configured search caps; every retry attempt runs
-  under a fresh :meth:`~repro.core.resilience.Budget.slice` of it, so
-  the attempt inherits exactly the time that remains;
+  Budget` with the request deadline (measured from admission) and the
+  configured search caps; every retry attempt runs under a fresh
+  :meth:`~repro.core.resilience.Budget.slice` of it, so the attempt
+  inherits exactly the time that remains;
 * **retries** — transient faults are retried under
   :class:`~repro.backends.retry.RetryPolicy` with exponential backoff
   and deterministic jitter.  The backoff "sleep" and the budget clock
@@ -27,18 +31,18 @@ walking its degradation ladder; backend health is the backend's own
 (:class:`~repro.backends.ResilientBackend`, whose advice the translator
 folds).  The service keeps no health state of its own.
 
-Translator instances are **per worker thread** (their scratch state is
-not shared); the per-database context *is* shared, which is safe because
-PR 3 made its caches lock-protected and its memoized values are pure —
-concurrent serving returns byte-identical results to a serial pass.
+Translator instances are **per calling thread** (their scratch state
+is not shared); the per-database context *is* shared, which is safe
+because its caches are lock-protected and its memoized values are pure —
+concurrent callers get byte-identical results to a serial pass.
 
 Typical use::
 
     from repro.service import QueryService, ServiceConfig
 
-    with QueryService(db, ServiceConfig(workers=8, deadline=0.5)) as svc:
-        responses = svc.run(["SELECT name? WHERE title? = 'Titanic'", ...])
-        for r in responses:
+    with QueryService(db, ServiceConfig(deadline=0.5)) as svc:
+        for query in ["SELECT name? WHERE title? = 'Titanic'", ...]:
+            r = svc.serve_inline(query)
             print(r.request_id, r.outcome, r.rung, r.sql)
 """
 
@@ -46,9 +50,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
 from ..core.config import DEFAULT_CONFIG, TranslatorConfig
 from ..core.context import TranslationContext
@@ -66,15 +69,15 @@ DEFAULT_DATABASE = "default"
 
 
 class ServiceOverloaded(ReproError):
-    """Admission control rejected the request (queue full)."""
+    """Admission control rejected the request (too many in flight)."""
 
 
 class ServiceClosed(ReproError):
-    """The service is closing (or closed) and admits no new work.
+    """The service is closed and admits no new work.
 
-    Late submissions racing :meth:`QueryService.close` resolve to this
-    typed error instead of leaking the executor's ``RuntimeError`` —
-    the server's drain path relies on that being safe.
+    Requests after (or racing) :meth:`QueryService.close` get this as a
+    typed failed response, never a raised exception — the server's
+    drain path relies on that being safe.
     """
 
 
@@ -82,10 +85,12 @@ class ServiceClosed(ReproError):
 class ServiceConfig:
     """Tuning knobs for one :class:`QueryService`."""
 
-    #: worker threads translating concurrently
+    #: admission capacity: at most ``workers + queue_limit`` requests
+    #: are in flight across calling threads; the rest are shed with a
+    #: typed :class:`ServiceOverloaded`.  The service starts no threads
+    #: of its own — each request runs on the thread that called
+    #: :meth:`QueryService.serve_inline`.
     workers: int = 4
-    #: requests allowed to *wait* beyond the ones being worked on;
-    #: submissions past ``workers + queue_limit`` in flight are shed
     queue_limit: int = 32
     #: default per-request deadline in seconds (None = no deadline)
     deadline: Optional[float] = None
@@ -96,8 +101,8 @@ class ServiceConfig:
     top_k: int = 1
     translator: TranslatorConfig = DEFAULT_CONFIG
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: test/instrumentation seam: called in the worker thread as each
-    #: admitted request starts processing (e.g. to block workers and
+    #: test/instrumentation seam: called on the calling thread as each
+    #: admitted request starts processing (e.g. to hold a slot and
     #: exercise admission control deterministically)
     request_hook: Optional[Callable[["ServiceRequest"], None]] = None
     #: database name -> path of a repro.artifacts file to attach the
@@ -237,7 +242,7 @@ class _DatabaseState:
 
 
 class QueryService:
-    """A thread-pooled, admission-controlled schema-free query service."""
+    """An admission-controlled schema-free query service."""
 
     def __init__(
         self,
@@ -277,31 +282,19 @@ class QueryService:
         self.events: list[tuple] = []
         capacity = self.config.workers + self.config.queue_limit
         self._slots = threading.Semaphore(capacity)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service",
-        )
         self._closed = False
-        self._close_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain in-flight work and stop the pool.
+        """Stop admitting new work.
 
-        Idempotent and safe to call concurrently — every caller (first
-        or not) returns only once in-flight work has drained, and a
-        submission racing the close resolves to a typed
-        :class:`ServiceClosed` response instead of a raw executor
-        ``RuntimeError``.
+        Idempotent and safe to call from any thread.  Requests already
+        admitted finish on their callers' threads; later ones get a
+        typed :class:`ServiceClosed` response.
         """
-        with self._close_lock:
-            self._closed = True
-        # outside the lock: shutdown(wait=True) is itself idempotent
-        # and thread-safe, and concurrent closers should all block
-        # until the drain finishes rather than serialise behind it
-        self._pool.shutdown(wait=True)
+        self._closed = True
 
     @property
     def closed(self) -> bool:
@@ -362,28 +355,24 @@ class QueryService:
             },
         }
 
-    def _event(self, *event: Any) -> None:
-        with self._lock:
-            self.events.append(tuple(event))
-
     # ------------------------------------------------------------------
-    # submission
+    # serving
     # ------------------------------------------------------------------
-    def submit(
+    def serve_inline(
         self,
         query: str,
         database: str = DEFAULT_DATABASE,
         top_k: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> "Future[ServiceResponse]":
-        """Submit one query; never blocks.
+    ) -> ServiceResponse:
+        """Serve one request on the *calling* thread; never raises for
+        a served outcome.
 
-        Returns a future resolving to a :class:`ServiceResponse`.  When
-        admission control sheds the request the future is already
-        resolved with ``shed=True`` and a :class:`ServiceOverloaded`
-        error — load shedding is bounded-latency by construction.
-        Submissions after (or racing) :meth:`close` resolve to a typed
-        :class:`ServiceClosed` failure the same way.
+        Admission, the deadline budget, retries, tracing and metrics all
+        run here.  A request past capacity returns at once with
+        ``shed=True`` and a :class:`ServiceOverloaded` error; one after
+        (or racing) :meth:`close` returns a typed :class:`ServiceClosed`
+        failure.  An unknown ``database`` raises :class:`KeyError`.
         """
         if database not in self._states:
             raise KeyError(f"unknown database {database!r}")
@@ -398,9 +387,8 @@ class QueryService:
             top_k=top_k,
             deadline=self.config.deadline if deadline is None else deadline,
         )
-        # one span per request, started at submission so queue wait and
-        # admission-control outcomes land on the same trace; the worker
-        # thread adopts it via tracer.use_span so translator spans nest
+        # one span per request, started before admission so shed and
+        # closed outcomes land on a trace too
         span = self.tracer.start_span("service.request")
         if span.enabled:
             span.set(
@@ -415,95 +403,6 @@ class QueryService:
         if not self._slots.acquire(blocking=False):
             return self._shed(request, span)
         span.event("admitted")
-        admitted_at = self.clock()
-        # the deadline clock starts at admission: queue wait counts
-        budget = Budget(
-            deadline=request.deadline,
-            max_candidates=self.config.max_candidates,
-            max_expansions=self.config.max_expansions,
-            clock=self.clock,
-        )
-        try:
-            return self._pool.submit(
-                self._process, request, budget, span, admitted_at
-            )
-        except RuntimeError:
-            # lost the race with a concurrent close(): the executor is
-            # already shutting down.  Resolve typed, like a shed.
-            self._slots.release()
-            return self._refuse_closed(request, span)
-
-    def run(
-        self,
-        queries: Sequence[str],
-        database: str = DEFAULT_DATABASE,
-        top_k: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> list[ServiceResponse]:
-        """Submit a whole batch and gather responses in request order."""
-        futures = [
-            self.submit(query, database=database, top_k=top_k, deadline=deadline)
-            for query in queries
-        ]
-        return [future.result() for future in futures]
-
-    def translate_one(
-        self,
-        query: str,
-        database: str = DEFAULT_DATABASE,
-        top_k: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> ServiceResponse:
-        """Synchronous single-query convenience wrapper."""
-        return self.submit(
-            query, database=database, top_k=top_k, deadline=deadline
-        ).result()
-
-    def serve_inline(
-        self,
-        query: str,
-        database: str = DEFAULT_DATABASE,
-        top_k: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> ServiceResponse:
-        """Process one request synchronously in the *calling* thread.
-
-        Semantically identical to ``submit(...).result()`` — admission
-        accounting, deadline budget, retries and metrics all run —
-        minus the pool handoff: no queue, no worker-thread
-        context switch.  Built for callers that are themselves
-        single-threaded request loops (the multi-process serving
-        worker), where the two extra switches per request are pure
-        latency.
-        """
-        if database not in self._states:
-            raise KeyError(f"unknown database {database!r}")
-        with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            self.stats.submitted += 1
-        request = ServiceRequest(
-            request_id=request_id,
-            query=query,
-            database=database,
-            top_k=top_k,
-            deadline=self.config.deadline if deadline is None else deadline,
-        )
-        span = self.tracer.start_span("service.request")
-        if span.enabled:
-            span.set(
-                request_id=request_id,
-                database=database,
-                query=query[:200],
-                inline=True,
-            )
-            if request.deadline is not None:
-                span.set(deadline=request.deadline)
-        if self._closed:
-            return self._refuse_closed(request, span).result()
-        if not self._slots.acquire(blocking=False):
-            return self._shed(request, span).result()
-        span.event("admitted")
         budget = Budget(
             deadline=request.deadline,
             max_candidates=self.config.max_candidates,
@@ -511,17 +410,17 @@ class QueryService:
             clock=self.clock,
         )
         # _process releases the slot and finishes the span
-        return self._process(request, budget, span, self.clock())
+        return self._process(request, budget, span)
 
-    def _shed(
-        self, request: ServiceRequest, span=NULL_SPAN
-    ) -> "Future[ServiceResponse]":
+    def _shed(self, request: ServiceRequest, span=NULL_SPAN) -> ServiceResponse:
+        capacity = self.config.workers + self.config.queue_limit
         error = ServiceOverloaded(
-            f"service overloaded: {self.config.workers} workers busy and "
-            f"{self.config.queue_limit} requests already queued",
+            f"service overloaded: {capacity} requests already in flight "
+            f"(workers={self.config.workers}, "
+            f"queue_limit={self.config.queue_limit})",
             diagnostic=Diagnostic(
                 stage="admission",
-                message="bounded queue full; request shed",
+                message="in-flight capacity full; request shed",
                 detail={
                     "workers": self.config.workers,
                     "queue_limit": self.config.queue_limit,
@@ -553,18 +452,16 @@ class QueryService:
                 "repro_service_requests_total",
                 "Requests finished, by database and outcome",
             ).inc(1, database=request.database, outcome="shed")
-        future: "Future[ServiceResponse]" = Future()
-        future.set_result(response)
-        return future
+        return response
 
     def _refuse_closed(
         self, request: ServiceRequest, span=NULL_SPAN
-    ) -> "Future[ServiceResponse]":
+    ) -> ServiceResponse:
         error = ServiceClosed(
             "service closed: no new work admitted",
             diagnostic=Diagnostic(
                 stage="admission",
-                message="submission raced or followed close()",
+                message="request raced or followed close()",
             ),
         )
         response = ServiceResponse(
@@ -587,20 +484,18 @@ class QueryService:
                 "repro_service_requests_total",
                 "Requests finished, by database and outcome",
             ).inc(1, database=request.database, outcome="closed")
-        future: "Future[ServiceResponse]" = Future()
-        future.set_result(response)
-        return future
+        return response
 
     # ------------------------------------------------------------------
-    # worker side
+    # request processing
     # ------------------------------------------------------------------
     def _translator(self, state: _DatabaseState) -> SchemaFreeTranslator:
-        """The calling worker thread's translator for one database.
+        """The calling thread's translator for one database.
 
         Translator scratch state (``last_*`` fields, active stats) is
-        not thread-safe, so each worker owns private instances; they all
-        share the database's lock-protected context, so memoization
-        still spans the whole service.
+        not thread-safe, so each calling thread owns private instances;
+        they all share the database's lock-protected context, so
+        memoization still spans the whole service.
         """
         cache = getattr(self._local, "translators", None)
         if cache is None:
@@ -619,11 +514,7 @@ class QueryService:
         return translator
 
     def _process(
-        self,
-        request: ServiceRequest,
-        budget: Budget,
-        span=NULL_SPAN,
-        admitted_at: Optional[float] = None,
+        self, request: ServiceRequest, budget: Budget, span=NULL_SPAN
     ) -> ServiceResponse:
         if self.metrics is not None:
             self.metrics.gauge(
@@ -631,18 +522,9 @@ class QueryService:
                 "Requests admitted and not yet finished",
             ).inc()
         try:
-            # adopt the request span in this worker thread so every
-            # translator span nests under it on the same trace
+            # make the request span current so every translator span
+            # nests under it on the same trace
             with self.tracer.use_span(span):
-                if admitted_at is not None:
-                    wait = self.clock() - admitted_at
-                    span.event("dequeued", queue_wait=round(wait, 6))
-                    if self.metrics is not None:
-                        self.metrics.histogram(
-                            "repro_service_queue_wait_seconds",
-                            "Seconds between admission and a worker "
-                            "picking the request up",
-                        ).observe(wait)
                 if self.config.request_hook is not None:
                     self.config.request_hook(request)
                 return self._process_inner(request, budget, span)
@@ -754,7 +636,7 @@ class QueryService:
             ).inc(1, database=request.database, outcome=response.outcome)
             self.metrics.histogram(
                 "repro_service_request_seconds",
-                "Seconds from worker pickup to response, per request",
+                "Seconds from admission to response, per request",
             ).observe(response.elapsed)
             if ok and translations and translations[0].stats is not None:
                 record_translation(

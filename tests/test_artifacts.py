@@ -226,6 +226,28 @@ class TestRoundTrip:
         assert ensure_artifact(make_movie_database(), store) == first
         assert len(store.list()) == 1
 
+    def test_ensure_artifact_rebuilds_corrupt_published_file(self, tmp_path):
+        """A published file that no longer verifies is a labelled miss
+        and is republished, not handed out again."""
+        metrics = MetricsRegistry()
+        store = ArtifactStore(str(tmp_path))
+        path = ensure_artifact(make_movie_database(), store)
+        with open(path, "r+b") as handle:
+            handle.write(b"\0\0\0\0")  # clobber the magic
+        with pytest.raises(ArtifactCorrupt, match="bad magic"):
+            ArtifactReader(path)
+        database = make_movie_database()
+        assert ensure_artifact(database, store, metrics=metrics) == path
+        load_context(path, database)  # verifies again
+        assert ensure_artifact(database, store, metrics=metrics) == path
+        snapshot = metrics.snapshot()
+        assert snapshot["repro_artifact_misses_total"]["values"] == {
+            "reason=ArtifactCorrupt": 1
+        }
+        assert snapshot["repro_artifact_builds_total"]["values"] == {"": 1}
+        assert snapshot["repro_artifact_hits_total"]["values"] == {"": 1}
+        assert len(store.list()) == 1
+
 
 # ---------------------------------------------------------------------------
 # robustness: every failure is typed, diagnosed, and survivable
@@ -442,7 +464,7 @@ class TestIntegration:
         ) as service:
             info = service.snapshot()["artifacts"]["default"]
             assert info["loaded"] and info["error"] is None
-            response = service.run([MOVIE_QUERIES[0]])[0]
+            response = service.serve_inline(MOVIE_QUERIES[0])
             assert response.ok
 
     def test_service_falls_back_on_bad_artifact(self, tmp_path):
@@ -457,7 +479,7 @@ class TestIntegration:
             info = service.snapshot()["artifacts"]["default"]
             assert not info["loaded"]
             assert "truncated" in info["error"]
-            assert service.run([MOVIE_QUERIES[0]])[0].ok
+            assert service.serve_inline(MOVIE_QUERIES[0]).ok
 
     def test_import_precompute_context_cli(self, tmp_path, capsys):
         import sqlite3

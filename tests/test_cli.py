@@ -141,9 +141,7 @@ class TestBatchMode:
                 "SELECT title? WHERE actor?.name? = 'Tom Hanks'",
             ],
         )
-        exit_code = main(
-            ["--dataset", "movies", "--batch", path, "--workers", "2"]
-        )
+        exit_code = main(["--dataset", "movies", "--batch", path])
         text = capsys.readouterr().out
         assert exit_code == 0
         assert "[1] ok" in text and "[2] ok" in text
@@ -167,6 +165,27 @@ class TestBatchMode:
         assert "[2] failed" in text
         assert "error:" in text
         assert "| stage: parse" in text
+
+    def test_batch_over_sqlite_matches_memory(self, tmp_path, capsys):
+        # --processes refuses --backend sqlite, so the in-process batch
+        # is the one batch path over SQLite
+        path = self.write_batch(
+            tmp_path,
+            [
+                "SELECT name? WHERE director_name? = 'James Cameron'",
+                "SELECT title? WHERE actor?.name? = 'Tom Hanks'",
+                "SELECT title?, year? WHERE gross? > 100",
+            ],
+        )
+        outputs = {}
+        for backend in ("memory", "sqlite"):
+            exit_code = main(
+                ["--dataset", "movies", "--backend", backend, "--batch", path]
+            )
+            assert exit_code == 0
+            outputs[backend] = capsys.readouterr().out
+        assert outputs["sqlite"] == outputs["memory"]
+        assert outputs["sqlite"].count("-> SELECT") == 3
 
     def test_batch_writes_service_stats(self, tmp_path, capsys):
         import json as jsonlib

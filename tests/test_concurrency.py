@@ -7,9 +7,9 @@ Two layers of coverage:
   :class:`~repro.testing.faults.FaultInjector`,
   :class:`~repro.engine.database.Database` writes — asserting *exact*
   counter totals, not just "no crash";
-* the acceptance stress test: 8 service workers over 200 mixed queries
-  with injected transient errors and delays, checked byte-for-byte
-  against a serial baseline.
+* the acceptance stress test: 8 caller threads sharing one service over
+  200 mixed queries with injected transient errors and delays, checked
+  byte-for-byte against a serial baseline.
 
 Determinism discipline: totals, retry/shed counts, fired-fault counts
 and final SQL are all scheduler-independent; only *which* thread draws
@@ -278,8 +278,16 @@ class TestServiceStress:
             retry=RetryPolicy(max_retries=2),
         )
         queries = STRESS_QUERIES * REPEATS
+        responses: list = [None] * len(queries)
         with QueryService(db, config, faults=injector) as service:
-            responses = service.run(queries)
+
+            def caller(index):
+                for position in range(index, len(queries), THREADS):
+                    responses[position] = service.serve_inline(
+                        queries[position]
+                    )
+
+            in_threads(caller)
 
         # --- no shedding, no unhandled exceptions, order preserved ----
         assert len(responses) == len(queries)
@@ -325,17 +333,17 @@ class TestServiceStress:
 
     def test_concurrent_submitters_one_service(self):
         """Many client threads sharing one service: ids stay unique and
-        every future resolves."""
+        every call is served."""
         db = make_db()
         config = ServiceConfig(workers=4, queue_limit=256)
         pool = [STRESS_QUERIES[i] for i in (0, 1, 2, 4, 6)]  # all valid
         with QueryService(db, config) as service:
 
             def worker(_index):
-                futures = [
-                    service.submit(pool[i % len(pool)]) for i in range(20)
+                return [
+                    service.serve_inline(pool[i % len(pool)])
+                    for i in range(20)
                 ]
-                return [f.result(timeout=60) for f in futures]
 
             all_responses = [r for rs in in_threads(worker) for r in rs]
         ids = [r.request_id for r in all_responses]

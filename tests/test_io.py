@@ -104,9 +104,9 @@ class TestServiceOverReloadedDatabase:
         save_database(fig1_db, tmp_path / "dump")
         loaded = load_database(tmp_path / "dump")
         with QueryService(fig1_db) as original_service:
-            original = original_service.run(self.QUERIES)
+            original = [original_service.serve_inline(q) for q in self.QUERIES]
         with QueryService(loaded) as reloaded_service:
-            reloaded = reloaded_service.run(self.QUERIES)
+            reloaded = [reloaded_service.serve_inline(q) for q in self.QUERIES]
         for before, after in zip(original, reloaded):
             assert after.ok and before.ok
             assert after.sql == before.sql
@@ -137,11 +137,11 @@ class TestServiceOverReloadedDatabase:
         save_database(fig1_db, tmp_path / "dump")
         loaded = load_database(tmp_path / "dump")
         with QueryService(loaded) as service:
-            warm = service.translate_one(self.QUERIES[0])
+            warm = service.serve_inline(self.QUERIES[0])
             assert warm.ok
             assert service.context().stats.invalidations == 0
             loaded.insert("Person", [99, "Ang Lee", "male"])
-            fresh = service.translate_one(self.QUERIES[0])
+            fresh = service.serve_inline(self.QUERIES[0])
             assert fresh.ok
             # the shared context noticed the new data version and rebuilt
             assert service.context().stats.invalidations == 1

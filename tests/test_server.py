@@ -230,7 +230,7 @@ class TestSupervisorServing:
         with QueryService(
             DATASETS["movies"](), ServiceConfig(workers=1)
         ) as service:
-            baseline = service.run(WORKLOAD)
+            baseline = [service.serve_inline(q) for q in WORKLOAD]
         assert [r.sql for r in responses] == [b.sql for b in baseline]
         assert all(r.worker_pid is not None for r in responses)
         assert snapshot["stats"]["submitted"] == len(WORKLOAD)

@@ -1,4 +1,4 @@
-"""Unit tests for the concurrent query service.
+"""Unit tests for the in-process query service.
 
 Everything here is deterministic and sleep-free: clocks are either
 manual counters or the fault injector's virtual clock, and backoff
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -233,17 +234,24 @@ class TestCircuitBreaker:
 
 class TestAdmission:
     def test_sheds_beyond_bounded_queue(self):
+        # two caller threads each hold a slot inside the hook; the third
+        # request, on this thread, finds capacity (1+1) exhausted
         gate = threading.Event()
-        config = ServiceConfig(
-            workers=1,
-            queue_limit=1,
-            request_hook=lambda request: gate.wait(timeout=30),
-        )
-        with QueryService(make_db(), config) as service:
-            first = service.submit(CAMERON)
-            second = service.submit(HANKS)
-            third = service.submit(CAMERON)  # capacity (1+1) exceeded
-            shed = third.result(timeout=1)
+        entered = threading.Semaphore(0)
+
+        def hold(request):
+            entered.release()
+            gate.wait(timeout=30)
+
+        config = ServiceConfig(workers=1, queue_limit=1, request_hook=hold)
+        with QueryService(make_db(), config) as service, ThreadPoolExecutor(
+            2
+        ) as callers:
+            first = callers.submit(service.serve_inline, CAMERON)
+            second = callers.submit(service.serve_inline, HANKS)
+            assert entered.acquire(timeout=30)
+            assert entered.acquire(timeout=30)
+            shed = service.serve_inline(CAMERON)  # capacity exceeded
             assert shed.shed
             assert shed.outcome == "shed"
             assert isinstance(shed.error, ServiceOverloaded)
@@ -259,20 +267,21 @@ class TestAdmission:
         config = ServiceConfig(workers=1, queue_limit=0)
         with QueryService(make_db(), config) as service:
             for _ in range(3):  # sequential: the single slot is reused
-                assert service.translate_one(CAMERON).ok
+                assert service.serve_inline(CAMERON).ok
         assert service.stats.shed == 0
 
     def test_run_preserves_submission_order(self):
+        # request ids are handed out in call order
         with QueryService(make_db(), ServiceConfig(workers=4)) as service:
             queries = [CAMERON, HANKS, CAMERON, HANKS]
-            responses = service.run(queries)
+            responses = [service.serve_inline(query) for query in queries]
         assert [r.query for r in responses] == queries
         assert [r.request_id for r in responses] == [1, 2, 3, 4]
 
     def test_unknown_database_rejected(self):
         with QueryService(make_db()) as service:
             with pytest.raises(KeyError):
-                service.submit(CAMERON, database="nope")
+                service.serve_inline(CAMERON, database="nope")
 
     def test_needs_at_least_one_database(self):
         with pytest.raises(ValueError):
@@ -290,7 +299,7 @@ class TestRetries:
         injector.inject_error("map", trigger=1)  # first map visit only
         config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=2))
         with QueryService(make_db(), config, faults=injector) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         assert response.ok
         assert response.retries == 1
         assert response.rung == "full"
@@ -305,7 +314,7 @@ class TestRetries:
         injector.inject_error("map", repeat=True)
         config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=2))
         with QueryService(make_db(), config, faults=injector) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         assert not response.ok
         assert response.retries == 2
         assert isinstance(response.error, InjectedFault)
@@ -315,7 +324,7 @@ class TestRetries:
     def test_non_transient_errors_fail_fast(self):
         config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=3))
         with QueryService(make_db(), config) as service:
-            response = service.translate_one("SELECT name? WHERE")
+            response = service.serve_inline("SELECT name? WHERE")
         assert not response.ok
         assert response.retries == 0
         assert isinstance(response.error, SqlSyntaxError)
@@ -325,7 +334,7 @@ class TestRetries:
         injector.inject_error("map", trigger=1)
         config = ServiceConfig(workers=1, retry=NO_RETRY)
         with QueryService(make_db(), config, faults=injector) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         assert not response.ok
         assert response.retries == 0
 
@@ -347,7 +356,7 @@ class TestDeadlines:
             retry=NO_RETRY,
         )
         with QueryService(make_db(), config, faults=injector) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         assert response.ok  # degraded, not failed
         assert response.rung != "full"
         steps = " ".join(response.translations[0].degradation)
@@ -361,12 +370,12 @@ class TestDeadlines:
             injector.inject_budget_exhaustion("network", trigger=visit)
         config = ServiceConfig(workers=1, retry=NO_RETRY)
         with QueryService(make_db(), config, faults=injector) as service:
-            rungs = [service.translate_one(CAMERON).rung for _ in range(4)]
+            rungs = [service.serve_inline(CAMERON).rung for _ in range(4)]
         assert rungs == ["reduced", "reduced", "reduced", "full"]
 
     def test_deadline_none_never_degrades(self):
         with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         assert response.ok
         assert response.rung == "full"
         assert not response.degraded
@@ -422,7 +431,7 @@ class TestResponseSurface:
         import json
 
         with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            response = service.translate_one(CAMERON)
+            response = service.serve_inline(CAMERON)
         data = json.loads(json.dumps(response.to_dict()))
         assert data["outcome"] == "ok"
         assert data["rung"] == "full"
@@ -431,7 +440,8 @@ class TestResponseSurface:
     def test_snapshot_has_stats_breakers_memo(self):
         backend = ResilientBackend(MemoryBackend(make_db()))
         with QueryService(backend, ServiceConfig(workers=2)) as service:
-            service.run([CAMERON, HANKS])
+            for query in (CAMERON, HANKS):
+                service.serve_inline(query)
             snapshot = service.snapshot()
         assert snapshot["stats"]["completed"] == 2
         # the one breaker is the backend's
@@ -456,20 +466,21 @@ class TestCloseAndPinning:
 
         service = QueryService(make_db(), ServiceConfig(workers=1))
         service.close()
-        response = service.submit(CAMERON).result()
+        response = service.serve_inline(CAMERON)
         assert not response.ok
         assert isinstance(response.error, ServiceClosed)
         assert response.outcome == "failed"
         assert service.closed
+        assert ("closed", response.request_id) in service.events
 
     def test_concurrent_close_and_submit_never_raises(self):
-        """Submissions racing close() always get a resolved future —
-        either a served response or a typed ServiceClosed, never a raw
-        executor RuntimeError."""
+        """Requests racing close() on caller threads always return a
+        response — either served or a typed ServiceClosed, never a
+        raised exception."""
         from repro import ServiceClosed
 
         service = QueryService(make_db(), ServiceConfig(workers=2))
-        futures = []
+        responses = []
         errors = []
         start = threading.Barrier(5)
 
@@ -477,7 +488,7 @@ class TestCloseAndPinning:
             start.wait()
             for _ in range(10):
                 try:
-                    futures.append(service.submit(CAMERON))
+                    responses.append(service.serve_inline(CAMERON))
                 except Exception as exc:  # pragma: no cover - the bug
                     errors.append(exc)
 
@@ -492,8 +503,8 @@ class TestCloseAndPinning:
         for thread in threads:
             thread.join()
         assert errors == []
-        for future in futures:
-            response = future.result(timeout=30)
+        assert len(responses) == 40
+        for response in responses:
             assert response.ok or isinstance(
                 response.error, ServiceClosed
             ), response.error
@@ -511,16 +522,22 @@ class TestCloseAndPinning:
 
 
 class TestServeInline:
-    """serve_inline: submit().result() semantics without the pool hop."""
+    """serve_inline: the service's one entry, on the calling thread."""
 
     def test_matches_submit_byte_for_byte(self):
-        with QueryService(make_db(), ServiceConfig(workers=1)) as service:
-            pooled = service.submit(CAMERON).result()
+        # the service adds admission, budgets and retries around the
+        # translator, never a different answer
+        direct = SchemaFreeTranslator(make_db()).translate(CAMERON, top_k=3)
+        config = ServiceConfig(workers=1, top_k=3)
+        with QueryService(make_db(), config) as service:
             inline = service.serve_inline(CAMERON)
-        assert inline.ok and pooled.ok
-        assert inline.sql == pooled.sql
-        assert inline.rung == pooled.rung
-        assert inline.outcome == pooled.outcome
+        assert inline.ok
+        assert [t.sql for t in inline.translations] == [t.sql for t in direct]
+        assert [t.weight for t in inline.translations] == [
+            t.weight for t in direct
+        ]
+        assert inline.rung == direct[0].rung == "full"
+        assert inline.outcome == "ok"
 
     def test_runs_on_the_calling_thread(self):
         seen = []
