@@ -19,9 +19,10 @@ The framework follows the paper exactly:
 
 from __future__ import annotations
 
+import datetime
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from ..catalog import Attribute, DataType, Relation
 from ..engine import ExecutionError, NameResolutionError
@@ -212,14 +213,18 @@ class ConditionChecker:
         constants can *never* be satisfied by the column's type, and
         ``"unsatisfied"`` otherwise.
         """
-        if not _compatible(condition.predicate, attribute.data_type):
-            # settled by the type alone: cheaper than the memo key, and
-            # it keeps the memo to statuses that read the column's sample
+        return self.check(plan_condition(condition), relation, attribute)
+
+    def check(
+        self, plan: ConditionPlan, relation: Relation, attribute: Attribute
+    ) -> str:
+        """:meth:`status` of the condition *plan* was made from."""
+        if attribute.data_type not in plan.types:
+            # settled by the type alone: cheaper than the memo lookup,
+            # and it keeps the memo to statuses that read the column's
+            # sample
             return "incompatible"
-        probe = _probe_predicate(condition)
-        # interned: a workload renders a few hundred distinct probes, but
-        # the memo retains one key per (probe, column)
-        memo_key = (sys.intern(render(probe)), relation.key, attribute.key)
+        memo_key = (plan.key, relation.key, attribute.key)
         if self._context is not None:
             cached = self._context.condition_status(memo_key)
         else:
@@ -227,10 +232,13 @@ class ConditionChecker:
         if cached is not None:
             return cached
         result = "unsatisfied"
+        probe, is_true = plan.probe, self._evaluator.is_true
+        row: dict[str, Any] = {}
+        scope = Scope({_PROBE_BINDING: row})
         for value in self._sample(relation.name, attribute.name):
-            scope = Scope({_PROBE_BINDING: {_PROBE_COLUMN: value}})
+            row[_PROBE_COLUMN] = value
             try:
-                if self._evaluator.is_true(probe, scope):
+                if is_true(probe, scope):
                     result = "satisfied"
                     break
             except (ExecutionError, NameResolutionError):
@@ -249,6 +257,40 @@ class ConditionChecker:
         return self.status(condition, relation, attribute) == "satisfied"
 
 
+class ConditionPlan(NamedTuple):
+    """What checking one condition needs that no column changes."""
+
+    #: the column types it is :func:`_compatible` with
+    types: frozenset
+    #: the predicate with its subject replaced by the probe reference
+    probe: ast.Node
+    #: the rendered probe, interned: the condition memo's probe key (a
+    #: workload renders a few hundred distinct probes, but the memo
+    #: retains one key per (probe, column))
+    key: str
+
+
+def plan_condition(condition: Condition) -> ConditionPlan:
+    """The :class:`ConditionPlan` of *condition*."""
+    predicate = condition.predicate
+    probe = _probe_predicate(condition)
+    return ConditionPlan(
+        frozenset(t for t in DataType if _compatible(predicate, t)),
+        probe,
+        sys.intern(render(probe)),
+    )
+
+
+class TreePlan(NamedTuple):
+    """The :class:`ConditionPlan` of each condition of a tree."""
+
+    #: attribute tree key -> plans of its conditions, in order
+    conditions: dict
+    #: the column types some condition is compatible with: the columns
+    #: whose samples scoring the tree reads
+    types: frozenset
+
+
 def _literal_family(value: Any) -> Optional[str]:
     if isinstance(value, bool):
         return "bool"
@@ -259,24 +301,19 @@ def _literal_family(value: Any) -> Optional[str]:
     return None
 
 
-def _column_family(data_type) -> str:
-    from ..catalog import DataType
-
-    if data_type in (DataType.INTEGER, DataType.FLOAT):
-        return "number"
-    if data_type is DataType.BOOLEAN:
-        return "bool"
-    if data_type is DataType.DATE:
-        return "date"
-    return "text"
+#: column type -> the literal family its values belong to (else text)
+_COLUMN_FAMILY = {
+    DataType.INTEGER: "number",
+    DataType.FLOAT: "number",
+    DataType.BOOLEAN: "bool",
+    DataType.DATE: "date",
+}
 
 
-def _compatible(predicate: ast.Node, data_type) -> bool:
+def _compatible(predicate: ast.Node, data_type: DataType) -> bool:
     """Whether the predicate's constants could ever be satisfied by a
     column of *data_type* (a text constant never equals an integer)."""
-    import datetime
-
-    column = _column_family(data_type)
+    column = _COLUMN_FAMILY.get(data_type, "text")
     if isinstance(predicate, ast.IsNull):
         return True
     if isinstance(predicate, ast.Like):
@@ -352,8 +389,8 @@ class SimilarityEvaluator:
         #: :meth:`begin_query` — the dedup behind single-counted memo
         #: statistics
         self._probed: dict = {}
-        #: fingerprint -> column types its conditions sample, per query
-        self._sampled_types: dict = {}
+        #: fingerprint -> :class:`TreePlan`, per query
+        self._plans: dict = {}
 
     def begin_query(self) -> None:
         """Start a new per-query lookup-accounting window.
@@ -364,7 +401,7 @@ class SimilarityEvaluator:
         once.
         """
         self._probed.clear()
-        self._sampled_types.clear()
+        self._plans.clear()
 
     # -- string helpers --------------------------------------------------
     def sim(self, a: str, b: str) -> float:
@@ -423,14 +460,26 @@ class SimilarityEvaluator:
 
     # -- attribute level (§4.3) ---------------------------------------------
     def attribute_similarity(
-        self, attribute_tree: AttributeTree, relation: Relation
+        self,
+        attribute_tree: AttributeTree,
+        relation: Relation,
+        conditions: Optional[tuple[ConditionPlan, ...]] = None,
     ) -> tuple[float, Optional[str]]:
         """Best Sim(at, A) over the relation's attributes, plus the argmax
-        attribute name (used by the composer to instantiate names)."""
+        attribute name (used by the composer to instantiate names).
+        *conditions* are the plans of the attribute tree's conditions
+        (made here when not given)."""
+        if conditions is None:
+            conditions = tuple(
+                plan_condition(c) for c in attribute_tree.conditions
+            )
+        primary_key = {c.lower() for c in relation.primary_key}
         best_score = 0.0
         best_attribute: Optional[str] = None
         for attribute in relation.attributes:
-            score = self._attribute_pair(attribute_tree, relation, attribute)
+            score = self._attribute_pair(
+                attribute_tree, relation, attribute, conditions, primary_key
+            )
             if score > best_score:
                 best_score = score
                 best_attribute = attribute.name
@@ -441,6 +490,8 @@ class SimilarityEvaluator:
         attribute_tree: AttributeTree,
         relation: Relation,
         attribute: Attribute,
+        conditions: tuple[ConditionPlan, ...],
+        primary_key: set[str],
     ) -> float:
         name = attribute_tree.known_name
         if name is not None:
@@ -460,16 +511,15 @@ class SimilarityEvaluator:
             # the (m+1)/(n+1) condition factor decides (paper leaves this
             # case open; kdef keeps placeholder trees comparable)
             name_sim = self.config.kdef
-        if attribute.name.lower() in (c.lower() for c in relation.primary_key):
+        if attribute.name.lower() in primary_key:
             # matching the relation's key is evidence the user means this
             # relation itself, not a bridge that references it
             name_sim *= self.config.pk_bonus
-        conditions = attribute_tree.conditions
         total = len(conditions)
         if total:
             satisfied = 0
-            for condition in conditions:
-                status = self.checker.status(condition, relation, attribute)
+            for plan in conditions:
+                status = self.checker.check(plan, relation, attribute)
                 if status == "satisfied":
                     satisfied += 1
                 elif status == "incompatible":
@@ -520,7 +570,9 @@ class SimilarityEvaluator:
         cached = self.context.cached_tree_similarity(key, count=first_probe)
         if cached is not None:
             return cached[0], cached[1]
-        score, attribute_map = self._tree_similarity(tree, relation)
+        score, attribute_map = self._tree_similarity(
+            tree, relation, fingerprint
+        )
         pairs = tuple(attribute_map.items())
         self.context.remember_tree_similarity(
             key,
@@ -549,6 +601,26 @@ class SimilarityEvaluator:
         if hits:
             self.context.count_tree_sim_hits(hits)
 
+    def _plan(self, tree: RelationTree, fingerprint=None) -> TreePlan:
+        """*tree*'s :class:`TreePlan`, made on its first cold score in
+        the query and shared by every tree with its fingerprint (which
+        captures every rendered condition, so their plans are equal)."""
+        if fingerprint is None:
+            fingerprint = tree_fingerprint(tree)
+        plan = self._plans.get(fingerprint)
+        if plan is None:
+            conditions = {
+                attribute_tree.key: tuple(
+                    plan_condition(c) for c in attribute_tree.conditions
+                )
+                for attribute_tree in tree.attribute_trees
+            }
+            types = frozenset().union(
+                *(c.types for plans in conditions.values() for c in plans)
+            )
+            plan = self._plans[fingerprint] = TreePlan(conditions, types)
+        return plan
+
     def _sampled_columns(
         self, fingerprint, tree: RelationTree, relation: Relation
     ) -> frozenset:
@@ -556,31 +628,20 @@ class SimilarityEvaluator:
         against it reads: the checker samples a column for a condition
         exactly when the column's type is compatible with it.  A memo
         hit after a ``data_version`` bump re-verifies only these."""
-        types = self._sampled_types.get(fingerprint)
-        if types is None:
-            predicates = [
-                condition.predicate
-                for attribute_tree in tree.attribute_trees
-                for condition in attribute_tree.conditions
-            ]
-            types = frozenset(
-                data_type
-                for data_type in DataType
-                if any(_compatible(p, data_type) for p in predicates)
-            )
-            self._sampled_types[fingerprint] = types
+        types = self._plan(tree, fingerprint).types
         return frozenset(
             a.key for a in relation.attributes if a.data_type in types
         )
 
     def _tree_similarity(
-        self, tree: RelationTree, relation: Relation
+        self, tree: RelationTree, relation: Relation, fingerprint=None
     ) -> tuple[float, dict]:
+        plans = self._plan(tree, fingerprint).conditions
         score = self.root_similarity(tree, relation)
         attribute_map: dict = {}
         for attribute_tree in tree.attribute_trees:
             attr_score, attr_name = self.attribute_similarity(
-                attribute_tree, relation
+                attribute_tree, relation, plans[attribute_tree.key]
             )
             score *= attr_score
             if attr_name is not None:

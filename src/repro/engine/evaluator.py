@@ -71,15 +71,32 @@ SubqueryRunner = Callable[[ast.Node, Scope], list[tuple]]
 class Evaluator:
     """Evaluates expression ASTs against a :class:`Scope`."""
 
+    #: node type -> the class's ``_eval_*`` function, filled on first
+    #: use; every subclass gets its own (empty) table, so an override is
+    #: never shadowed by an entry the base class cached
+    _methods: dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._methods = {}
+
     def __init__(self, run_subquery: Optional[SubqueryRunner] = None) -> None:
         self._run_subquery = run_subquery
 
     # ------------------------------------------------------------------
     def evaluate(self, node: ast.Node, scope: Scope) -> Any:
-        method = getattr(self, f"_eval_{type(node).__name__.lower()}", None)
+        method = self._methods.get(type(node))
         if method is None:
-            raise ExecutionError(f"cannot evaluate {type(node).__name__}")
-        return method(node, scope)
+            method = self._method_for(type(node))
+        return method(self, node, scope)
+
+    @classmethod
+    def _method_for(cls, node_type: type) -> Callable:
+        method = getattr(cls, f"_eval_{node_type.__name__.lower()}", None)
+        if method is None:
+            raise ExecutionError(f"cannot evaluate {node_type.__name__}")
+        cls._methods[node_type] = method
+        return method
 
     def is_true(self, node: ast.Node, scope: Scope) -> bool:
         """Three-valued condition check: only True passes."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import ExecutionError, NameResolutionError
 from repro.engine.evaluator import Evaluator, Scope, compare, like_match
-from repro.sqlkit import parse_expression
+from repro.sqlkit import ast, parse, parse_expression
 
 
 def ev(expr: str, **columns):
@@ -176,6 +176,31 @@ class TestScopes:
             scope.resolve("t", "nope")
         with pytest.raises(NameResolutionError):
             scope.resolve("ghost", "x")
+
+
+
+class TestDispatch:
+    def test_unsupported_node_raises_every_time(self):
+        evaluator = Evaluator()
+        node = parse("SELECT a FROM t")
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="cannot evaluate Select"):
+                evaluator.evaluate(node, Scope({}))
+        assert ast.Select not in Evaluator._methods
+
+    def test_subclass_override_wins_after_base_cached_the_type(self):
+        class Doubling(Evaluator):
+            def _eval_literal(self, node, scope):
+                return node.value * 2
+
+        literal = parse_expression("21")
+        assert Evaluator().evaluate(literal, Scope({})) == 21
+        assert ast.Literal in Evaluator._methods
+        assert Doubling().evaluate(literal, Scope({})) == 42
+        # the subclass inherits what it does not override, and caching
+        # its own entries leaves the base class's untouched
+        assert Doubling().evaluate(parse_expression("1 + 2"), Scope({})) == 6
+        assert Evaluator().evaluate(literal, Scope({})) == 21
 
 
 class TestHelpers:

@@ -1,19 +1,30 @@
 """Unit tests for the similarity framework (paper §4)."""
 
+import datetime
+import sys
+
 import pytest
 
 from repro import Catalog, Database, DataType
+from repro.backends import MemoryBackend, SqliteBackend
 from repro.core import TranslatorConfig
-from repro.core.relation_tree import build_relation_trees
+from repro.core.context import TranslationContext
+from repro.core.relation_tree import build_relation_trees, tree_fingerprint
 from repro.core.similarity import (
     ConditionChecker,
     SimilarityEvaluator,
+    _compatible,
+    _probe_predicate,
+    plan_condition,
     qgrams,
     stride_sample,
     string_similarity,
 )
-from repro.core.triples import extract
-from repro.sqlkit import ast, parse
+from repro.core.triples import Condition, extract
+from repro.engine import ExecutionError, NameResolutionError
+from repro.engine.evaluator import Evaluator, Scope
+from repro.engine.io import export_to_sqlite
+from repro.sqlkit import ast, parse, parse_expression, render
 
 
 def trees_for(sql):
@@ -215,3 +226,288 @@ class TestConditionChecker:
             sim.checker.status(condition, person, person.attribute("name"))
             == "unsatisfied"
         )
+
+
+# ---------------------------------------------------------------------------
+# scoring plans: made once per tree per query, equal to the per-pair path
+# ---------------------------------------------------------------------------
+
+SUBJECT = ast.ColumnRef(ast.exact("v"))
+
+
+def _eq(value):
+    return ast.BinaryOp("=", SUBJECT, ast.Literal(value))
+
+
+#: every literal family (and NULL) under every predicate shape a
+#: condition can take, plus nested AND/OR that only hand-built
+#: conditions carry (extraction splits conjuncts, and OR is no condition)
+PREDICATES = [
+    _eq(3),
+    _eq(2.5),
+    _eq(True),
+    _eq(False),
+    _eq("alpha"),
+    _eq("2021-03-04"),
+    _eq("soon"),
+    _eq(None),
+    parse_expression("v > -2"),
+    parse_expression("v <= 9.5"),
+    parse_expression("v > '2021-03-04'"),
+    parse_expression("v < 'zeta'"),
+    parse_expression("v IS NULL"),
+    parse_expression("v IS NOT NULL"),
+    parse_expression("v LIKE 'al%'"),
+    parse_expression("v NOT LIKE '2021%'"),
+    parse_expression("v BETWEEN 1 AND 2.5"),
+    parse_expression("v BETWEEN '2020-01-01' AND '2021-12-31'"),
+    parse_expression("v BETWEEN 'a' AND 'b'"),
+    parse_expression("v IN (1, 2, NULL)"),
+    parse_expression("v IN ('a1', 'b2')"),
+    parse_expression("v NOT IN ('2020-05-06', 'later')"),
+    parse_expression("(v > 1 AND v < 5) OR v = 7"),
+    parse_expression("v = 'x' OR (v > '2020-01-01' AND v < '2021-01-01')"),
+    ast.BinaryOp(
+        "or", _eq(True), ast.BinaryOp("and", _eq(None), parse_expression("v < 4"))
+    ),
+]
+CORPUS = [Condition(predicate, SUBJECT) for predicate in PREDICATES]
+
+#: queries whose extracted conditions cover each shape on real columns
+PLAN_QUERIES = [
+    "SELECT x WHERE price? > 10",
+    "SELECT x WHERE price? <= 9.5",
+    "SELECT x WHERE label? = 'alpha'",
+    "SELECT x WHERE added? > '2021-03-04'",
+    "SELECT x WHERE added? = 'soon'",
+    "SELECT x WHERE code? IS NULL",
+    "SELECT x WHERE label? LIKE 'al%'",
+    "SELECT x WHERE weight? BETWEEN 1 AND 2.5",
+    "SELECT x WHERE code? IN ('a1', 'b2')",
+    "SELECT item?.label? WHERE item?.price? > 3 "
+    "AND item?.added? < '2021-06-01' AND item?.active? IS NOT NULL",
+    "SELECT b?.code?, b?.weight? WHERE b?.made? = '2020-05-06' "
+    "AND b?.weight? > 1 AND b?.code? LIKE 'b%'",
+]
+
+
+def make_typed_database() -> Database:
+    """Two relations with a column of every :class:`DataType`."""
+    catalog = Catalog("typed")
+    catalog.create_relation(
+        "item",
+        [
+            ("item_id", DataType.INTEGER),
+            ("label", DataType.TEXT),
+            ("price", DataType.FLOAT),
+            ("active", DataType.BOOLEAN),
+            ("added", DataType.DATE),
+        ],
+        primary_key=["item_id"],
+    )
+    catalog.create_relation(
+        "batch",
+        [
+            ("batch_id", DataType.INTEGER),
+            ("item_id", DataType.INTEGER),
+            ("code", DataType.TEXT),
+            ("made", DataType.DATE),
+            ("weight", DataType.FLOAT),
+            ("sealed", DataType.BOOLEAN),
+        ],
+        primary_key=["batch_id"],
+    )
+    catalog.add_foreign_key("batch", "item_id", "item")
+    db = Database(catalog)
+    day = datetime.date
+    db.insert("item", [1, "alpha", 2.5, True, day(2021, 3, 4)])
+    db.insert("item", [2, "beta", 7.0, False, day(2019, 1, 1)])
+    db.insert("item", [3, None, None, None, None])
+    db.insert("batch", [10, 1, "a1", day(2020, 5, 6), 1.5, True])
+    db.insert("batch", [11, 2, None, day(2022, 8, 9), 3.0, None])
+    db.insert("batch", [12, 1, "c3", None, None, False])
+    return db
+
+
+def plan_trees():
+    """The query trees, plus one tree carrying the whole corpus."""
+    trees = [t for sql in PLAN_QUERIES for t in trees_for(sql)]
+    tree = next(
+        t for t in trees_for("SELECT x WHERE v? = 1") if t.key == ("attr", "v")
+    )
+    tree.attribute_trees[0].conditions[:] = CORPUS
+    return trees + [tree]
+
+
+class PerPairChecker(ConditionChecker):
+    """Condition checks as they were before plans: every (condition,
+    column) pair re-derives compatibility, probe and memo key."""
+
+    def check(self, condition, relation, attribute):
+        if not _compatible(condition.predicate, attribute.data_type):
+            return "incompatible"
+        probe = _probe_predicate(condition)
+        memo_key = (render(probe), relation.key, attribute.key)
+        if self._context is not None:
+            cached = self._context.condition_status(memo_key)
+        else:
+            cached = self._memo.get(memo_key)
+        if cached is not None:
+            return cached
+        result = "unsatisfied"
+        for value in self._sample(relation.name, attribute.name):
+            scope = Scope({"__probe__": {"__value__": value}})
+            try:
+                if Evaluator().is_true(probe, scope):
+                    result = "satisfied"
+                    break
+            except (ExecutionError, NameResolutionError):
+                result = "incompatible"
+                break
+        if self._context is not None:
+            self._context.remember_condition(memo_key, result)
+        else:
+            self._memo[memo_key] = result
+        return result
+
+
+class PerPairEvaluator(SimilarityEvaluator):
+    """Scores through :class:`PerPairChecker`, one pair at a time."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.checker = PerPairChecker(self.database, self.config, self.context)
+
+    def attribute_similarity(self, attribute_tree, relation, conditions=None):
+        return super().attribute_similarity(
+            attribute_tree, relation, tuple(attribute_tree.conditions)
+        )
+
+    def _sampled_columns(self, fingerprint, tree, relation):
+        predicates = [
+            c.predicate for a in tree.attribute_trees for c in a.conditions
+        ]
+        return frozenset(
+            a.key
+            for a in relation.attributes
+            if any(_compatible(p, a.data_type) for p in predicates)
+        )
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def typed_backend(request):
+    """A backend over :func:`make_typed_database`, plus an inserter."""
+    db = make_typed_database()
+    if request.param == "memory":
+        yield MemoryBackend(db), db.insert
+        return
+    connection = export_to_sqlite(db, ":memory:")
+    backend = SqliteBackend(connection)
+
+    def insert(relation, row):
+        marks = ", ".join("?" for _ in row)
+        connection.execute(f"INSERT INTO {relation} VALUES ({marks})", row)
+        connection.commit()
+
+    yield backend, insert
+    backend.close()
+    connection.close()
+
+
+class TestScoringPlan:
+    def test_corpus_compatibility_matches_compatible(self):
+        seen = set()
+        for condition in CORPUS:
+            plan = plan_condition(condition)
+            for data_type in DataType:
+                compatible = _compatible(condition.predicate, data_type)
+                assert (data_type in plan.types) == compatible
+                seen.add((data_type, compatible))
+        # the corpus settles every column type both ways
+        assert seen == {(t, c) for t in DataType for c in (True, False)}
+
+    def test_plan_key_is_the_interned_rendered_probe(self):
+        for condition in CORPUS:
+            plan = plan_condition(condition)
+            assert plan.probe == _probe_predicate(condition)
+            assert plan.key == render(plan.probe)
+            assert plan.key is sys.intern(render(plan.probe))
+
+    def test_statuses_and_memo_match_per_pair(self, typed_backend):
+        backend, _ = typed_backend
+        config = TranslatorConfig()
+        planned = ConditionChecker(backend, config)
+        per_pair = PerPairChecker(backend, config)
+        statuses = set()
+        for tree in plan_trees():
+            for attribute_tree in tree.attribute_trees:
+                for condition in attribute_tree.conditions:
+                    plan = plan_condition(condition)
+                    for relation in backend.catalog:
+                        for attribute in relation.attributes:
+                            status = planned.check(plan, relation, attribute)
+                            assert status == planned.status(
+                                condition, relation, attribute
+                            )
+                            assert status == per_pair.check(
+                                condition, relation, attribute
+                            )
+                            statuses.add(status)
+        assert statuses == {"satisfied", "unsatisfied", "incompatible"}
+        assert planned._memo == per_pair._memo
+
+    def test_context_scoring_matches_per_pair(self, typed_backend):
+        backend, insert = typed_backend
+        config = TranslatorConfig()
+        planned_context = TranslationContext(backend, config)
+        per_pair_context = TranslationContext(backend, config)
+        planned = SimilarityEvaluator(backend, config, planned_context)
+        per_pair = PerPairEvaluator(backend, config, per_pair_context)
+        trees = plan_trees()
+        # cold, warm, then warm again after a write revalidates the memos
+        for step in range(3):
+            if step == 2:
+                insert("item", [4, "alpha-2", 1.5, True, "2022-02-02"])
+            for context, evaluator in (
+                (planned_context, planned),
+                (per_pair_context, per_pair),
+            ):
+                context.ensure_current()
+                evaluator.begin_query()
+            for tree in trees:
+                fingerprint = tree_fingerprint(tree)
+                for relation in planned_context.relations:
+                    assert planned.memoized_tree_similarity(
+                        tree, fingerprint, relation
+                    ) == per_pair.memoized_tree_similarity(
+                        tree, fingerprint, relation
+                    )
+                    assert planned._sampled_columns(
+                        fingerprint, tree, relation
+                    ) == per_pair._sampled_columns(fingerprint, tree, relation)
+            assert (
+                planned_context.stats.as_dict()
+                == per_pair_context.stats.as_dict()
+            )
+            assert planned_context._conditions == per_pair_context._conditions
+            assert planned_context._tree_sims == per_pair_context._tree_sims
+        stats = planned_context.stats.as_dict()
+        assert stats["condition_hits"] and stats["condition_misses"]
+        assert stats["tree_sim_hits"] and stats["tree_sim_misses"]
+
+    def test_plans_live_for_one_query(self, typed_backend):
+        backend, _ = typed_backend
+        config = TranslatorConfig()
+        evaluator = SimilarityEvaluator(
+            backend, config, TranslationContext(backend, config)
+        )
+        tree = plan_trees()[-1]
+        relation = next(iter(backend.catalog))
+        evaluator.begin_query()
+        evaluator.tree_similarity(tree, relation)
+        plan = evaluator._plans[tree_fingerprint(tree)]
+        assert plan.conditions[tree.attribute_trees[0].key] == tuple(
+            plan_condition(c) for c in CORPUS
+        )
+        evaluator.begin_query()
+        assert not evaluator._plans
