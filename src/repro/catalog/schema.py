@@ -91,29 +91,26 @@ class Relation:
         #: built from it shares one string
         self.key = normalize(name)
         self._attributes: dict[str, Attribute] = {}
-        self._order: list[str] = []
         for attribute in attributes:
             if attribute.key in self._attributes:
                 raise SchemaError(
                     f"duplicate attribute {attribute.name!r} in relation {name!r}"
                 )
             self._attributes[attribute.key] = attribute
-            self._order.append(attribute.key)
+        #: attributes in declaration order; a relation never changes after
+        #: construction, so both tuples are built once here
+        self.attributes: tuple[Attribute, ...] = tuple(
+            self._attributes.values()
+        )
+        self.attribute_names: tuple[str, ...] = tuple(
+            a.name for a in self.attributes
+        )
         self.primary_key = tuple(primary_key)
         for pk_column in self.primary_key:
             if normalize(pk_column) not in self._attributes:
                 raise SchemaError(
                     f"primary key column {pk_column!r} not in relation {name!r}"
                 )
-
-    @property
-    def attributes(self) -> list[Attribute]:
-        """Attributes in declaration order."""
-        return [self._attributes[k] for k in self._order]
-
-    @property
-    def attribute_names(self) -> list[str]:
-        return [a.name for a in self.attributes]
 
     def has_attribute(self, name: str) -> bool:
         return normalize(name) in self._attributes
@@ -127,7 +124,7 @@ class Relation:
             ) from None
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self.attributes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self.name!r}, {len(self)} attributes)"

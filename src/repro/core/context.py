@@ -23,11 +23,15 @@ precomputed state it carries cross-query memo tables:
 * the finished mapping set of each fingerprint, read off those scores,
   so a recurring tree costs one lookup (:meth:`TranslationContext.
   cached_mappings`);
-* condition-satisfaction statuses keyed by (rendered probe, column).
+* condition-satisfaction statuses keyed by (rendered probe, column);
+* per-name similarity rows: what a name scores against every relation
+  and attribute before any condition is read (:meth:`TranslationContext.
+  cached_name_row`), so a never-seen tree runs only its condition checks.
 
-The first and last are partitioned by what they read: tree similarities
+The first and third are partitioned by what they read: tree similarities
 by relation, condition statuses by column; the mapping sets go whenever
-any tree-similarity partition does.  Schema-derived state (neighbors, name
+any tree-similarity partition does.  The name rows read no data and go
+only with a vocabulary alias.  Schema-derived state (neighbors, name
 index, FK adjacency) is immutable for the database's lifetime.
 Data-derived state reads the data only through column samples, so when
 the backend's ``data_version`` moves — the translator calls
@@ -63,6 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from .relation_tree import RelationTree, TreeFingerprint
 from .rescache import ResultCache, schema_fingerprint
 from .similarity import qgrams, stride_sample
+
+#: per-name similarity rows kept per context (a row is one float per
+#: relation, or one tuple of attribute factors per relation)
+NAME_ROW_CAP = 256
 
 # ---------------------------------------------------------------------------
 # instrumentation
@@ -406,6 +414,12 @@ class TranslationContext:
         #: (relation key, attribute key) -> extra attribute names
         self._attribute_aliases: dict[tuple[str, str], tuple[str, ...]] = {}
         self._network_memo_cap = 256
+        # -- per-name similarity rows (see cached_name_row) --------------
+        #: (kind, name) -> row; names are user input, so FIFO-bounded
+        self._name_rows: dict[tuple[str, Optional[str]], tuple] = {}
+        #: alias registrations so far: a row computed across one is not
+        #: stored (see remember_name_row)
+        self._alias_epoch = 0
         # -- translation result cache (canonical SF-SQL fingerprint) ---
         #: finished-translation LRU; disabled when the config's
         #: ``result_cache_size`` is 0.  See :meth:`cached_result`.
@@ -463,6 +477,11 @@ class TranslationContext:
         # -- schema-derived (immutable for the database's lifetime) ----
         self.relations = state.relations
         self._relation_by_key = {r.key: r for r in state.relations}
+        #: relation key -> its position in :attr:`relations`, which is
+        #: also its position in every name row
+        self.relation_index = {
+            r.key: index for index, r in enumerate(state.relations)
+        }
         self._neighbors = state.neighbors
         self.fk_edges = state.fk_edges
         self.name_index = state.name_index
@@ -482,6 +501,10 @@ class TranslationContext:
         #: tree fingerprint -> finished mapping set, read off the tree-sim
         #: entries of every relation; see :meth:`cached_mappings`
         self._mappings: dict[TreeFingerprint, tuple] = {}
+        #: tree fingerprint -> the (relation key, sampled columns) of its
+        #: tree-sim entries that read a column, built on the first
+        #: mapping-memo hit after a write; see :meth:`cached_mappings`
+        self._mapping_reads: dict[TreeFingerprint, tuple] = {}
         #: tree-sim partition drops so far: a mapping set computed across
         #: a drop is not stored (see :meth:`remember_mappings`)
         self._tree_sim_epoch = 0
@@ -713,6 +736,7 @@ class TranslationContext:
         computed from the dropped scores."""
         self._tree_sims.pop(relation, None)
         self._mappings.clear()
+        self._mapping_reads.clear()
         self._tree_sim_epoch += 1
 
     # ------------------------------------------------------------------
@@ -766,10 +790,12 @@ class TranslationContext:
                 return
             self._relation_aliases[key] = current + (clean,)
             # a relation alias changes only this relation's name
-            # similarity, which its tree-sim partition bakes in; finished
-            # translations are cleared wholesale.  Memoized networks are
-            # keyed on the mapping candidates, so they need no drop.
+            # similarity, which its tree-sim partition and every name row
+            # bake in; finished translations are cleared wholesale.
+            # Memoized networks are keyed on the mapping candidates, so
+            # they need no drop.
             self._drop_tree_sims(key)
+            self._drop_name_rows()
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(key, [clean])
@@ -797,9 +823,16 @@ class TranslationContext:
                 return
             self._attribute_aliases[(rkey, akey)] = current + (clean,)
             self._drop_tree_sims(rkey)
+            self._drop_name_rows()
             self._result_cache.clear()
             self.stats.result_invalidations += 1
         self.name_index.add_names(rkey, [clean])
+
+    def _drop_name_rows(self) -> None:
+        """Drop every name row (lock held), and move the epoch past any
+        row still being computed with the old vocabulary."""
+        self._name_rows.clear()
+        self._alias_epoch += 1
 
     def relation_aliases(self, relation_key: str) -> tuple[str, ...]:
         with self._lock:
@@ -950,7 +983,12 @@ class TranslationContext:
         column that a tree-sim entry of the fingerprint records is still
         pending re-verification, it answers neither: the per-relation
         probes re-read those columns, each after its own budget charge.
-        Nothing is counted here:
+        An entry is checked against its *read list*, the ``(relation,
+        sampled columns)`` of its tree-sim entries that read a column
+        (None: all), since an entry that read none of a relation's
+        columns stands whatever that relation has pending.  The list is
+        built on the first hit that finds a column pending, so a
+        workload without writes stores none.  Nothing is counted here:
         :class:`~repro.core.similarity.SimilarityEvaluator` counts a hit
         as one tree-sim hit per relation.
         """
@@ -959,11 +997,27 @@ class TranslationContext:
             tree_sims = self._tree_sims
             entry = self._mappings.get(fingerprint)
             if entry is not None:
-                if self._stale or not all(
-                    self._current(key, tree_sims[key][fingerprint][2])
-                    for key in self._baseline
-                ):
+                if self._stale:
                     return None, None, epoch
+                baseline = self._baseline
+                if not baseline:
+                    return entry, None, epoch
+                reads = self._mapping_reads.get(fingerprint)
+                if reads is None:
+                    # an entry implies a tree-sim entry for every relation
+                    reads = []
+                    for relation in self.relations:
+                        columns = tree_sims[relation.key][fingerprint][2]
+                        if columns is None or columns:
+                            reads.append((relation.key, columns))
+                    reads = self._mapping_reads[fingerprint] = tuple(reads)
+                for key, columns in reads:
+                    pending = baseline.get(key)
+                    if pending and (
+                        columns is None
+                        or not pending.keys().isdisjoint(columns)
+                    ):
+                        return None, None, epoch
                 return entry, None, epoch
             current = not self._stale and not self._baseline
             scores = []
@@ -989,6 +1043,39 @@ class TranslationContext:
         with self._lock:
             if epoch == self._tree_sim_epoch:
                 self._mappings[fingerprint] = entry
+
+    def cached_name_row(
+        self, key: tuple[str, Optional[str]]
+    ) -> tuple[Optional[tuple], int]:
+        """``(row, epoch)`` for one ``(kind, name)`` key; ``row`` is None
+        when not memoized, and ``epoch`` goes to :meth:`remember_name_row`.
+
+        A row holds what a name scores against every relation before any
+        condition is read, in :attr:`relations` order (see
+        :attr:`relation_index`).  Kind ``"root"``: the root similarity of
+        the name against each relation (§4.2: direct, aliases, damped
+        neighbours).  Kind ``"attribute"``: per relation, the name factor
+        of each attribute in ``relation.attributes`` order (§4.3: the
+        smoothed name similarity, ``kdef`` for a placeholder, whose name
+        is None, and the primary-key bonus).  Rows read names only, so
+        neither a ``data_version`` bump nor an artifact touches them; a
+        vocabulary alias drops all of them.  Not persisted.
+        """
+        with self._lock:
+            return self._name_rows.get(key), self._alias_epoch
+
+    def remember_name_row(
+        self, key: tuple[str, Optional[str]], row: tuple, epoch: int
+    ) -> None:
+        """Store a row computed since :meth:`cached_name_row` returned
+        *epoch*, unless an alias was registered since (the row may have
+        read the old vocabulary).  The oldest row goes past the cap."""
+        with self._lock:
+            if epoch != self._alias_epoch:
+                return
+            self._name_rows[key] = row
+            if len(self._name_rows) > NAME_ROW_CAP:
+                del self._name_rows[next(iter(self._name_rows))]
 
     def count_tree_sim_hits(self, hits: int) -> None:
         """Count tree-sim hits answered through a mapping-memo hit."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..obs import NULL_TRACER
@@ -84,7 +84,9 @@ class GenerationStats:
     memo_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        # flat ints only, as ContextStats.as_dict: the translator calls
+        # this once per translated block
+        return dict(self.__dict__)
 
 
 @dataclass(order=True)

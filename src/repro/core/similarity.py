@@ -282,13 +282,30 @@ def plan_condition(condition: Condition) -> ConditionPlan:
 
 
 class TreePlan(NamedTuple):
-    """The :class:`ConditionPlan` of each condition of a tree."""
+    """The :class:`ConditionPlan` of each condition of a tree, plus its
+    name rows."""
 
     #: attribute tree key -> plans of its conditions, in order
     conditions: dict
     #: the column types some condition is compatible with: the columns
     #: whose samples scoring the tree reads
     types: frozenset
+    #: the tree's :class:`TreeRows` (None without a context, or until
+    #: the tree is first scored)
+    rows: Optional["TreeRows"] = None
+
+
+class TreeRows(NamedTuple):
+    """What a tree scores against each relation before any condition is
+    read, in the context's relation order, read off its names' rows."""
+
+    #: the context's alias epoch the rows were read at
+    epoch: int
+    #: root similarity against each relation (§4.2)
+    root: tuple
+    #: per attribute tree, in order: per relation, the name factor of
+    #: each attribute (§4.3)
+    attributes: tuple
 
 
 def _literal_family(value: Any) -> Optional[str]:
@@ -464,71 +481,78 @@ class SimilarityEvaluator:
         attribute_tree: AttributeTree,
         relation: Relation,
         conditions: Optional[tuple[ConditionPlan, ...]] = None,
+        factors: Optional[tuple[float, ...]] = None,
     ) -> tuple[float, Optional[str]]:
         """Best Sim(at, A) over the relation's attributes, plus the argmax
         attribute name (used by the composer to instantiate names).
-        *conditions* are the plans of the attribute tree's conditions
-        (made here when not given)."""
+        *conditions* are the plans of the attribute tree's conditions,
+        and *factors* the :meth:`_name_factors` of its name against the
+        relation (each made here when not given)."""
         if conditions is None:
             conditions = tuple(
                 plan_condition(c) for c in attribute_tree.conditions
             )
-        primary_key = {c.lower() for c in relation.primary_key}
+        if factors is None:
+            factors = self._name_factors(attribute_tree.known_name, relation)
         best_score = 0.0
         best_attribute: Optional[str] = None
-        for attribute in relation.attributes:
-            score = self._attribute_pair(
-                attribute_tree, relation, attribute, conditions, primary_key
-            )
+        total = len(conditions)
+        for attribute, score in zip(relation.attributes, factors):
+            if total:
+                satisfied = 0
+                for plan in conditions:
+                    if attribute.data_type not in plan.types:
+                        # settled by the type alone, as check() would
+                        status = "incompatible"
+                    else:
+                        status = self.checker.check(plan, relation, attribute)
+                    if status == "satisfied":
+                        satisfied += 1
+                    elif status == "incompatible":
+                        # type-impossible conditions are stronger negative
+                        # evidence than merely unsatisfied ones
+                        score *= self.config.k_incompat
+                beta = self.config.cond_smooth
+                score *= (satisfied + beta) / (total + beta)
             if score > best_score:
                 best_score = score
                 best_attribute = attribute.name
         return best_score, best_attribute
 
-    def _attribute_pair(
-        self,
-        attribute_tree: AttributeTree,
-        relation: Relation,
-        attribute: Attribute,
-        conditions: tuple[ConditionPlan, ...],
-        primary_key: set[str],
-    ) -> float:
-        name = attribute_tree.known_name
-        if name is not None:
-            raw = self.sim(name, attribute.name)
-            # same unlocked emptiness probe as _root_for_name
-            if self.context is not None and self.context._attribute_aliases:
-                for alias in self.context.attribute_aliases(
-                    relation.key, attribute.key
-                ):
-                    raw = max(raw, self.sim(name, alias))
-            # additive smoothing: a zero q-gram overlap must not wipe out
-            # condition evidence (mirrors the paper's +1 smoothing)
-            alpha = self.config.attr_smooth
-            name_sim = (raw + alpha) / (1.0 + alpha)
-        else:
-            # placeholder attribute: no name evidence; neutral default so
-            # the (m+1)/(n+1) condition factor decides (paper leaves this
-            # case open; kdef keeps placeholder trees comparable)
-            name_sim = self.config.kdef
-        if attribute.name.lower() in primary_key:
-            # matching the relation's key is evidence the user means this
-            # relation itself, not a bridge that references it
-            name_sim *= self.config.pk_bonus
-        total = len(conditions)
-        if total:
-            satisfied = 0
-            for plan in conditions:
-                status = self.checker.check(plan, relation, attribute)
-                if status == "satisfied":
-                    satisfied += 1
-                elif status == "incompatible":
-                    # type-impossible conditions are stronger negative
-                    # evidence than merely unsatisfied ones
-                    name_sim *= self.config.k_incompat
-            beta = self.config.cond_smooth
-            name_sim *= (satisfied + beta) / (total + beta)
-        return name_sim
+    def _name_factors(
+        self, name: Optional[str], relation: Relation
+    ) -> tuple[float, ...]:
+        """The part of Sim(at, A) that reads names only, against each
+        attribute of *relation* in order: the smoothed similarity of
+        *name* (``kdef`` for a placeholder, *name* None), times the
+        primary-key bonus."""
+        primary_key = {c.lower() for c in relation.primary_key}
+        alpha = self.config.attr_smooth
+        aliased = self.context is not None and self.context._attribute_aliases
+        factors = []
+        for attribute in relation.attributes:
+            if name is not None:
+                raw = self.sim(name, attribute.name)
+                # same unlocked emptiness probe as _root_for_name
+                if aliased:
+                    for alias in self.context.attribute_aliases(
+                        relation.key, attribute.key
+                    ):
+                        raw = max(raw, self.sim(name, alias))
+                # additive smoothing: a zero q-gram overlap must not wipe
+                # out condition evidence (mirrors the paper's +1 smoothing)
+                factor = (raw + alpha) / (1.0 + alpha)
+            else:
+                # placeholder attribute: no name evidence; neutral default
+                # so the (m+1)/(n+1) condition factor decides (paper leaves
+                # this case open; kdef keeps placeholder trees comparable)
+                factor = self.config.kdef
+            if attribute.name.lower() in primary_key:
+                # matching the relation's key is evidence the user means
+                # this relation itself, not a bridge that references it
+                factor *= self.config.pk_bonus
+            factors.append(factor)
+        return tuple(factors)
 
     # -- whole tree (§4.1) ------------------------------------------------------
     def tree_similarity(
@@ -636,14 +660,73 @@ class SimilarityEvaluator:
     def _tree_similarity(
         self, tree: RelationTree, relation: Relation, fingerprint=None
     ) -> tuple[float, dict]:
-        plans = self._plan(tree, fingerprint).conditions
-        score = self.root_similarity(tree, relation)
+        if fingerprint is None:
+            fingerprint = tree_fingerprint(tree)
+        plan = self._plan(tree, fingerprint)
+        attribute_trees = tree.attribute_trees
+        if self.context is None:
+            score = self.root_similarity(tree, relation)
+            factors = [None] * len(attribute_trees)
+        else:
+            rows = plan.rows
+            if rows is None or rows.epoch != self.context._alias_epoch:
+                rows = self._tree_rows(tree)
+                self._plans[fingerprint] = plan._replace(rows=rows)
+            index = self.context.relation_index[relation.key]
+            score = rows.root[index]
+            factors = [row[index] for row in rows.attributes]
         attribute_map: dict = {}
-        for attribute_tree in tree.attribute_trees:
+        for attribute_tree, attribute_factors in zip(attribute_trees, factors):
             attr_score, attr_name = self.attribute_similarity(
-                attribute_tree, relation, plans[attribute_tree.key]
+                attribute_tree,
+                relation,
+                plan.conditions[attribute_tree.key],
+                attribute_factors,
             )
             score *= attr_score
             if attr_name is not None:
                 attribute_map[attribute_tree.key] = attr_name
         return score, attribute_map
+
+    def _tree_rows(self, tree: RelationTree) -> TreeRows:
+        """*tree*'s :class:`TreeRows`: :meth:`root_similarity` and the
+        :meth:`_name_factors` of each attribute tree against every
+        relation, read off the context's per-name rows (context
+        required)."""
+        epoch = self.context._alias_epoch
+        kdef = self.config.kdef
+        if tree.known_name is not None:
+            row = self._name_row("root", tree.known_name)
+            root = tuple(max(value, kdef) for value in row)
+        else:
+            root = (kdef,) * len(self.context.relations)
+            for attribute_tree in tree.attribute_trees:
+                name = attribute_tree.known_name
+                if name is not None:
+                    row = self._name_row("root", name)
+                    root = tuple(map(max, root, row))
+        attributes = tuple(
+            self._name_row("attribute", attribute_tree.known_name)
+            for attribute_tree in tree.attribute_trees
+        )
+        return TreeRows(epoch, root, attributes)
+
+    def _name_row(self, kind: str, name: Optional[str]) -> tuple:
+        """The context's ``(kind, name)`` row, computed and offered to it
+        on a miss (see :meth:`TranslationContext.cached_name_row`)."""
+        context = self.context
+        row, epoch = context.cached_name_row((kind, name))
+        if row is None:
+            if kind == "root":
+                row = tuple(
+                    self._root_for_name(name, relation)
+                    for relation in context.relations
+                )
+            else:
+                row = tuple(
+                    self._name_factors(name, relation)
+                    for relation in context.relations
+                )
+            context.remember_name_row((kind, name), row, epoch)
+        return row
+

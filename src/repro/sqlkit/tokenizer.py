@@ -19,7 +19,10 @@ from .tokens import KEYWORDS, SqlSyntaxError, Token, TokenType
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 )
-_IDENT_BODY = _IDENT_START | frozenset("0123456789$")
+#: ASCII only: ``str.isdigit`` also accepts ``²`` (which ``int`` rejects)
+#: and ``٣`` (which ``int`` reads as 3)
+_DIGITS = frozenset("0123456789")
+_IDENT_BODY = _IDENT_START | _DIGITS | frozenset("$")
 
 #: Multi-character operators, longest first so `<=` wins over `<`.
 _OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
@@ -64,13 +67,17 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(token)
             continue
         # -- numbers ---------------------------------------------------
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+        if ch in _DIGITS or (
+            ch == "." and i + 1 < n and sql[i + 1] in _DIGITS
+        ):
             j = i
             seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
+            while j < n and (
+                sql[j] in _DIGITS or (sql[j] == "." and not seen_dot)
+            ):
                 if sql[j] == ".":
                     # ``1.name`` is a number then DOT IDENT; require a digit
-                    if j + 1 >= n or not sql[j + 1].isdigit():
+                    if j + 1 >= n or sql[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1

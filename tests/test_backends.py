@@ -155,7 +155,7 @@ class TestReflection:
         )
         backend = SqliteBackend(conn)
         relation = backend.catalog.relation("order")
-        assert relation.attribute_names == ["order", "select", "line item"]
+        assert relation.attribute_names == ("order", "select", "line item")
         assert backend.count("order") == 2
         assert backend.column_values("order", "select") == ["a", "b"]
 

@@ -72,7 +72,13 @@ class TestRelation:
         relation = Relation(
             "t", [Attribute("b"), Attribute("a"), Attribute("c")]
         )
-        assert relation.attribute_names == ["b", "a", "c"]
+        assert relation.attribute_names == ("b", "a", "c")
+
+    def test_attribute_tuples_built_once(self):
+        relation = Relation("t", [Attribute("b"), Attribute("a")])
+        assert relation.attributes is relation.attributes
+        assert relation.attribute_names is relation.attribute_names
+        assert [a.name for a in relation.attributes] == ["b", "a"]
 
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(SchemaError):

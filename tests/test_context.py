@@ -14,6 +14,8 @@ from repro import (
 from repro.datasets import make_course_database
 from repro.workloads import COURSE_QUERIES
 
+from tests.conftest import make_fig1_catalog, populate_fig1
+
 
 @pytest.fixture(scope="module")
 def course_db():
@@ -191,3 +193,62 @@ class TestTranslateMany:
         assert stats.total_seconds > 0
         # the third query repeats the first: the batch saw memo hits
         assert stats.memo.get("tree_sim_hits", 0) > 0
+
+
+class TestNameRowStore:
+    KEY = ("root", "person")
+    ROW = (1.0, 0.5)
+
+    def test_row_offered_across_an_alias_is_not_stored(self, fig1_db):
+        context = TranslationContext(fig1_db)
+        row, epoch = context.cached_name_row(self.KEY)
+        assert row is None
+        context.add_attribute_alias("Person", "name", "moniker")
+        context.remember_name_row(self.KEY, self.ROW, epoch)
+        assert context.cached_name_row(self.KEY)[0] is None
+        row, epoch = context.cached_name_row(self.KEY)
+        context.remember_name_row(self.KEY, self.ROW, epoch)
+        assert context.cached_name_row(self.KEY)[0] == self.ROW
+
+    def test_aliases_drop_every_row(self, fig1_db):
+        context = TranslationContext(fig1_db)
+        for alias in (
+            lambda: context.add_relation_alias("Movie", "film"),
+            lambda: context.add_attribute_alias("Movie", "title", "heading"),
+        ):
+            _, epoch = context.cached_name_row(self.KEY)
+            context.remember_name_row(self.KEY, self.ROW, epoch)
+            context.remember_name_row(("attribute", None), self.ROW, epoch)
+            alias()
+            assert not context._name_rows
+        # re-registering a known alias changes nothing, so drops nothing
+        _, epoch = context.cached_name_row(self.KEY)
+        context.remember_name_row(self.KEY, self.ROW, epoch)
+        context.add_relation_alias("Movie", "film")
+        assert context.cached_name_row(self.KEY)[0] == self.ROW
+
+    def test_bounded_and_never_persisted(self, monkeypatch):
+        import repro.core.context as context_module
+
+        monkeypatch.setattr(context_module, "NAME_ROW_CAP", 3)
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        translator = SchemaFreeTranslator(database)
+        context = translator.context
+        for query in (
+            "SELECT person?.name? WHERE movie?.title? = 'Titanic'",
+            "SELECT company?.name? WHERE gender? = 'male'",
+            "SELECT director?.? WHERE release_year? > 2000",
+        ):
+            translator.translate(query)
+        assert len(context._name_rows) == 3
+        # rows read names only: a write keeps them
+        database.insert("Company", [77, "Zork Pictures"])
+        translator.translate("SELECT person?.name?")
+        assert context._name_rows
+        _, memos = context.export_state()
+        assert not any(
+            isinstance(key, tuple) and key[0] in ("root", "attribute")
+            for table in vars(memos).values()
+            for key in table
+        )

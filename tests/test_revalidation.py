@@ -543,3 +543,203 @@ class TestMappingHitAccounting:
             )
 
         assert run(memo=True) == run(memo=False)
+
+
+# ---------------------------------------------------------------------------
+# the mapping-memo hit check: the read list against the pending columns
+# ---------------------------------------------------------------------------
+
+
+def served_by_baseline_walk(context, fingerprint) -> bool:
+    """The hit rule as a walk over every relation with columns pending
+    re-verification: nothing stale, and the fingerprint's tree-sim entry
+    of each such relation recorded columns (None: all of them) disjoint
+    from its pending ones."""
+    if fingerprint not in context._mappings or context._stale:
+        return False
+    for relation, pending in context._baseline.items():
+        columns = context._tree_sims[relation][fingerprint][2]
+        if pending and (
+            columns is None or not pending.keys().isdisjoint(columns)
+        ):
+            return False
+    return True
+
+
+def assert_hits_agree(context) -> int:
+    """The read-list check answers as the walk for every memoized set;
+    returns how many it serves."""
+    served = 0
+    for fingerprint in list(context._mappings):
+        hit = context.cached_mappings(fingerprint)[0] is not None
+        assert hit == served_by_baseline_walk(context, fingerprint)
+        served += hit
+    return served
+
+
+def settle(context) -> None:
+    """Touch every stale relation without re-reading a column, so its
+    pending columns are exactly those that carry condition statuses."""
+    with context._lock:
+        for relation in list(context._stale):
+            context._touch(relation, ())
+
+
+class TestMappingReadList:
+    #: reads the text columns of every relation (Person.name, .gender,
+    #: Movie.title, Company.name), through its condition
+    CONDITIONED = "SELECT person?.name? WHERE person?.gender? = 'male'"
+    #: reads no column: no tree has a condition
+    UNCONDITIONED = "SELECT person?.name?"
+
+    def stack(self):
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        translator = SchemaFreeTranslator(database)
+        for query in (self.CONDITIONED, self.UNCONDITIONED):
+            translator.translate(query)
+        return database, translator.context
+
+    @staticmethod
+    def fingerprints(context, query):
+        from repro.core.relation_tree import build_relation_trees, tree_fingerprint
+        from repro.core.triples import extract
+        from repro.sqlkit import parse
+
+        return [
+            tree_fingerprint(t)
+            for t in build_relation_trees(extract(parse(query)))
+        ]
+
+    def served(self, context, query) -> bool:
+        answers = [
+            context.cached_mappings(fingerprint)[0] is not None
+            for fingerprint in self.fingerprints(context, query)
+        ]
+        assert len(set(answers)) == 1
+        return answers[0]
+
+    def test_refused_while_a_read_column_is_pending(self):
+        database, context = self.stack()
+        # a duplicate row: every re-read sample equals its baseline, so
+        # the sets stay memoized while their columns are re-verified
+        database.insert("Person", [99, "Tom Hanks", "male"])
+        context.ensure_current()
+        assert not self.served(context, self.CONDITIONED)  # all stale
+        assert_hits_agree(context)
+        settle(context)
+        assert set(context._baseline) == {"person", "movie", "company"}
+        assert not self.served(context, self.CONDITIONED)
+        assert self.served(context, self.UNCONDITIONED)
+        assert_hits_agree(context)
+        # re-read one relation's columns at a time: refused until the
+        # last column the tree read is re-read
+        for relation, attribute in [
+            ("Person", "name"),
+            ("Person", "gender"),
+            ("Movie", "title"),
+        ]:
+            context.column_sample(relation, attribute)
+            assert not self.served(context, self.CONDITIONED)
+            assert self.served(context, self.UNCONDITIONED)
+            assert_hits_agree(context)
+        context.column_sample("Company", "name")
+        assert not context._baseline
+        assert self.served(context, self.CONDITIONED)
+        assert assert_hits_agree(context) == len(context._mappings)
+
+    def test_read_list_built_lazily_and_dropped_with_the_sets(self):
+        database, context = self.stack()
+        assert_hits_agree(context)
+        assert not context._mapping_reads  # nothing pending: no list
+        database.insert("Movie", [99, "Titanic", 1997])
+        context.ensure_current()
+        settle(context)
+        assert_hits_agree(context)
+        assert set(context._mapping_reads) == set(context._mappings)
+        lists = {
+            fingerprint: {relation for relation, _ in reads}
+            for fingerprint, reads in context._mapping_reads.items()
+        }
+        for fingerprint in self.fingerprints(context, self.UNCONDITIONED):
+            assert lists[fingerprint] == set()
+        for fingerprint in self.fingerprints(context, self.CONDITIONED):
+            assert lists[fingerprint] == {"person", "movie", "company"}
+        context.add_relation_alias("Movie", "film")
+        assert not context._mappings and not context._mapping_reads
+
+    def test_unknown_columns_read_every_column(self, tmp_path):
+        # an attached artifact's tree-sims record no sampled columns
+        # (None), so a set assembled from them reads every relation
+        database = Database(make_fig1_catalog())
+        populate_fig1(database)
+        store = ArtifactStore(str(tmp_path))
+        path = build_artifact(
+            database, store, warmup=[self.UNCONDITIONED], warmup_top_k=TOP_K
+        )
+        translator = SchemaFreeTranslator(
+            database, context=load_context(path, database)
+        )
+        context = translator.context
+        translator.translate(self.UNCONDITIONED)
+        translator.translate(self.CONDITIONED)
+        assert context._mappings
+        database.insert("Company", [99, "Paramount"])
+        context.ensure_current()
+        settle(context)
+        assert context._baseline
+        assert not self.served(context, self.UNCONDITIONED)
+        assert_hits_agree(context)
+        for fingerprint in self.fingerprints(context, self.UNCONDITIONED):
+            assert all(
+                columns is None
+                for _, columns in context._mapping_reads[fingerprint]
+            )
+        for relation, pending in list(context._baseline.items()):
+            for attribute in list(pending):
+                context.column_sample(relation, attribute)
+        assert self.served(context, self.UNCONDITIONED)
+        assert_hits_agree(context)
+
+    @PROPERTY
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("translate"), st.sampled_from(QUERIES)),
+                st.tuples(st.just("write"), INSERTS),
+                st.tuples(
+                    st.just("reread"),
+                    st.sampled_from(
+                        [
+                            ("person", "name"),
+                            ("person", "gender"),
+                            ("movie", "title"),
+                            ("genre", "name"),
+                            ("company", "name"),
+                        ]
+                    ),
+                ),
+                st.tuples(st.just("settle"), st.none()),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_agrees_with_the_baseline_walk(self, steps):
+        database = make_movie_database(scale=0.25)
+        translator = SchemaFreeTranslator(database)
+        context = translator.context
+        for query in QUERIES:
+            outcomes(translator, query)
+        for kind, arg in steps:
+            if kind == "translate":
+                outcomes(translator, arg)
+            elif kind == "write":
+                relation, value = arg
+                database.insert(relation, insert_row(relation, value))
+                context.ensure_current()
+            elif kind == "reread":
+                context.column_sample(*arg)
+            else:
+                settle(context)
+            assert_hits_agree(context)

@@ -372,16 +372,76 @@ class PerPairChecker(ConditionChecker):
 
 
 class PerPairEvaluator(SimilarityEvaluator):
-    """Scores through :class:`PerPairChecker`, one pair at a time."""
+    """Scores one (tree, relation) pair at a time, as before plans and
+    name rows: every pair re-derives the root similarity (direct,
+    aliases, damped neighbours) and each attribute's name similarity,
+    and checks each raw condition through :class:`PerPairChecker`."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.checker = PerPairChecker(self.database, self.config, self.context)
 
-    def attribute_similarity(self, attribute_tree, relation, conditions=None):
-        return super().attribute_similarity(
-            attribute_tree, relation, tuple(attribute_tree.conditions)
+    def _root(self, name, relation):
+        direct = self.sim(name, relation.name)
+        for alias in self.context.relation_aliases(relation.key):
+            direct = max(direct, self.sim(name, alias))
+        damped = max(
+            (
+                self.config.kref * self.sim(name, neighbor.name)
+                for neighbor in self.context.neighbors(relation.key)
+            ),
+            default=0.0,
         )
+        return max(direct, damped)
+
+    def _tree_similarity(self, tree, relation, fingerprint=None):
+        config = self.config
+        if tree.known_name is not None:
+            score = max(self._root(tree.known_name, relation), config.kdef)
+        else:
+            score = config.kdef
+            for attribute_tree in tree.attribute_trees:
+                if attribute_tree.known_name is not None:
+                    score = max(
+                        score, self._root(attribute_tree.known_name, relation)
+                    )
+        primary_key = {c.lower() for c in relation.primary_key}
+        attribute_map = {}
+        for attribute_tree in tree.attribute_trees:
+            name = attribute_tree.known_name
+            best, best_name = 0.0, None
+            for attribute in relation.attributes:
+                if name is not None:
+                    raw = self.sim(name, attribute.name)
+                    for alias in self.context.attribute_aliases(
+                        relation.key, attribute.key
+                    ):
+                        raw = max(raw, self.sim(name, alias))
+                    alpha = config.attr_smooth
+                    pair = (raw + alpha) / (1.0 + alpha)
+                else:
+                    pair = config.kdef
+                if attribute.name.lower() in primary_key:
+                    pair *= config.pk_bonus
+                conditions = attribute_tree.conditions
+                if conditions:
+                    satisfied = 0
+                    for condition in conditions:
+                        status = self.checker.check(
+                            condition, relation, attribute
+                        )
+                        if status == "satisfied":
+                            satisfied += 1
+                        elif status == "incompatible":
+                            pair *= config.k_incompat
+                    beta = config.cond_smooth
+                    pair *= (satisfied + beta) / (len(conditions) + beta)
+                if pair > best:
+                    best, best_name = pair, attribute.name
+            score *= best
+            if best_name is not None:
+                attribute_map[attribute_tree.key] = best_name
+        return score, attribute_map
 
     def _sampled_columns(self, fingerprint, tree, relation):
         predicates = [
@@ -511,3 +571,133 @@ class TestScoringPlan:
         )
         evaluator.begin_query()
         assert not evaluator._plans
+
+
+#: named and unnamed roots, named and placeholder attributes, and names
+#: that only an alias below matches
+NAME_ROW_QUERIES = [
+    "SELECT person?.name? WHERE movie?.title? = 'Titanic'",
+    "SELECT title? WHERE name? = 'Tom Hanks'",
+    "SELECT person?.? WHERE person?.? = 'male'",
+    "SELECT ?x.name? WHERE ?x.? = 1997",
+    "SELECT ?.? WHERE ?.? = 'Titanic'",
+    "SELECT film?.heading? WHERE studio?.label? = 'Paramount'",
+]
+
+#: (relation, attribute or None, alias) registrations
+NAME_ROW_ALIASES = [
+    ("Movie", None, "film"),
+    ("Movie", "title", "heading"),
+    ("Company", None, "studio"),
+    ("Company", "name", "label"),
+]
+
+
+def register_aliases(context, aliases) -> None:
+    for relation, attribute, alias in aliases:
+        if attribute is None:
+            context.add_relation_alias(relation, alias)
+        else:
+            context.add_attribute_alias(relation, attribute, alias)
+
+
+def name_row_trees():
+    return [t for sql in NAME_ROW_QUERIES for t in trees_for(sql)]
+
+
+def assert_scores_match_fresh(database, evaluator, aliases=()):
+    """Every tree against every relation, scored through the name rows
+    (bypassing the tree-sim memo), equals the per-pair reference on a
+    fresh context with the same aliases."""
+    fresh = TranslationContext(database, evaluator.config)
+    register_aliases(fresh, aliases)
+    reference = PerPairEvaluator(database, evaluator.config, fresh)
+    for tree in name_row_trees():
+        for relation in evaluator.context.relations:
+            assert evaluator._tree_similarity(
+                tree, relation
+            ) == reference._tree_similarity(tree, relation), (
+                str(tree),
+                relation.key,
+            )
+
+
+class TestNameRows:
+    def make(self, database):
+        context = TranslationContext(database)
+        return context, SimilarityEvaluator(database, context.config, context)
+
+    def test_rows_match_per_pair_reference(self, fig1_db):
+        context, evaluator = self.make(fig1_db)
+        assert_scores_match_fresh(fig1_db, evaluator)
+        # placeholders share one attribute row; unnamed roots read the
+        # root rows of their attribute names
+        assert ("attribute", None) in context._name_rows
+        assert ("root", "title") in context._name_rows
+        # a second pass reads the stored rows and still agrees
+        evaluator.begin_query()
+        assert_scores_match_fresh(fig1_db, evaluator)
+
+    def test_aliases_drop_rows_and_rescore(self, fig1_db):
+        context, evaluator = self.make(fig1_db)
+        assert_scores_match_fresh(fig1_db, evaluator)
+        registered = []
+        for alias in NAME_ROW_ALIASES:
+            assert context._name_rows
+            register_aliases(context, [alias])
+            registered.append(alias)
+            assert not context._name_rows
+            # same query window: the plans' rows are read again
+            assert_scores_match_fresh(fig1_db, evaluator, registered)
+        evaluator.begin_query()
+        assert_scores_match_fresh(fig1_db, evaluator, registered)
+
+    def test_cap_evicts_oldest(self, fig1_db, monkeypatch):
+        import repro.core.context as context_module
+
+        monkeypatch.setattr(context_module, "NAME_ROW_CAP", 2)
+        context, evaluator = self.make(fig1_db)
+        stored = []
+        remember = context.remember_name_row
+
+        def recording(key, row, epoch):
+            stored.append(key)
+            remember(key, row, epoch)
+
+        context.remember_name_row = recording
+        for _ in range(2):
+            evaluator.begin_query()
+            assert_scores_match_fresh(fig1_db, evaluator)
+            assert len(context._name_rows) <= 2
+        assert len(set(stored)) > 2
+        # FIFO: what is left is the last two stored
+        assert list(context._name_rows) == stored[-2:]
+
+    def test_row_computed_across_an_alias_is_not_stored(self, fig1_db):
+        context, evaluator = self.make(fig1_db)
+        root_for_name = evaluator._root_for_name
+        calls = []
+
+        def interleaved(name, relation):
+            # another thread's vocabulary recovery lands mid-row
+            if not calls:
+                context.add_relation_alias("Company", "person")
+            calls.append(relation.key)
+            return root_for_name(name, relation)
+
+        evaluator._root_for_name = interleaved
+        tree = trees_for("SELECT person?.name?")[0]
+        person = fig1_db.catalog.relation("Person")
+        evaluator._tree_similarity(tree, person)
+        assert len(calls) == len(context.relations)
+        assert ("root", "person") not in context._name_rows
+        del evaluator._root_for_name
+        # the next score reads a row computed after the alias
+        company = fig1_db.catalog.relation("Company")
+        fresh = TranslationContext(fig1_db)
+        fresh.add_relation_alias("Company", "person")
+        reference = PerPairEvaluator(fig1_db, fresh.config, fresh)
+        assert evaluator._tree_similarity(
+            tree, company
+        ) == reference._tree_similarity(tree, company)
+        assert ("root", "person") in context._name_rows

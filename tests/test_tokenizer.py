@@ -73,6 +73,30 @@ class TestBasics:
         with pytest.raises(SqlSyntaxError):
             tokenize("a @ b")
 
+    @pytest.mark.parametrize(
+        "sql, position",
+        [
+            # int('²') raises ValueError; int('٣') reads 3
+            ("SELECT a FROM t WHERE a = ²", 26),
+            ("SELECT a FROM t WHERE a = ٣", 26),
+            ("SELECT a FROM t LIMIT ²", 22),
+            ("SELECT a FROM t WHERE a = 1²", 27),
+        ],
+    )
+    def test_non_ascii_digits_are_typed_syntax_errors(self, sql, position):
+        from repro.sqlkit import parse
+
+        with pytest.raises(SqlSyntaxError) as raised:
+            parse(sql)
+        assert raised.value.position == position
+
+    def test_translate_reports_a_non_ascii_digit_as_syntax(
+        self, fig1_translator
+    ):
+        with pytest.raises(SqlSyntaxError) as raised:
+            fig1_translator.translate("SELECT name? WHERE name? = ²")
+        assert raised.value.diagnostic.stage == "parse"
+
     def test_double_quoted_identifier(self):
         tokens = tokenize('"weird name"')
         assert tokens[0].type is TokenType.IDENT
