@@ -39,10 +39,10 @@ Observability: each retry emits a ``backend.retry`` span and bumps
 (docs/OBSERVABILITY.md).
 
 With no faults the wrapper is pass-through: same catalog object, same
-samples, same rows — byte-identical translations to the bare backend
-(enforced by ``benchmarks/bench_translate.py`` at < 2 % overhead and by
-the parity phase of ``scripts/run_chaos.py`` over all 95 workload
-queries).
+samples, same rows — byte-identical translations to the bare backend,
+with the same column reads and no retry or degradation (enforced by
+``tests/test_workload_parity.py`` and by the parity phase of
+``scripts/run_chaos.py`` over all 95 workload queries).
 """
 
 from __future__ import annotations

@@ -215,6 +215,13 @@ class TranslationStats:
 # ---------------------------------------------------------------------------
 
 
+def _add_posting(postings: dict[str, set[str]], name: str, key: str) -> None:
+    """Rebind *postings[name]* to a copy that includes *key*."""
+    current = postings.get(name, set())
+    if key not in current:
+        postings[name] = current | {key}
+
+
 class NameIndex:
     """Token/q-gram inverted index over relation and attribute names.
 
@@ -246,13 +253,17 @@ class NameIndex:
     def add_names(self, relation_key: str, names: Iterable[str]) -> None:
         """Index extra *names* (vocabulary aliases) under *relation_key*,
         so :meth:`order` ranks the aliased relation as if the alias were
-        one of its own identifiers."""
+        one of its own identifiers.
+
+        Copy-on-write: :meth:`affinity` iterates the posting sets without
+        a lock, so a set is never grown in place; each gram or token is
+        rebound to a new set that includes the key."""
         for name in names:
             for gram in qgrams(name, self.q):
-                self._grams.setdefault(gram, set()).add(relation_key)
+                _add_posting(self._grams, gram, relation_key)
             for token in name.lower().split("_"):
                 if token:
-                    self._tokens.setdefault(token, set()).add(relation_key)
+                    _add_posting(self._tokens, token, relation_key)
 
     def affinity(self, name: str) -> dict[str, int]:
         """Relation key -> count of shared q-grams/tokens with *name*."""
@@ -798,7 +809,7 @@ class TranslationContext:
             self._drop_name_rows()
             self._result_cache.clear()
             self.stats.result_invalidations += 1
-        self.name_index.add_names(key, [clean])
+            self.name_index.add_names(key, [clean])
 
     def add_attribute_alias(
         self, relation_name: str, attribute_name: str, alias: str
@@ -826,7 +837,7 @@ class TranslationContext:
             self._drop_name_rows()
             self._result_cache.clear()
             self.stats.result_invalidations += 1
-        self.name_index.add_names(rkey, [clean])
+            self.name_index.add_names(rkey, [clean])
 
     def _drop_name_rows(self) -> None:
         """Drop every name row (lock held), and move the epoch past any

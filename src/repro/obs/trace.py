@@ -13,10 +13,10 @@ Design points:
 * **zero-dependency and no-op-cheap** — the default collaborator is
   :data:`NULL_TRACER`, whose ``span()`` returns one shared, stateless
   :class:`NullSpan`; an uninstrumented run pays one method call and an
-  empty context manager per site (asserted < 5% on the warm path by
-  ``benchmarks/bench_translate.py``).  Call sites that would build
-  expensive attribute payloads (per-candidate σ lists) guard on
-  ``span.enabled`` / ``tracer.enabled`` first.
+  empty context manager per site, and a traced run answers exactly
+  like an untraced one (``tests/test_workload_parity.py``).  Call
+  sites that would build expensive attribute payloads (per-candidate σ
+  lists) guard on ``span.enabled`` / ``tracer.enabled`` first.
 * **injectable clock** — ``Tracer(clock=...)`` accepts any monotonic
   float clock; built on a :class:`~repro.testing.faults.FaultInjector`
   virtual clock, span durations are fully deterministic in tests.

@@ -49,15 +49,20 @@ from repro.core.rescache import schema_fingerprint
 from repro.core.translator import SchemaFreeTranslator
 from repro.datasets import make_course_database, make_movie_database
 from repro.obs import MetricsRegistry, RingBufferExporter, Tracer
-from repro.workloads import COURSE_QUERIES, TEXTBOOK_QUERIES
+from repro.workloads import (
+    COURSE_QUERIES,
+    SOPHISTICATED_QUERIES,
+    TEXTBOOK_QUERIES,
+)
 
 TOP_K = 3
 
 MOVIE_QUERIES = [q.sf_sql or q.gold_sql for q in TEXTBOOK_QUERIES]
+SOPHISTICATED_SQL = [q.sf_sql or q.gold_sql for q in SOPHISTICATED_QUERIES]
 COURSE_SQL = [q.sf_sql or q.gold_sql for q in COURSE_QUERIES]
 
 WORKLOADS = {
-    "movies": (make_movie_database, MOVIE_QUERIES),
+    "movies": (make_movie_database, MOVIE_QUERIES + SOPHISTICATED_SQL),
     "courses": (make_course_database, COURSE_SQL),
 }
 
@@ -67,7 +72,7 @@ def translate_all(database, queries, context=None):
         database, DEFAULT_CONFIG, context=context
     )
     return [
-        [t.sql for t in translator.translate(q, top_k=TOP_K)]
+        [(t.sql, t.weight) for t in translator.translate(q, top_k=TOP_K)]
         for q in queries
     ]
 
