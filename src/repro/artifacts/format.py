@@ -32,6 +32,7 @@ before encoding, so no other runtime object reaches the file.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import io
 import pickle
@@ -40,8 +41,10 @@ from dataclasses import fields
 from typing import Any
 
 from ..catalog import Catalog, Relation, SchemaError
+from ..core.composer import COMPOSE_PARTS
 from ..core.config import TranslatorConfig
 from ..core.context import ContextMemoState, ContextSchemaState
+from ..core.join_network import JoinNetwork
 from ..core.view_graph import ViewInstance, XEdge
 from .errors import ArtifactCorrupt, ArtifactKeyMismatch, ArtifactVersionSkew
 
@@ -82,7 +85,10 @@ def config_digest(config: TranslatorConfig) -> str:
 #: functions of the declared fields — persisted stripped, rebuilt on
 #: first use, which measurably cuts memo decode time.
 #: :class:`~repro.core.join_network.JoinNetwork` is deliberately *not*
-#: here: its ``_best_weight`` cache is the one we want in the file.
+#: here: its ``_best_weight`` cache is the one we want in the file.  Only
+#: its composition parts (:data:`~repro.core.composer.COMPOSE_PARTS`)
+#: are stripped: they are rebuilt on a network's first compose, and
+#: would grow the file by about a third.
 _STRIP_CACHES = (XEdge, ViewInstance)
 
 
@@ -102,6 +108,12 @@ class _ArtifactPickler(pickle.Pickler):
         if cls in _STRIP_CACHES:
             state = {f.name: getattr(obj, f.name) for f in fields(cls)}
             return (_rebuild_stripped, (cls, state))
+        if cls is JoinNetwork and COMPOSE_PARTS in obj.__dict__:
+            # the default reduction of a network without the parts, so
+            # the file is byte-identical to one never composed from
+            state = dict(obj.__dict__)
+            del state[COMPOSE_PARTS]
+            return (copyreg.__newobj__, (cls,), state)
         return NotImplemented
 
     def persistent_id(self, obj: Any) -> Any:

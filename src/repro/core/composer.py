@@ -18,13 +18,18 @@ descends through sub-query boundaries.
 One :meth:`Composer.compose` call composes a block under each of its
 top-k MTJNs.  The networks usually agree on every tree's relation and
 binding, so step 1 runs once per distinct assignment, and step 3 compares
-conditions by their names instead of by their rendered text.
+conditions by their names instead of by their rendered text.  Everything
+else — bindings, FROM items, edge conditions — depends only on the
+network and the block's tree shape (each tree's key, alias and label),
+so it is built once per network and shape and kept on the network: a
+block a memoized network serves again pays only for step 1 and for
+merging its own conjuncts with the edge conditions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..catalog import Catalog
 from ..errors import Diagnostic, ReproError
@@ -98,9 +103,10 @@ class Composer:
         """One :class:`ComposedQuery` per network, in order.
 
         The networks share what does not depend on them: the name rewrite
-        runs once per distinct tree -> (relation, binding) assignment,
-        and catalog names, FROM items and edge conditions are built once
-        per call.  The first network that cannot be composed raises.
+        runs once per distinct tree -> (relation, binding) assignment.
+        Each network's bindings, FROM items and edge conditions are built
+        once per block shape and kept on the network.  The first network
+        that cannot be composed raises.
         Without *weights*, each result carries its network's own weight.
         """
         block = _Block(
@@ -145,10 +151,152 @@ class Composer:
         )
 
 
+#: a block's tree shape: each tree's ``(key, alias, label)``, in order —
+#: everything about the block that a network's parts read
+Shape = tuple[tuple[TreeKey, Optional[str], str], ...]
+
+
+class _NetworkParts(NamedTuple):
+    """What composing a block under one network takes from the network
+    alone: a pure function of the (immutable) network, the catalog and
+    the block's :data:`Shape`.  Kept on the network (see
+    :func:`_network_parts`), so every block of that shape shares them;
+    AST nodes are frozen, so they may sit in many results."""
+
+    #: each tree's (relation key, binding), in tree order
+    assignment: tuple[tuple[str, str], ...]
+    #: binding (lower) -> relation key, for correlated inner blocks
+    exposed: dict[str, str]
+    #: step 2: one TableRef per node, in node-id order
+    from_items: tuple[ast.Node, ...]
+    #: step 3: each distinct edge condition with its key, in edge order
+    edges: tuple[tuple[JoinKey, ast.Node], ...]
+
+
+#: the attribute a network keeps its parts in, as ``(catalog, shape,
+#: parts)``; ``repro.artifacts`` strips it
+COMPOSE_PARTS = "_compose_parts"
+
+
+def _network_parts(
+    network: JoinNetwork,
+    catalog: Catalog,
+    trees: list[RelationTree],
+    shape: Shape,
+) -> _NetworkParts:
+    """*network*'s parts for blocks of *shape*, built on the first call
+    with that shape and catalog and kept on the network beside its
+    ``_best_weight`` cache.  The memoized networks live in the network
+    memo, so their parts live as long as its entry; the artifact format
+    never persists them.  A network that does not cover every tree
+    raises each time and keeps nothing."""
+    cached = network.__dict__.get(COMPOSE_PARTS)
+    if cached is not None and cached[0] is catalog and cached[1] == shape:
+        return cached[2]
+    node_by_tree = {
+        node.tree_key: node
+        for node in network.nodes.values()
+        if node.tree_key is not None
+    }
+    for tree in trees:
+        if tree.key not in node_by_tree:
+            raise TranslationError(
+                f"join network does not cover relation tree {tree.label}",
+                diagnostic=Diagnostic(
+                    stage="compose",
+                    message="join network misses a relation tree",
+                    token=tree.label,
+                    candidates=len(network.nodes),
+                ),
+            )
+    declared = {
+        relation: catalog.relation(relation).name
+        for relation in {node.relation for node in network.nodes.values()}
+    }
+    bindings, exposed = _assign_bindings(network, trees, declared)
+    assignment = tuple(
+        (node.relation, bindings[node.node_id])
+        for node in (node_by_tree[tree.key] for tree in trees)
+    )
+    from_items = []
+    for node_id in sorted(network.nodes):
+        name = declared[network.nodes[node_id].relation]
+        binding = bindings[node_id]
+        alias = None if binding.lower() == name.lower() else binding
+        from_items.append(ast.TableRef(ast.exact(name), alias))
+    # an edge whose key an earlier edge has is skipped whatever the
+    # block's conjuncts are, so only the first of equal keys is kept
+    edges: dict[JoinKey, ast.Node] = {}
+    for edge in network.all_edges:
+        left = bindings[edge.left.node_id]
+        right = bindings[edge.right.node_id]
+        key = frozenset((
+            (left.lower(), edge.left_attribute.lower()),
+            (right.lower(), edge.right_attribute.lower()),
+        ))
+        if key not in edges:
+            edges[key] = ast.BinaryOp(
+                "=",
+                ast.ColumnRef(ast.exact(edge.left_attribute), ast.exact(left)),
+                ast.ColumnRef(
+                    ast.exact(edge.right_attribute), ast.exact(right)
+                ),
+            )
+    parts = _NetworkParts(
+        assignment, exposed, tuple(from_items), tuple(edges.items())
+    )
+    object.__setattr__(network, COMPOSE_PARTS, (catalog, shape, parts))
+    return parts
+
+
+def _assign_bindings(
+    network: JoinNetwork,
+    trees: list[RelationTree],
+    declared: dict[str, str],
+) -> tuple[dict[int, str], dict[str, str]]:
+    """Choose a FROM-clause binding name for every MTJN node.
+
+    User-supplied aliases are kept; relations occurring once keep
+    their plain name; repeated relations get ``Name_rtK`` aliases in
+    the paper's style.  Returns node id -> binding, and binding
+    (lower) -> relation key for correlated inner blocks.
+    """
+    tree_by_key = {tree.key: tree for tree in trees}
+    occurrences: dict[str, list[XNode]] = {}
+    for node in network.nodes.values():
+        occurrences.setdefault(node.relation, []).append(node)
+    bindings: dict[int, str] = {}
+    exposed: dict[str, str] = {}
+    for relation_name, nodes in occurrences.items():
+        name = declared[relation_name]
+        if len(nodes) > 1:
+            nodes.sort(key=lambda n: n.node_id)
+        for node in nodes:
+            tree = tree_by_key.get(node.tree_key)
+            if tree is not None and tree.alias:
+                candidate = tree.alias
+            elif len(nodes) == 1:
+                candidate = name
+            elif tree is not None:
+                candidate = f"{name}_{tree.label}"
+            else:
+                candidate = f"{name}_{node.node_id}"
+            base = candidate
+            suffix = 2
+            lowered = candidate.lower()
+            while lowered in exposed:
+                candidate = f"{base}_{suffix}"
+                lowered = candidate.lower()
+                suffix += 1
+            exposed[lowered] = relation_name
+            bindings[node.node_id] = candidate
+    return bindings, exposed
+
+
 class _Block:
-    """The state of one :meth:`Composer.compose` call: the block, and the
-    parts its networks share.  Nothing here outlives the call; AST nodes
-    are frozen, so one part may sit in several results."""
+    """The state of one :meth:`Composer.compose` call: the block, its
+    shape, and the name rewrites its networks share.  Nothing here
+    outlives the call."""
 
     def __init__(
         self,
@@ -162,57 +310,42 @@ class _Block:
         self.composer = composer
         self.select = select
         self.trees = trees
-        self.tree_by_key = {tree.key: tree for tree in trees}
+        self.shape: Shape = tuple(
+            (tree.key, tree.alias, tree.label) for tree in trees
+        )
         self.mappings = mappings
         self.from_bindings = from_bindings
         self.outer_bindings = outer_bindings
-        #: relation key -> catalog name
-        self.declared: dict[str, str] = {}
         #: tree assignment -> its rewrite
         self.rewrites: dict[tuple[tuple[str, str], ...], _Rewrite] = {}
         self.names: dict[str, ast.NameTerm] = {}
         #: (attribute, binding) -> exact column
         self.columns: dict[tuple[str, str], ast.ColumnRef] = {}
-        #: (relation key, binding) -> FROM item
-        self.table_refs: dict[tuple[str, str], ast.TableRef] = {}
-        #: edge signature (binding, attribute, binding, attribute) -> key
-        self.edge_keys: dict[tuple[str, str, str, str], JoinKey] = {}
-        #: edge signature -> condition, built the first time its key is new
-        self.edge_conditions: dict[tuple[str, str, str, str], ast.Node] = {}
 
     def compose(self, network: JoinNetwork, weight: float) -> ComposedQuery:
-        node_by_tree = {
-            node.tree_key: node
-            for node in network.nodes.values()
-            if node.tree_key is not None
-        }
-        for tree in self.trees:
-            if tree.key not in node_by_tree:
-                raise TranslationError(
-                    f"join network does not cover relation tree {tree.label}",
-                    diagnostic=Diagnostic(
-                        stage="compose",
-                        message="join network misses a relation tree",
-                        token=tree.label,
-                        candidates=len(network.nodes),
-                    ),
-                )
-        bindings, exposed = self._assign_bindings(network)
-        assignment = tuple(
-            (node.relation, bindings[node.node_id])
-            for node in (node_by_tree[tree.key] for tree in self.trees)
+        parts = _network_parts(
+            network, self.composer.catalog, self.trees, self.shape
         )
-        rewrite = self.rewrites.get(assignment)
+        rewrite = self.rewrites.get(parts.assignment)
         if rewrite is None:
-            rewrite = self._rewrite_names(assignment)
-            self.rewrites[assignment] = rewrite
-        final = dataclasses.replace(
-            rewrite.select,
-            from_items=self._build_from(network, bindings),
-            where=self._add_join_conditions(rewrite, network, bindings),
-        )
+            rewrite = self._rewrite_names(parts.assignment)
+            self.rewrites[parts.assignment] = rewrite
+        # step 3: AND each edge condition onto the rewritten WHERE,
+        # skipping any whose key a user conjunct has
+        where = rewrite.where
+        user_keys = rewrite.keys
+        for key, condition in parts.edges:
+            if key not in user_keys:
+                where = condition if where is None else ast.BinaryOp(
+                    "and", where, condition
+                )
         return ComposedQuery(
-            select=final, network=network, weight=weight, bindings=exposed
+            select=dataclasses.replace(
+                rewrite.select, from_items=parts.from_items, where=where
+            ),
+            network=network,
+            weight=weight,
+            bindings=dict(parts.exposed),
         )
 
     def _name(self, text: str) -> ast.NameTerm:
@@ -227,52 +360,6 @@ class _Block:
             column = ast.ColumnRef(self._name(attribute), self._name(binding))
             self.columns[(attribute, binding)] = column
         return column
-
-    # ------------------------------------------------------------------
-    # step 2 support: binding assignment
-    # ------------------------------------------------------------------
-    def _assign_bindings(
-        self, network: JoinNetwork
-    ) -> tuple[dict[int, str], dict[str, str]]:
-        """Choose a FROM-clause binding name for every MTJN node.
-
-        User-supplied aliases are kept; relations occurring once keep
-        their plain name; repeated relations get ``Name_rtK`` aliases in
-        the paper's style.  Returns node id -> binding, and binding
-        (lower) -> relation key for correlated inner blocks.
-        """
-        occurrences: dict[str, list[XNode]] = {}
-        for node in network.nodes.values():
-            occurrences.setdefault(node.relation, []).append(node)
-        bindings: dict[int, str] = {}
-        exposed: dict[str, str] = {}
-        for relation_name, nodes in occurrences.items():
-            name = self.declared.get(relation_name)
-            if name is None:
-                name = self.composer.catalog.relation(relation_name).name
-                self.declared[relation_name] = name
-            if len(nodes) > 1:
-                nodes.sort(key=lambda n: n.node_id)
-            for node in nodes:
-                tree = self.tree_by_key.get(node.tree_key)
-                if tree is not None and tree.alias:
-                    candidate = tree.alias
-                elif len(nodes) == 1:
-                    candidate = name
-                elif tree is not None:
-                    candidate = f"{name}_{tree.label}"
-                else:
-                    candidate = f"{name}_{node.node_id}"
-                base = candidate
-                suffix = 2
-                lowered = candidate.lower()
-                while lowered in exposed:
-                    candidate = f"{base}_{suffix}"
-                    lowered = candidate.lower()
-                    suffix += 1
-                exposed[lowered] = relation_name
-                bindings[node.node_id] = candidate
-        return bindings, exposed
 
     # ------------------------------------------------------------------
     # step 1: exact-name instantiation
@@ -353,64 +440,6 @@ class _Block:
         keys = {_conjunct_key(conjunct) for conjunct in conjuncts}
         keys.discard(None)
         return _Rewrite(rewritten, where, frozenset(keys))
-
-    # ------------------------------------------------------------------
-    # step 2: FROM clause
-    # ------------------------------------------------------------------
-    def _build_from(
-        self, network: JoinNetwork, bindings: dict[int, str]
-    ) -> tuple[ast.Node, ...]:
-        nodes = network.nodes
-        items = []
-        for node_id in sorted(nodes):
-            relation_name = nodes[node_id].relation
-            binding = bindings[node_id]
-            item = self.table_refs.get((relation_name, binding))
-            if item is None:
-                name = self.declared[relation_name]
-                alias = None if binding.lower() == name.lower() else binding
-                item = ast.TableRef(self._name(name), alias)
-                self.table_refs[(relation_name, binding)] = item
-            items.append(item)
-        return tuple(items)
-
-    # ------------------------------------------------------------------
-    # step 3: join conditions
-    # ------------------------------------------------------------------
-    def _add_join_conditions(
-        self,
-        rewrite: _Rewrite,
-        network: JoinNetwork,
-        bindings: dict[int, str],
-    ) -> Optional[ast.Node]:
-        """AND one FK-PK condition per edge onto the rewritten WHERE,
-        skipping any whose key a user conjunct or an earlier edge has."""
-        where = rewrite.where
-        seen = set(rewrite.keys)
-        for edge in network.all_edges:
-            left = bindings[edge.left.node_id]
-            right = bindings[edge.right.node_id]
-            signature = (left, edge.left_attribute, right, edge.right_attribute)
-            key = self.edge_keys.get(signature)
-            if key is None:
-                key = self.edge_keys[signature] = frozenset((
-                    (left.lower(), edge.left_attribute.lower()),
-                    (right.lower(), edge.right_attribute.lower()),
-                ))
-            if key in seen:
-                continue
-            seen.add(key)
-            condition = self.edge_conditions.get(signature)
-            if condition is None:
-                condition = self.edge_conditions[signature] = ast.BinaryOp(
-                    "=",
-                    self._column(edge.left_attribute, left),
-                    self._column(edge.right_attribute, right),
-                )
-            where = condition if where is None else ast.BinaryOp(
-                "and", where, condition
-            )
-        return where
 
 
 def _conjuncts(expr: ast.Node) -> list[ast.Node]:

@@ -69,7 +69,8 @@ from .rescache import ResultCache, schema_fingerprint
 from .similarity import qgrams, stride_sample
 
 #: per-name similarity rows kept per context (a row is one float per
-#: relation, or one tuple of attribute factors per relation)
+#: relation, one tuple of attribute factors per relation, or a scoring
+#: order)
 NAME_ROW_CAP = 256
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,7 @@ class TranslationContext:
         self._network_memo_cap = 256
         # -- per-name similarity rows (see cached_name_row) --------------
         #: (kind, name) -> row; names are user input, so FIFO-bounded
-        self._name_rows: dict[tuple[str, Optional[str]], tuple] = {}
+        self._name_rows: dict[tuple[str, Any], tuple] = {}
         #: alias registrations so far: a row computed across one is not
         #: stored (see remember_name_row)
         self._alias_epoch = 0
@@ -488,6 +489,8 @@ class TranslationContext:
         # -- schema-derived (immutable for the database's lifetime) ----
         self.relations = state.relations
         self._relation_by_key = {r.key: r for r in state.relations}
+        #: the keys of :attr:`relations`, in order
+        self.relation_keys = tuple(r.key for r in state.relations)
         #: relation key -> its position in :attr:`relations`, which is
         #: also its position in every name row
         self.relation_index = {
@@ -757,11 +760,15 @@ class TranslationContext:
         """FK-adjacent relations of *relation_key* (paper §4.2)."""
         return self._neighbors[normalize(relation_key)]
 
-    def scoring_order(self, tree: RelationTree) -> list[Relation]:
+    def scoring_order(self, tree: RelationTree) -> tuple[Relation, ...]:
         """All relations, ordered by lexical affinity with the tree's
         name evidence (root name, or attribute names when the root is
         unspecified).  Order affects only which candidates are scored
-        first under a tight budget, never the resulting mapping set."""
+        first under a tight budget, never the resulting mapping set.
+
+        It reads names only, so it is kept as the ``("order", names)``
+        name row (see :meth:`cached_name_row`): an alias, which changes
+        the :class:`NameIndex`, drops it with the other rows."""
         names = []
         if tree.known_name:
             names.append(tree.known_name)
@@ -772,8 +779,13 @@ class TranslationContext:
                 if attribute.known_name
             )
         if not names:
-            return list(self.relations)
-        return self.name_index.order(names, self.relations)
+            return self.relations
+        key = ("order", tuple(names))
+        order, epoch = self.cached_name_row(key)
+        if order is None:
+            order = tuple(self.name_index.order(names, self.relations))
+            self.remember_name_row(key, order, epoch)
+        return order
 
     # ------------------------------------------------------------------
     # vocabulary aliases (schema evolution)
@@ -1056,7 +1068,7 @@ class TranslationContext:
                 self._mappings[fingerprint] = entry
 
     def cached_name_row(
-        self, key: tuple[str, Optional[str]]
+        self, key: tuple[str, Any]
     ) -> tuple[Optional[tuple], int]:
         """``(row, epoch)`` for one ``(kind, name)`` key; ``row`` is None
         when not memoized, and ``epoch`` goes to :meth:`remember_name_row`.
@@ -1068,15 +1080,17 @@ class TranslationContext:
         neighbours).  Kind ``"attribute"``: per relation, the name factor
         of each attribute in ``relation.attributes`` order (§4.3: the
         smoothed name similarity, ``kdef`` for a placeholder, whose name
-        is None, and the primary-key bonus).  Rows read names only, so
-        neither a ``data_version`` bump nor an artifact touches them; a
-        vocabulary alias drops all of them.  Not persisted.
+        is None, and the primary-key bonus).  Kind ``"order"``, keyed by
+        a tuple of names: :meth:`scoring_order`'s relations, best first.
+        Rows read names only, so neither a ``data_version`` bump nor an
+        artifact touches them; a vocabulary alias drops all of them.  Not
+        persisted.
         """
         with self._lock:
             return self._name_rows.get(key), self._alias_epoch
 
     def remember_name_row(
-        self, key: tuple[str, Optional[str]], row: tuple, epoch: int
+        self, key: tuple[str, Any], row: tuple, epoch: int
     ) -> None:
         """Store a row computed since :meth:`cached_name_row` returned
         *epoch*, unless an alias was registered since (the row may have

@@ -260,8 +260,10 @@ class ConditionChecker:
 class ConditionPlan(NamedTuple):
     """What checking one condition needs that no column changes."""
 
-    #: the column types it is :func:`_compatible` with
-    types: frozenset
+    #: the column types it is :func:`_compatible` with, in declaration
+    #: order: a tuple, whose ``in`` compares members by identity first,
+    #: where a set would hash each through ``Enum.__hash__``
+    types: tuple
     #: the predicate with its subject replaced by the probe reference
     probe: ast.Node
     #: the rendered probe, interned: the condition memo's probe key (a
@@ -275,7 +277,7 @@ def plan_condition(condition: Condition) -> ConditionPlan:
     predicate = condition.predicate
     probe = _probe_predicate(condition)
     return ConditionPlan(
-        frozenset(t for t in DataType if _compatible(predicate, t)),
+        tuple(t for t in DataType if _compatible(predicate, t)),
         probe,
         sys.intern(render(probe)),
     )
@@ -287,9 +289,10 @@ class TreePlan(NamedTuple):
 
     #: attribute tree key -> plans of its conditions, in order
     conditions: dict
-    #: the column types some condition is compatible with: the columns
-    #: whose samples scoring the tree reads
-    types: frozenset
+    #: the column types some condition is compatible with (the columns
+    #: whose samples scoring the tree reads), a tuple as in
+    #: :class:`ConditionPlan`
+    types: tuple
     #: the tree's :class:`TreeRows` (None without a context, or until
     #: the tree is first scored)
     rows: Optional["TreeRows"] = None
@@ -614,14 +617,16 @@ class SimilarityEvaluator:
         :meth:`tree_similarity` would (context required).  Which
         relations those are cannot change a total: a probe cut short by
         the budget is finished, unbudgeted, by the next rung."""
+        keys = self.context.relation_keys[:probes]
         seen = self._probed.get(fingerprint)
         if seen is None:
-            seen = self._probed[fingerprint] = set()
-        hits = 0
-        for relation in self.context.relations[:probes]:
-            if relation.key not in seen:
-                seen.add(relation.key)
-                hits += 1
+            # the tree's first hit in the query: relation keys are unique
+            self._probed[fingerprint] = set(keys)
+            hits = len(keys)
+        else:
+            before = len(seen)
+            seen.update(keys)
+            hits = len(seen) - before
         if hits:
             self.context.count_tree_sim_hits(hits)
 
@@ -639,8 +644,12 @@ class SimilarityEvaluator:
                 )
                 for attribute_tree in tree.attribute_trees
             }
-            types = frozenset().union(
-                *(c.types for plans in conditions.values() for c in plans)
+            types = tuple(
+                t
+                for t in DataType
+                if any(
+                    t in c.types for plans in conditions.values() for c in plans
+                )
             )
             plan = self._plans[fingerprint] = TreePlan(conditions, types)
         return plan

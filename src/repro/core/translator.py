@@ -19,7 +19,6 @@ import dataclasses
 import heapq
 import itertools
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -84,6 +83,57 @@ class Translation:
         return render(self.query)
 
 
+class _Timed:
+    """Adds the wall time of its ``with`` block to one stage of *stats*
+    (nothing without stats).  A class, not a generator context manager:
+    a read enters about ten of these and :class:`_StageGuard`."""
+
+    __slots__ = ("stats", "stage", "started")
+
+    def __init__(self, stats: Optional[TranslationStats], stage: str) -> None:
+        self.stats = stats
+        self.stage = stage
+
+    def __enter__(self) -> None:
+        if self.stats is not None:
+            self.started = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.stats is not None:
+            self.stats.add_stage(self.stage, time.perf_counter() - self.started)
+
+
+class _StageGuard:
+    """Re-raises a non-:class:`ReproError` exception from its ``with``
+    block as a :class:`TranslationError` naming the stage, so a
+    misbehaving stage (or an injected fault) never leaks a foreign
+    exception to callers."""
+
+    __slots__ = ("stage",)
+
+    def __init__(self, stage: str) -> None:
+        self.stage = stage
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if (
+            exc_type is None
+            or isinstance(exc, ReproError)
+            or not issubclass(exc_type, Exception)
+        ):
+            return
+        stage = self.stage
+        raise TranslationError(
+            f"stage {stage!r} failed unexpectedly: "
+            f"{exc_type.__name__}: {exc}",
+            diagnostic=Diagnostic(
+                stage=stage, message=f"{exc_type.__name__}: {exc}"
+            ),
+        ) from exc
+
+
 class SchemaFreeTranslator:
     """Translates Schema-free SQL into full SQL over one database."""
 
@@ -136,36 +186,9 @@ class SchemaFreeTranslator:
         if self.faults is not None:
             self.faults.fire(stage, budget)
 
-    @contextmanager
-    def _timed(self, stage: str):
+    def _timed(self, stage: str) -> _Timed:
         """Accumulate wall-clock time into the active TranslationStats."""
-        stats = self._active_stats
-        if stats is None:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            stats.add_stage(stage, time.perf_counter() - started)
-
-    @contextmanager
-    def _stage_guard(self, stage: str):
-        """Convert unexpected stage failures into typed ReproErrors so a
-        misbehaving stage (or an injected fault) never leaks a foreign
-        exception to callers."""
-        try:
-            yield
-        except ReproError:
-            raise
-        except Exception as exc:  # re-raises as a typed ReproError
-            raise TranslationError(
-                f"stage {stage!r} failed unexpectedly: "
-                f"{type(exc).__name__}: {exc}",
-                diagnostic=Diagnostic(
-                    stage=stage, message=f"{type(exc).__name__}: {exc}"
-                ),
-            ) from exc
+        return _Timed(self._active_stats, stage)
 
     # ------------------------------------------------------------------
     # view management
@@ -214,7 +237,7 @@ class SchemaFreeTranslator:
         if not isinstance(query, str):
             return query
         self._fire("parse", meter)
-        with self._stage_guard("parse"), self._timed("parse"), \
+        with _StageGuard("parse"), self._timed("parse"), \
                 self.tracer.span("parse"):
             return parse(query)
 
@@ -244,7 +267,7 @@ class SchemaFreeTranslator:
             or self._start_rung != "full"
         ):
             return None
-        with self._stage_guard("cache"), self._timed("cache"):
+        with _StageGuard("cache"), self._timed("cache"):
             if fingerprint is None:
                 fingerprint = fingerprint_parsed(query, raw_text)
             view_parts = tuple(
@@ -578,7 +601,7 @@ class SchemaFreeTranslator:
         budget: Optional[Budget] = None,
         degrade: bool = False,
     ) -> list[Translation]:
-        with self._stage_guard("parse"), self._timed("parse"), \
+        with _StageGuard("parse"), self._timed("parse"), \
                 self.tracer.span("extract") as extract_span:
             extraction = extract(select)
             all_trees = build_relation_trees(extraction)
@@ -630,7 +653,7 @@ class SchemaFreeTranslator:
         )
         self._fire("compose", budget)
         translations: list[Translation] = []
-        with self._stage_guard("compose"), \
+        with _StageGuard("compose"), \
                 self.tracer.span("compose") as compose_span:
             weights = [
                 0.0
@@ -732,7 +755,7 @@ class SchemaFreeTranslator:
                     if mappings is None:
                         # a later row redoes a mapping interrupted mid-rung
                         # unbudgeted (polynomial, unlike the network search)
-                        with self._stage_guard("map"), self._timed("map"):
+                        with _StageGuard("map"), self._timed("map"):
                             mappings = self.mapper.map_trees(
                                 trees, rung_budget if first else None
                             )
@@ -744,7 +767,7 @@ class SchemaFreeTranslator:
                         searched = self._truncate_mappings(
                             mappings, rung.mapping_limit
                         )
-                    with self._stage_guard("network"), self._timed("network"), \
+                    with _StageGuard("network"), self._timed("network"), \
                             self.tracer.span("network") as net_span:
                         views: Sequence[View] = ()
                         if rung.keep_views:
@@ -804,11 +827,11 @@ class SchemaFreeTranslator:
         if mappings is None:
             # every search rung was pinned away: map now (polynomial),
             # so the cheap rungs below still have relations to place
-            with self._stage_guard("map"), self._timed("map"):
+            with _StageGuard("map"), self._timed("map"):
                 mappings = self.mapper.map_trees(trees)
             self._check_mappings(trees, mappings)
         singles = self._truncate_mappings(mappings, 1)
-        with self._stage_guard("network"), self._timed("network"):
+        with _StageGuard("network"), self._timed("network"):
             with self.tracer.span("network") as net_span:
                 xgraph = ExtendedViewGraph(
                     ViewGraph(self.database.catalog),

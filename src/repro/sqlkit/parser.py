@@ -52,8 +52,10 @@ class Parser:
         return token
 
     def accept_keyword(self, *words: str) -> Optional[Token]:
-        if self.current.is_keyword(*words):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.keyword in words:
+            self.pos += 1  # a keyword is never EOF
+            return token
         return None
 
     def expect_keyword(self, word: str) -> Token:
@@ -191,7 +193,7 @@ class Parser:
         if self.accept_keyword("join"):
             return "inner"
         for kind in ("inner", "left", "right", "cross"):
-            if self.current.is_keyword(kind):
+            if self.current.keyword == kind:
                 self.advance()
                 self.accept_keyword("outer")
                 self.expect_keyword("join")
@@ -278,8 +280,8 @@ class Parser:
             if op == "!=":
                 op = "<>"
             quantifier = None
-            if self.current.is_keyword("any", "all"):
-                quantifier = self.advance().value.lower()
+            if self.current.keyword in ("any", "all"):
+                quantifier = self.advance().keyword
             if quantifier is not None:
                 self.expect(TokenType.LPAREN)
                 query = self._query()
@@ -287,9 +289,9 @@ class Parser:
                 return ast.QuantifiedCompare(left, op, quantifier, query)
             return ast.BinaryOp(op, left, self._additive())
         negated = False
-        if self.current.is_keyword("not"):
+        if self.current.keyword == "not":
             after = self.peek()
-            if after.is_keyword("between", "in", "like"):
+            if after.keyword in ("between", "in", "like"):
                 self.advance()
                 negated = True
         if self.accept_keyword("between"):
@@ -299,7 +301,7 @@ class Parser:
             return ast.Between(left, low, high, negated=negated)
         if self.accept_keyword("in"):
             self.expect(TokenType.LPAREN)
-            if self.current.is_keyword("select"):
+            if self.current.keyword == "select":
                 query = self._query()
                 self.expect(TokenType.RPAREN)
                 return ast.InSubquery(left, query, negated=negated)
@@ -350,12 +352,12 @@ class Parser:
         if token.type is TokenType.STRING:
             self.advance()
             return ast.Literal(token.value)
-        if token.is_keyword("null"):
+        if token.keyword == "null":
             self.advance()
             return ast.Literal(None)
-        if token.is_keyword("case"):
+        if token.keyword == "case":
             return self._case()
-        if token.is_keyword("exists"):
+        if token.keyword == "exists":
             self.advance()
             self.expect(TokenType.LPAREN)
             query = self._query()
@@ -363,7 +365,7 @@ class Parser:
             return ast.Exists(query)
         if token.type is TokenType.LPAREN:
             self.advance()
-            if self.current.is_keyword("select"):
+            if self.current.keyword == "select":
                 query = self._query()
                 self.expect(TokenType.RPAREN)
                 return ast.ScalarSubquery(query)
@@ -389,7 +391,7 @@ class Parser:
     def _case(self) -> ast.Node:
         self.expect_keyword("case")
         operand = None
-        if not self.current.is_keyword("when"):
+        if self.current.keyword != "when":
             operand = self._expr()
         whens: list[tuple[ast.Node, ast.Node]] = []
         while self.accept_keyword("when"):

@@ -10,161 +10,122 @@ Beyond standard SQL lexemes, three Schema-free SQL forms are recognised
 The ``?`` must be adjacent to its identifier: ``foo ?`` is a guessed-free
 identifier followed by an anonymous placeholder, exactly as a whitespace-
 sensitive reading of the paper's grammar implies.
+
+One compiled pattern reads one lexeme per ``match``, together with the
+whitespace and comments before it; the name of the group that matched
+says what it is.
 """
 
 from __future__ import annotations
 
+import re
+
 from .tokens import KEYWORDS, SqlSyntaxError, Token, TokenType
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+#: Digits are ASCII ``[0-9]``, never ``\d``: ``\d`` also accepts ``²``
+#: (which ``int`` rejects) and ``٣`` (which ``int`` reads as 3).
+#: A string or quoted name ends at a quote that is not one half of a
+#: doubled quote (``(?!')``), so an unterminated one never matches a
+#: shorter prefix: it falls through to its ``OPEN_`` group, which
+#: reports it at its opening quote.  The pattern has no possessive
+#: quantifiers, which ``re`` accepts only from Python 3.11.  Nothing
+#: follows the alternation, so each group's first greedy match is the
+#: one taken.
+_LEXEME = re.compile(
+    r"""
+    (?: \s+ | --[^\n]*\n? | /\*(?s:.*?)\*/ )*        # skipped
+    (?:
+        (?P<WORD>[A-Za-z_][A-Za-z0-9_$]*)(?P<GUESS>\?)?
+      | (?P<COMMA>,)
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)? | \.[0-9]+)
+      | (?P<DOT>\.)
+      | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_$]*)
+      | (?P<ANON>\?)
+      | (?P<LPAREN>\()
+      | (?P<RPAREN>\))
+      | (?P<QUOTED>"[^"]*(?:""[^"]*)*"(?!"))
+      | (?P<OPEN_COMMENT>/\*)
+      | (?P<OPERATOR><> | != | <= | >= | \|\| | [=<>+\-*/%])
+      | (?P<SEMICOLON>;)
+      | (?P<OPEN_STRING>')
+      | (?P<OPEN_QUOTED>")
+      | (?P<EOF>\Z)
+      | (?P<BAD>(?s:.))
+    )
+    """,
+    re.VERBOSE,
 )
-#: ASCII only: ``str.isdigit`` also accepts ``²`` (which ``int`` rejects)
-#: and ``٣`` (which ``int`` reads as 3)
-_DIGITS = frozenset("0123456789")
-_IDENT_BODY = _IDENT_START | _DIGITS | frozenset("$")
 
-#: Multi-character operators, longest first so `<=` wins over `<`.
-_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-
-_SINGLE = {
-    ",": TokenType.COMMA,
-    ".": TokenType.DOT,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    ";": TokenType.SEMICOLON,
+#: groups whose text is the token's value
+_PLAIN = {
+    name: TokenType[name]
+    for name in (
+        "COMMA", "NUMBER", "DOT", "ANON", "LPAREN", "RPAREN", "OPERATOR",
+        "SEMICOLON",
+    )
 }
+
+_UNTERMINATED = {
+    "OPEN_STRING": "unterminated string literal",
+    "OPEN_QUOTED": "unterminated quoted identifier",
+    "OPEN_COMMENT": "unterminated block comment",
+}
+
+_KEYWORD = TokenType.KEYWORD
+_IDENT = TokenType.IDENT
 
 
 def tokenize(sql: str) -> list[Token]:
     """Convert *sql* into a token list terminated by an EOF token."""
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        # -- whitespace ------------------------------------------------
-        if ch.isspace():
-            i += 1
-            continue
-        # -- comments --------------------------------------------------
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise SqlSyntaxError("unterminated block comment", sql, i)
-            i = end + 2
-            continue
-        # -- string literals (single quotes, '' escape) ----------------
-        if ch == "'":
-            token, i = _read_string(sql, i)
-            tokens.append(token)
-            continue
-        if ch == '"':
-            token, i = _read_quoted_identifier(sql, i)
-            tokens.append(token)
-            continue
-        # -- numbers ---------------------------------------------------
-        if ch in _DIGITS or (
-            ch == "." and i + 1 < n and sql[i + 1] in _DIGITS
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (
-                sql[j] in _DIGITS or (sql[j] == "." and not seen_dot)
-            ):
-                if sql[j] == ".":
-                    # ``1.name`` is a number then DOT IDENT; require a digit
-                    if j + 1 >= n or sql[j + 1] not in _DIGITS:
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        # -- placeholders: ?x and bare ? -------------------------------
-        if ch == "?":
-            j = i + 1
-            if j < n and sql[j] in _IDENT_START:
-                k = j
-                while k < n and sql[k] in _IDENT_BODY:
-                    k += 1
-                tokens.append(Token(TokenType.VAR, sql[j:k], i))
-                i = k
-            else:
-                tokens.append(Token(TokenType.ANON, "?", i))
-                i = j
-            continue
-        # -- identifiers / keywords / guesses --------------------------
-        if ch in _IDENT_START:
-            j = i
-            while j < n and sql[j] in _IDENT_BODY:
-                j += 1
-            word = sql[i:j]
-            if j < n and sql[j] == "?":
-                tokens.append(Token(TokenType.GUESS, word, i))
-                i = j + 1
-            elif word.lower() in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, word, i))
-                i = j
-            else:
-                tokens.append(Token(TokenType.IDENT, word, i))
-                i = j
-            continue
-        # -- operators -------------------------------------------------
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                break
+    append = tokens.append
+    match = _LEXEME.match
+    position = 0
+    while True:
+        lexeme = match(sql, position)
+        kind = lexeme.lastgroup
+        position = lexeme.end()
+        if kind == "WORD":
+            word = lexeme.group(kind)
+            append(Token(
+                _KEYWORD if word.lower() in KEYWORDS else _IDENT,
+                word,
+                lexeme.start(kind),
+            ))
+        elif kind in _PLAIN:
+            append(Token(_PLAIN[kind], lexeme.group(kind), lexeme.start(kind)))
+        elif kind == "GUESS":
+            append(Token(
+                TokenType.GUESS, lexeme.group("WORD"), lexeme.start("WORD")
+            ))
+        elif kind == "STRING":
+            append(Token(
+                TokenType.STRING,
+                lexeme.group(kind)[1:-1].replace("''", "'"),
+                lexeme.start(kind),
+            ))
+        elif kind == "VAR":
+            append(Token(
+                TokenType.VAR, lexeme.group(kind)[1:], lexeme.start(kind)
+            ))
+        elif kind == "QUOTED":
+            # quoted names are always IDENT tokens, never keywords, so
+            # ``"order"`` is a legal relation name — required for
+            # reflected real-world schemas
+            append(Token(
+                _IDENT,
+                lexeme.group(kind)[1:-1].replace('""', '"'),
+                lexeme.start(kind),
+            ))
+        elif kind == "EOF":
+            append(Token(TokenType.EOF, "", position))
+            return tokens
+        elif kind == "BAD":
+            raise SqlSyntaxError(
+                f"unexpected character {lexeme.group(kind)!r}",
+                sql,
+                lexeme.start(kind),
+            )
         else:
-            if ch in _SINGLE:
-                tokens.append(Token(_SINGLE[ch], ch, i))
-                i += 1
-            else:
-                raise SqlSyntaxError(f"unexpected character {ch!r}", sql, i)
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
-
-
-def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
-    """Read a double-quoted identifier with ``""`` escaping.
-
-    Quoted names are always IDENT tokens, never keywords, so ``"order"``
-    is a legal relation name — required for reflected real-world schemas.
-    """
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        if sql[i] == '"':
-            if i + 1 < n and sql[i + 1] == '"':
-                parts.append('"')
-                i += 2
-                continue
-            return Token(TokenType.IDENT, "".join(parts), start), i + 1
-        parts.append(sql[i])
-        i += 1
-    raise SqlSyntaxError("unterminated quoted identifier", sql, start)
-
-
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    """Read a single-quoted string literal with ``''`` escaping.
-
-    Returns the token and the index just past the closing quote.
-    """
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        if sql[i] == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), i + 1
-        parts.append(sql[i])
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", sql, start)
+            raise SqlSyntaxError(_UNTERMINATED[kind], sql, lexeme.start(kind))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ..errors import Diagnostic, ReproError
 
@@ -39,20 +38,44 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position (for error messages)."""
+    """One lexical token with its source position (for error messages).
 
-    type: TokenType
-    value: str
-    position: int
+    A plain slotted class, not a frozen dataclass: the tokenizer builds
+    one per lexeme, and a frozen dataclass pays ``object.__setattr__``
+    for every field.  Treat it as immutable.
+    """
+
+    __slots__ = ("type", "value", "position", "keyword")
+
+    def __init__(self, type: TokenType, value: str, position: int) -> None:
+        self.type = type
+        self.value = value
+        self.position = position
+        #: the lower-cased keyword, or None for any other token: what
+        #: the parser's keyword tests compare, lowered once here
+        self.keyword = value.lower() if type is TokenType.KEYWORD else None
 
     @property
     def upper(self) -> str:
         return self.value.upper()
 
-    def is_keyword(self, *words: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value.lower() in words
+    def _fields(self) -> tuple:
+        return (self.type, self.value, self.position)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(type={self.type!r}, value={self.value!r}, "
+            f"position={self.position!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.type.value}:{self.value!r}@{self.position}"

@@ -43,6 +43,7 @@ from repro.artifacts import (
     register_metrics,
 )
 from repro.artifacts.format import MAGIC, config_digest, encode, sign
+from repro.core.composer import COMPOSE_PARTS
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.context import TranslationContext
 from repro.core.rescache import schema_fingerprint
@@ -189,6 +190,42 @@ class TestRoundTrip:
             assert [
                 t.sql for t in loaded_translator.translate(query, top_k=k)
             ] == [t.sql for t in fresh_translator.translate(query, top_k=k)]
+
+    def test_compose_parts_are_never_persisted(self, tmp_path):
+        # a warmed context's memoized networks carry their compose
+        # parts; its artifact is byte-identical to one of the same memos
+        # without them, and no loaded network has any
+        database = make_course_database()
+        context = TranslationContext(database, DEFAULT_CONFIG)
+        translate_all(database, COURSE_SQL, context=context)
+        schema_state, memos = context.export_state()
+        networks = [
+            network
+            for _, networks_ in memos.networks.values()
+            for network in networks_
+        ]
+        assert networks
+        assert all(COMPOSE_PARTS in network.__dict__ for network in networks)
+        image = encode(
+            schema_state, memos, database.data_version, DEFAULT_CONFIG
+        )
+        for network in networks:
+            del network.__dict__[COMPOSE_PARTS]
+        assert image == encode(
+            schema_state, memos, database.data_version, DEFAULT_CONFIG
+        )
+        path = tmp_path / "courses.rpra"
+        path.write_bytes(image)
+        _, loaded = ArtifactReader(str(path)).state(database.catalog)
+        loaded_networks = [
+            network
+            for _, networks_ in loaded.networks.values()
+            for network in networks_
+        ]
+        assert len(loaded_networks) == len(networks)
+        assert not any(
+            COMPOSE_PARTS in network.__dict__ for network in loaded_networks
+        )
 
     def test_data_version_bump_misses_artifact(self, tmp_path):
         """After a write, the old artifact is mis-keyed (typed miss →

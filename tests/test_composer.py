@@ -18,6 +18,7 @@ from repro.datasets import make_course_database, make_movie_database
 from repro.sqlkit import ast, parse, render
 from repro.workloads import COURSE_QUERIES, TEXTBOOK_QUERIES
 
+from tests.conftest import make_fig1_catalog, populate_fig1
 from tests.helpers import PAPER_QUERY
 
 
@@ -414,3 +415,67 @@ def _conjuncts(expr):
     if isinstance(expr, ast.BinaryOp) and expr.op == "and":
         return _conjuncts(expr.left) + _conjuncts(expr.right)
     return [expr]
+
+
+#: one block in two shapes: the same trees and the same memoized
+#: networks, but aliases that differ in case, so every binding differs
+ALIASED = (
+    "SELECT m.title?, p.name? FROM movie? m, person? p WHERE p.name? = 'x'",
+    "SELECT M.title?, P.name? FROM movie? M, person? P WHERE P.name? = 'x'",
+)
+
+
+def fresh_fig1_translator():
+    db = Database(make_fig1_catalog())
+    populate_fig1(db)
+    return SchemaFreeTranslator(db)
+
+
+class TestNetworkParts:
+    """A network keeps the parts composing a block under it takes from
+    the network alone, guarded by the block's tree shape."""
+
+    def test_one_network_composed_for_two_shapes(self, fig1_db):
+        translator = SchemaFreeTranslator(fig1_db)
+        lower = translator.translate(ALIASED[0], top_k=3)
+        upper = translator.translate(ALIASED[1], top_k=3)
+        # the second block is served the first one's memoized networks
+        assert len(lower) > 1
+        assert all(a.network is b.network for a, b in zip(lower, upper))
+        for sql, translations in zip(ALIASED, (lower, upper)):
+            fresh = fresh_fig1_translator().translate(sql, top_k=3)
+            assert [t.sql for t in translations] == [t.sql for t in fresh]
+        for translations, user in ((lower, {"m", "p"}), (upper, {"M", "P"})):
+            for translation in translations:
+                select = translation.query
+                bindings = {item.binding for item in select.from_items}
+                assert user < bindings
+                joined = {
+                    side.relation.text
+                    for conjunct in _conjuncts(select.where)
+                    for side in (conjunct.left, conjunct.right)
+                    if isinstance(side, ast.ColumnRef)
+                    and side.relation.text.lower() in {"m", "p"}
+                }
+                assert joined == user
+
+    def test_parts_built_once_per_shape(self, fig1_db):
+        composer = Composer(fig1_db.catalog)
+        inputs = block_inputs(fig1_db, ALIASED[0], 3)
+        first = composer.compose(*inputs)
+        again = composer.compose(*inputs)
+        for a, b in zip(first, again):
+            assert a.select.from_items is b.select.from_items
+            assert a.sql == b.sql
+
+    def test_bindings_are_the_callers_own(self, fig1_db):
+        composer = Composer(fig1_db.catalog)
+        inputs = block_inputs(fig1_db, ALIASED[0], 3)
+        first = composer.compose(*inputs)
+        expected = [dict(result.bindings) for result in first]
+        for result in first:
+            result.bindings.clear()
+            result.bindings["x"] = "person"
+        again = composer.compose(*inputs)
+        assert [result.bindings for result in again] == expected
+        assert all(a.bindings is not b.bindings for a, b in zip(first, again))

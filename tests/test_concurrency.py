@@ -457,6 +457,41 @@ class TestRevalidationUnderWrites:
             assert outcomes(shared, query) == want, query
 
 
+class TestComposePartsUnderThreads:
+    def test_threads_composing_shared_networks_get_serial_answers(self):
+        # two shapes of one block share memoized networks, whose compose
+        # parts each shape replaces in turn while the others read them
+        queries = (
+            "SELECT m.title?, p.name? FROM movie? m, person? p "
+            "WHERE p.name? = 'Tom Hanks'",
+            "SELECT M.title?, P.name? FROM movie? M, person? P "
+            "WHERE P.name? = 'Tom Hanks'",
+        )
+        serial = SchemaFreeTranslator(make_db())
+        want = {query: outcomes(serial, query) for query in queries}
+        assert want[queries[0]] != want[queries[1]]
+        db = make_db()
+        context = SchemaFreeTranslator(db).context
+
+        def worker(index):
+            translator = SchemaFreeTranslator(db, context=context)
+            return [
+                (query, outcomes(translator, query))
+                for query in (queries[(index + i) % 2] for i in range(30))
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = in_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(answers is not None for answers in results)
+        for answers in results:
+            for query, answer in answers:
+                assert answer == want[query], query
+
+
 def outcomes(translator, query):
     try:
         return [

@@ -156,6 +156,54 @@ class TestContextReuse:
         )
         assert ordered[0].name == "Movie"
 
+    def test_scoring_order_memo_equals_a_fresh_index(self, fig1_db):
+        from repro.core.context import NameIndex
+        from repro.core.relation_tree import build_relation_trees
+        from repro.core.triples import extract
+        from repro.sqlkit import parse
+
+        context = TranslationContext(fig1_db)
+        trees = build_relation_trees(extract(parse(
+            "SELECT film?.title?, ?x.heading? WHERE studio?.name? = 'x'"
+        )))
+        reference = NameIndex(fig1_db.catalog, context.config.qgram)
+
+        def evidence(tree):
+            if tree.known_name:
+                return [tree.known_name]
+            return [a.known_name for a in tree.attribute_trees if a.known_name]
+
+        def check():
+            orders = []
+            for tree in trees:
+                memoized = context.scoring_order(tree)
+                expected = reference.order(evidence(tree), context.relations)
+                assert list(memoized) == expected
+                # the second call is the memoized row
+                assert context.scoring_order(tree) is memoized
+                orders.append(memoized)
+            return orders
+
+        before = check()
+        for relation, attribute, alias in (
+            ("Movie", None, "film"),
+            ("Company", None, "studio"),
+            ("Movie", "title", "heading"),
+        ):
+            if attribute is None:
+                context.add_relation_alias(relation, alias)
+            else:
+                context.add_attribute_alias(relation, attribute, alias)
+            reference.add_names(relation.lower(), [alias])
+        after = check()
+        # the aliases moved each aliased relation to the front
+        assert [order[0].name for order in after] == [
+            "Movie", "Movie", "Company"
+        ]
+        assert [order[0].name for order in before] != [
+            order[0].name for order in after
+        ]
+
     def test_alias_never_mutates_a_held_name_index_set(self, fig1_db):
         # NameIndex.affinity iterates its posting sets unlocked, so an
         # alias must rebind them, never grow one a reader may hold

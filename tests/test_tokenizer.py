@@ -1,8 +1,14 @@
 """Unit tests for the SQL / Schema-free SQL tokenizer."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sqlkit import SqlSyntaxError, TokenType, tokenize
+from repro.sqlkit.tokenizer import _LEXEME
+from repro.sqlkit.tokens import KEYWORDS, Token
 
 
 def types(sql):
@@ -142,3 +148,222 @@ class TestSchemaFreeMarkers:
     def test_positions_recorded(self):
         tokens = tokenize("a = 'x'")
         assert [t.position for t in tokens[:-1]] == [0, 2, 4]
+
+
+# ----------------------------------------------------------------------
+# differential: the one-pattern tokenizer against a character loop
+# ----------------------------------------------------------------------
+
+_REF_IDENT_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+)
+#: ASCII only: ``str.isdigit`` also accepts ``²`` (which ``int`` rejects)
+#: and ``٣`` (which ``int`` reads as 3)
+_REF_DIGITS = frozenset("0123456789")
+_REF_IDENT_BODY = _REF_IDENT_START | _REF_DIGITS | frozenset("$")
+
+#: Multi-character operators, longest first so `<=` wins over `<`.
+_REF_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
+
+_REF_SINGLE = {
+    ",": TokenType.COMMA,
+    ".": TokenType.DOT,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    ";": TokenType.SEMICOLON,
+}
+
+
+def reference_tokenize(sql: str) -> list[Token]:
+    """The tokenizer as it was written before the one-pattern
+    tokenizer: a character loop, one branch per lexeme kind."""
+    tokens: list[Token] = []
+    i, n = 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        # -- whitespace ------------------------------------------------
+        if ch.isspace():
+            i += 1
+            continue
+        # -- comments --------------------------------------------------
+        if sql.startswith("--", i):
+            end = sql.find("\n", i)
+            i = n if end < 0 else end + 1
+            continue
+        if sql.startswith("/*", i):
+            end = sql.find("*/", i + 2)
+            if end < 0:
+                raise SqlSyntaxError("unterminated block comment", sql, i)
+            i = end + 2
+            continue
+        # -- string literals (single quotes, '' escape) ----------------
+        if ch == "'":
+            token, i = _ref_read_string(sql, i)
+            tokens.append(token)
+            continue
+        if ch == '"':
+            token, i = _ref_read_quoted_identifier(sql, i)
+            tokens.append(token)
+            continue
+        # -- numbers ---------------------------------------------------
+        if ch in _REF_DIGITS or (
+            ch == "." and i + 1 < n and sql[i + 1] in _REF_DIGITS
+        ):
+            j = i
+            seen_dot = False
+            while j < n and (
+                sql[j] in _REF_DIGITS or (sql[j] == "." and not seen_dot)
+            ):
+                if sql[j] == ".":
+                    # ``1.name`` is a number then DOT IDENT; require a digit
+                    if j + 1 >= n or sql[j + 1] not in _REF_DIGITS:
+                        break
+                    seen_dot = True
+                j += 1
+            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
+            i = j
+            continue
+        # -- placeholders: ?x and bare ? -------------------------------
+        if ch == "?":
+            j = i + 1
+            if j < n and sql[j] in _REF_IDENT_START:
+                k = j
+                while k < n and sql[k] in _REF_IDENT_BODY:
+                    k += 1
+                tokens.append(Token(TokenType.VAR, sql[j:k], i))
+                i = k
+            else:
+                tokens.append(Token(TokenType.ANON, "?", i))
+                i = j
+            continue
+        # -- identifiers / keywords / guesses --------------------------
+        if ch in _REF_IDENT_START:
+            j = i
+            while j < n and sql[j] in _REF_IDENT_BODY:
+                j += 1
+            word = sql[i:j]
+            if j < n and sql[j] == "?":
+                tokens.append(Token(TokenType.GUESS, word, i))
+                i = j + 1
+            elif word.lower() in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, word, i))
+                i = j
+            else:
+                tokens.append(Token(TokenType.IDENT, word, i))
+                i = j
+            continue
+        # -- operators -------------------------------------------------
+        for op in _REF_OPERATORS:
+            if sql.startswith(op, i):
+                tokens.append(Token(TokenType.OPERATOR, op, i))
+                i += len(op)
+                break
+        else:
+            if ch in _REF_SINGLE:
+                tokens.append(Token(_REF_SINGLE[ch], ch, i))
+                i += 1
+            else:
+                raise SqlSyntaxError(f"unexpected character {ch!r}", sql, i)
+    tokens.append(Token(TokenType.EOF, "", n))
+    return tokens
+
+
+def _ref_read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
+    """Read a double-quoted identifier with ``""`` escaping.
+
+    Quoted names are always IDENT tokens, never keywords, so ``"order"``
+    is a legal relation name — required for reflected real-world schemas.
+    """
+    parts: list[str] = []
+    i = start + 1
+    n = len(sql)
+    while i < n:
+        if sql[i] == '"':
+            if i + 1 < n and sql[i + 1] == '"':
+                parts.append('"')
+                i += 2
+                continue
+            return Token(TokenType.IDENT, "".join(parts), start), i + 1
+        parts.append(sql[i])
+        i += 1
+    raise SqlSyntaxError("unterminated quoted identifier", sql, start)
+
+
+def _ref_read_string(sql: str, start: int) -> tuple[Token, int]:
+    """Read a single-quoted string literal with ``''`` escaping.
+
+    Returns the token and the index just past the closing quote.
+    """
+    parts: list[str] = []
+    i = start + 1
+    n = len(sql)
+    while i < n:
+        if sql[i] == "'":
+            if i + 1 < n and sql[i + 1] == "'":
+                parts.append("'")
+                i += 2
+                continue
+            return Token(TokenType.STRING, "".join(parts), start), i + 1
+        parts.append(sql[i])
+        i += 1
+    raise SqlSyntaxError("unterminated string literal", sql, start)
+
+
+def outcome(tokenizer, sql):
+    """The token triples, or the error's type, message and position."""
+    try:
+        return [(t.type, t.value, t.position) for t in tokenizer(sql)]
+    except SqlSyntaxError as error:
+        return (type(error), str(error), error.position)
+
+
+#: lexeme fragments that a concatenation turns into every token kind,
+#: every error, and the boundaries between them
+_PIECES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + ["SELECT", "From", "wHeRe"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_$]{0,6}", fullmatch=True),
+    st.sampled_from([
+        "name?", "?x", "?", "??", "?_1", "a?b", "order?", "$x", "x$",
+        '"a b"', '"a""b"', '""', '"unterminated', '"a"""',
+        "'s'", "'it''s'", "''", "'''", "'oops", "'a''", "'\n'",
+        "-- line\n", "-- to the end", "--", "/* block */", "/**/", "/*/",
+        "/* open", "*/",
+        "1.name", ".5", "1.2.3", "1..2", "12abc", "3.", "0.0", "7",
+        "=", "<>", "!=", "<=", ">=", "||", "<", ">", "+", "-", "*", "/",
+        "%", "!", "|", "@", "#", ",", ".", "(", ")", ";",
+        "²", "٣", "１", "é", " ", " ", "\x1c", "\x85",
+        " ", "\t", "\n", "\r\n",
+    ]),
+    st.text(
+        alphabet="aZ_0 9.'\"?-/*=<>!|(),;$\n ²", max_size=6
+    ),
+)
+
+
+class TestAgainstCharacterLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_same_tokens_or_same_error(self, sql):
+        assert outcome(tokenize, sql) == outcome(reference_tokenize, sql)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_any_text(self, sql):
+        assert outcome(tokenize, sql) == outcome(reference_tokenize, sql)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "", " ", "'a''", "'a'''", '"a""', "1..2", "/*/", "/**/",
+            "SELECT name? WHERE ?x.title? = 'it''s' -- end",
+            "a /* x\ny */ b", "1.2.3", "?x?", "foo??", "\x1c1 .5",
+            "'abc''", "'a'''b", "x = 'a''' ''", '"x"""y', '"a""" "',
+        ],
+    )
+    def test_edge_cases(self, sql):
+        assert outcome(tokenize, sql) == outcome(reference_tokenize, sql)
+
+    def test_pattern_has_no_possessive_quantifier(self):
+        # ``re`` accepts ``*+``, ``++`` and ``?+`` only from Python 3.11,
+        # and the package supports 3.10
+        assert not re.search(r"(?<!\\)[*+?]\+", _LEXEME.pattern)
