@@ -150,9 +150,18 @@ def wait_pongs(supervisor, shard, timeout=60.0) -> bool:
     return False
 
 
+def tick_and_settle(supervisor) -> None:
+    """One watchdog pass, then a real-time wait for the idle courses
+    worker to answer any ping it sent.  Whether that pong lands before
+    the next pass decides whether the next pass pings again, so without
+    the wait the report's ping count depends on thread scheduling."""
+    supervisor.tick()
+    wait_pongs(supervisor, "courses")
+
+
 def restart_and_wait(supervisor, clock, shard) -> bool:
     clock.advance(1.0)
-    supervisor.tick()
+    tick_and_settle(supervisor)
     return wait_ready(supervisor, shard)
 
 
@@ -313,10 +322,10 @@ def run_hang() -> dict:
     with supervisor:
         wedged = supervisor.submit("%hang", database="movies")
         clock.advance(4.9)
-        supervisor.tick()
+        tick_and_settle(supervisor)
         checks["not_killed_inside_timeout"] = not wedged.done()
         clock.advance(0.2)
-        supervisor.tick()
+        tick_and_settle(supervisor)
         failed = wedged.result(timeout=60)
         checks["typed_worker_timeout"] = isinstance(
             failed.error, WorkerTimeout
@@ -335,7 +344,8 @@ def run_hang() -> dict:
         # the idle courses worker was pinged too; let it answer
         checks["healthy_worker_ponged"] = wait_pongs(supervisor, "courses")
         clock.advance(5.1)
-        supervisor.tick()  # no pong inside heartbeat_timeout: killed
+        # no pong inside heartbeat_timeout: killed
+        tick_and_settle(supervisor)
         checks["deaf_killed_by_heartbeat"] = supervisor.stats.timed_out == 2
         checks["deaf_restart"] = restart_and_wait(supervisor, clock, "movies")
         served = supervisor.submit(

@@ -638,7 +638,7 @@ def run_serve(argv: Optional[list[str]] = None, out=None) -> int:
         ),
         metrics=registry,
     )
-    supervisor.start()
+    # serve() starts the supervisor on its own event loop
     print(
         f"serving shards {sorted(specs)} on "
         f"http://{args.host}:{args.port} "

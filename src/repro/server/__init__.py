@@ -9,7 +9,8 @@ hung workers with typed :class:`WorkerCrashed` / :class:`WorkerTimeout`
 budget, and marks a shard down once that budget is spent.  Process
 health is all it judges: a crash means a restart, never a cheaper
 translation.  :mod:`repro.server.http` puts a minimal asyncio HTTP/JSON
-front end with SIGTERM graceful drain on top.
+front end with SIGTERM graceful drain on top, on the same event loop
+that reads the worker pipes and runs the watchdog.
 
 Layering: ``frames`` (wire format) ← ``worker`` (child process) ←
 ``supervisor`` (parent) ← ``http`` (front end).  Nothing here is

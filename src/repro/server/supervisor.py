@@ -6,17 +6,25 @@ gives the serving tier the property the in-process
 :class:`~repro.service.QueryService` cannot: a poisoned query, an OOM
 kill, or a native crash costs one worker process, never the service.
 
-Architecture (one box per thread/process)::
+Architecture (one asyncio event loop owns every supervisor box)::
 
-    caller threads ──submit()──▶ per-shard FIFO queue
-                                      │ dispatch
-        ┌─────────────────────────────┼──────────────────────────┐
-        │ worker process  ◀── frames ──▶  reader thread (per     │
-        │ (TranslationContext,             worker: results, pongs,│
-        │  backend)                        EOF = death)           │
-        └──────────────────────────────────────────────────────── ┘
-                      watchdog thread: heartbeats, request
-                      timeouts, due restarts (injectable clock)
+    submit() / asubmit() ──▶ per-shard FIFO queue
+                                  │ dispatch: frames written on the loop
+        ┌─────────────────────────┼──────────────────────────────┐
+        │ event loop              ▼                              │
+        │   add_reader(pipe) ◀── frames ──▶ worker process       │
+        │     results, pongs;     (TranslationContext, backend)  │
+        │     EOF = death                                        │
+        │   call_later(tick_interval): heartbeats, request       │
+        │     timeouts, due restarts (injectable clock)          │
+        └────────────────────────────────────────────────────────┘
+
+All supervisor state lives on the loop's thread, so nothing in it is
+locked.  ``await astart()`` on a running loop (``repro serve``) makes
+that loop the supervisor's and adds no thread; :meth:`start` from a
+thread with no running loop runs the same loop on one private thread,
+and the synchronous :meth:`submit`, :meth:`tick`, :meth:`drain`,
+:meth:`snapshot` and friends hop onto it and wait.
 
 * **crash detection** — a worker's pipe hitting EOF (or its process
   found dead) fails the in-flight request with a typed
@@ -34,27 +42,31 @@ Architecture (one box per thread/process)::
   translation rung is the worker's translator's to choose;
 * **graceful drain** — :meth:`drain` stops admitting (typed
   :class:`~repro.server.errors.ServerDraining` refusals), flushes the
-  queues, joins the workers and returns a final snapshot.  SIGTERM
-  handling on top lives in :mod:`repro.server.http`.
+  queues, waits for each worker's ``Process.sentinel`` and returns a
+  final snapshot.  SIGTERM handling on top lives in
+  :mod:`repro.server.http`.
 
 Every time-based decision reads the injectable ``clock`` — share one
 :class:`~repro.testing.faults.VirtualClock` between the supervisor and
 a :class:`~repro.testing.faults.FaultInjector` and the heartbeat
 watchdog, restart backoff and worker retry jitter all observe a single
-deterministic timeline (the watchdog thread still *polls* on real time,
-or disable it with ``auto_watchdog=False`` and call :meth:`tick` from
-the test).
+deterministic timeline (the watchdog still *repeats* on real time, or
+disable it with ``auto_watchdog=False`` and call :meth:`tick` from the
+test).
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import math
 import multiprocessing
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Awaitable, Callable, Mapping, Optional, Sequence, Union
 
 from ..errors import Diagnostic
 from ..obs import NULL_TRACER, MetricsRegistry
@@ -97,7 +109,8 @@ class SupervisorConfig:
     heartbeat_interval: float = 1.0
     #: kill an idle worker whose ping goes unanswered this long
     heartbeat_timeout: float = 5.0
-    #: real-time sleep between watchdog passes (decisions use ``clock``)
+    #: real seconds between watchdog passes, each one a ``call_later``
+    #: on the supervisor's event loop (decisions use ``clock``)
     tick_interval: float = 0.02
     #: exponential restart backoff: base * 2**(n-1), capped
     restart_backoff_base: float = 0.1
@@ -116,7 +129,7 @@ class SupervisorConfig:
     chaos_hooks: bool = False
     #: multiprocessing start method ("spawn" is crash-safe everywhere)
     start_method: str = "spawn"
-    #: run the background watchdog thread (disable for manual ticks)
+    #: repeat the watchdog on the event loop (disable for manual ticks)
     auto_watchdog: bool = True
     #: directory for shared translation-context artifacts; when set,
     #: the supervisor builds (or finds) one artifact per shard at
@@ -176,7 +189,7 @@ class ServerResponse:
 
 @dataclass
 class ServerStats:
-    """Aggregate supervisor counters, updated under the lock."""
+    """Aggregate supervisor counters, updated on the loop's thread."""
 
     submitted: int = 0
     completed: int = 0
@@ -202,6 +215,31 @@ class ServerStats:
         }
 
 
+def _check_request(
+    query: Any, database: Any, top_k: Any, deadline: Any
+) -> None:
+    """Admission's input rules; a ``ValueError`` names the bad field.
+
+    Checked in the caller's thread before anything is queued, so a bad
+    value is refused once here instead of failing inside a worker.
+    """
+    if not isinstance(query, str):
+        raise ValueError("'query' must be a string")
+    if not isinstance(database, str):
+        raise ValueError("'database' must be a string")
+    if top_k is not None and (
+        isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1
+    ):
+        raise ValueError("'top_k' must be a positive integer")
+    if deadline is not None and (
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or not math.isfinite(deadline)
+        or deadline <= 0
+    ):
+        raise ValueError("'deadline' must be null or a positive finite number")
+
+
 class _Pending:
     """One admitted request while queued or in flight."""
 
@@ -217,13 +255,17 @@ class _Pending:
         "dispatched_at",
     )
 
-    def __init__(self, request_id, query, database, top_k, deadline, span):
-        self.request_id = request_id
+    def __init__(self, query, database, top_k, deadline, span, future):
+        #: assigned at admission, on the loop's thread
+        self.request_id = 0
         self.query = query
         self.database = database
         self.top_k = top_k
         self.deadline = deadline
-        self.future: "Future[ServerResponse]" = Future()
+        #: a concurrent Future for :meth:`Supervisor.submit`, an asyncio
+        #: one for :meth:`Supervisor.asubmit` on the supervisor's loop;
+        #: either way it is resolved on the loop's thread
+        self.future = future
         self.span = span
         self.submitted_at: Optional[float] = None
         self.dispatched_at: Optional[float] = None
@@ -245,10 +287,11 @@ class _Worker:
         self.generation = generation
         self.process = None
         self.conn = None
-        self.reader: Optional[threading.Thread] = None
-        self.send_lock = threading.Lock()
+        #: the pipe's descriptor, registered with the loop while read
+        self.fd: Optional[int] = None
         self.state = _STARTING
-        self.ready_event = threading.Event()
+        #: resolved by the worker's ready frame
+        self.ready: Optional[asyncio.Future] = None
         #: FIFO of dispatched-but-unanswered requests; the worker is
         #: strictly serial, so results always answer the head
         self.inflight: deque[_Pending] = deque()
@@ -308,8 +351,6 @@ class Supervisor:
         if not databases:
             raise ValueError("Supervisor needs at least one database")
         self._mp = multiprocessing.get_context(self.config.start_method)
-        self._lock = threading.RLock()
-        self._done = threading.Condition(self._lock)
         #: deterministic event trace, e.g. ("crash", shard, pid),
         #: ("timeout", shard, reason), ("restart", shard, attempt),
         #: ("shard-down", shard), ("artifact-failed", shard, reason),
@@ -336,12 +377,17 @@ class Supervisor:
         self._started = False
         self._draining = False
         self._closed = False
-        self._watchdog: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        #: the event loop that owns every worker pipe and all state
+        #: below; set by astart() or by start()'s private thread
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread_id: Optional[int] = None
+        #: the private loop thread, when start() made one
+        self._thread: Optional[threading.Thread] = None
+        self._watchdog: Optional[asyncio.TimerHandle] = None
+        self._drain_task: Optional[asyncio.Task] = None
+        #: resolved when a drain's queues and pipelines are empty
+        self._idle: Optional[asyncio.Future] = None
 
-    # ------------------------------------------------------------------
-    # shared context artifacts
-    # ------------------------------------------------------------------
     def _ensure_shard_artifacts(
         self, name: str, spec: DatabaseSpec
     ) -> Optional[dict[str, str]]:
@@ -395,34 +441,68 @@ class Supervisor:
     def start(self, wait_ready: bool = True) -> "Supervisor":
         """Spawn every shard's workers (idempotent).
 
-        With ``wait_ready`` (default) blocks — in *real* time, process
-        startup is physical — until every worker announced ``ready``.
+        For a thread with no running event loop: the supervisor's loop
+        runs on one private thread.  With ``wait_ready`` (default)
+        blocks — in *real* time, process startup is physical — until
+        every worker announced ``ready``.  On a running loop, use
+        ``await astart()``.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("supervisor already closed")
-            if not self._started:
-                self._started = True
-                for shard in self._shards.values():
-                    for slot in range(self.config.workers_per_shard):
-                        shard.workers.append(self._spawn(shard, slot, 0))
-                if self.config.auto_watchdog:
-                    self._watchdog = threading.Thread(
-                        target=self._watchdog_loop,
-                        name="repro-server-watchdog",
-                        daemon=True,
-                    )
-                    self._watchdog.start()
-        if wait_ready:
-            deadline = time.monotonic() + self.config.worker_ready_timeout
+        if self._closed:
+            raise RuntimeError("supervisor already closed")
+        if self._loop is None:
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                self._start_thread()
+            else:
+                raise RuntimeError(
+                    "an event loop runs on this thread: "
+                    "await Supervisor.astart() instead"
+                )
+        if self._on_loop():
+            raise RuntimeError("start() would block the supervisor's loop")
+        asyncio.run_coroutine_threadsafe(
+            self.astart(wait_ready), self._loop
+        ).result()
+        return self
+
+    async def astart(self, wait_ready: bool = True) -> "Supervisor":
+        """:meth:`start` on a running loop, which becomes the
+        supervisor's loop: the workers' pipes and the watchdog run on
+        it, and no thread is added."""
+        loop = asyncio.get_running_loop()
+        if self._loop is None:
+            self._loop = loop
+            self._loop_thread_id = threading.get_ident()
+        elif loop is not self._loop:
+            raise RuntimeError("supervisor runs on another event loop")
+        if self._closed:
+            raise RuntimeError("supervisor already closed")
+        if not self._started:
+            self._started = True
             for shard in self._shards.values():
-                for worker in list(shard.workers):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not worker.ready_event.wait(remaining):
-                        raise TimeoutError(
-                            f"worker {shard.name}/{worker.slot} not ready "
-                            f"after {self.config.worker_ready_timeout}s"
-                        )
+                for slot in range(self.config.workers_per_shard):
+                    shard.workers.append(self._spawn(shard, slot, 0))
+            if self.config.auto_watchdog:
+                self._watchdog = loop.call_later(
+                    self.config.tick_interval, self._watch
+                )
+        workers = [
+            (shard, worker)
+            for shard in self._shards.values()
+            for worker in shard.workers
+        ]
+        if wait_ready and workers:
+            await asyncio.wait(
+                [worker.ready for _, worker in workers],
+                timeout=self.config.worker_ready_timeout,
+            )
+            for shard, worker in workers:
+                if not worker.ready.done():
+                    raise TimeoutError(
+                        f"worker {shard.name}/{worker.slot} not ready "
+                        f"after {self.config.worker_ready_timeout}s"
+                    )
         return self
 
     def __enter__(self) -> "Supervisor":
@@ -430,6 +510,75 @@ class Supervisor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    # the event loop
+    # ------------------------------------------------------------------
+    def _on_loop(self) -> bool:
+        """True on the thread that is running the supervisor's loop."""
+        return (
+            threading.get_ident() == self._loop_thread_id
+            and self._loop.is_running()
+        )
+
+    def _call(self, fn: Callable, *args):
+        """Run ``fn(*args)`` on the loop's thread and return its result.
+
+        Runs it directly when already there, or when no loop runs the
+        supervisor (never started, or its loop has ended) — then nothing
+        else touches the state either.
+        """
+        loop = self._loop
+        if loop is None or self._on_loop() or not loop.is_running():
+            return fn(*args)
+        done: Future = Future()
+
+        def call() -> None:
+            try:
+                done.set_result(fn(*args))
+            except BaseException as exc:  # re-raises in the calling thread
+                done.set_exception(exc)
+
+        try:
+            loop.call_soon_threadsafe(call)
+        except RuntimeError:  # the loop closed since the check above
+            return fn(*args)
+        while True:
+            try:
+                return done.result(timeout=1.0)
+            except concurrent.futures.TimeoutError:
+                if not loop.is_running() and not done.done():
+                    # the loop stopped before it ran the call
+                    raise RuntimeError("supervisor closed") from None
+
+    def _start_thread(self) -> None:
+        """Run a new event loop on one private thread (see start())."""
+        loop = asyncio.new_event_loop()
+        running = threading.Event()
+
+        def run() -> None:
+            asyncio.set_event_loop(loop)
+            loop.call_soon(running.set)
+            loop.run_forever()
+
+        self._loop = loop
+        self._thread = threading.Thread(
+            target=run, name="repro-server-loop", daemon=True
+        )
+        self._thread.start()
+        self._loop_thread_id = self._thread.ident
+        running.wait()
+
+    def _stop_thread(self) -> None:
+        """Stop and close start()'s private loop (no-op without one)."""
+        thread, self._thread = self._thread, None
+        if thread is None:
+            return
+        loop = self._loop
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join()
+        loop.close()
+        self._loop_thread_id = None
 
     # ------------------------------------------------------------------
     # submission
@@ -441,83 +590,39 @@ class Supervisor:
         top_k: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> "Future[ServerResponse]":
-        """Submit one query to its shard; never blocks.
+        """Submit one query to its shard; waits only for admission.
 
         The future always resolves to a :class:`ServerResponse` — shed,
         draining-refused, crashed and timed-out requests resolve with
         ``ok=False`` and a typed ``error``, mirroring
-        :class:`~repro.service.QueryService`.
+        :class:`~repro.service.QueryService`.  Bad input raises
+        ``ValueError`` (see :func:`_check_request`), an unknown
+        database ``KeyError``; neither is admitted.
         """
-        if database not in self._shards:
-            raise KeyError(f"unknown database {database!r}")
-        if not self._started:
-            raise RuntimeError("Supervisor.start() has not been called")
-        span = self.tracer.start_span("server.request")
-        with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            self.stats.submitted += 1
-            pending = _Pending(
-                request_id,
-                query,
-                database,
-                top_k if top_k is not None else self.config.top_k,
-                deadline if deadline is not None else self.config.deadline,
-                span,
+        pending = self._pending(query, database, top_k, deadline, Future())
+        self._call(self._admit, pending)
+        return pending.future
+
+    def asubmit(
+        self,
+        query: str,
+        database: str = DEFAULT_SHARD,
+        top_k: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> "Awaitable[ServerResponse]":
+        """:meth:`submit` for a coroutine: an awaitable on the running
+        loop.  On the supervisor's own loop the request is admitted in
+        place and its answer resolves an asyncio future directly."""
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            return asyncio.wrap_future(
+                self.submit(query, database, top_k, deadline)
             )
-            if span.enabled:
-                span.set(
-                    request_id=request_id, shard=database, query=query[:200]
-                )
-            shard = self._shards[database]
-            if self._draining or self._closed:
-                return self._refuse(
-                    pending,
-                    ServerDraining(
-                        "server draining: no new admissions",
-                        diagnostic=Diagnostic(
-                            stage="admission",
-                            message="SIGTERM drain in progress",
-                        ),
-                    ),
-                    counter="refused",
-                )
-            if shard.down:
-                return self._refuse(
-                    pending,
-                    WorkerCrashed(
-                        f"shard {database!r} is down: {shard.down_reason}",
-                        diagnostic=Diagnostic(
-                            stage="admission",
-                            message="restart budget exhausted; shard down",
-                            detail={"shard": database},
-                        ),
-                    ),
-                    counter="failed",
-                )
-            inflight = sum(len(w.inflight) for w in shard.workers)
-            capacity = self.config.workers_per_shard + self.config.queue_limit
-            if inflight + len(shard.queue) >= capacity:
-                return self._refuse(
-                    pending,
-                    ServiceOverloaded(
-                        f"shard {database!r} overloaded: "
-                        f"{inflight} in flight and "
-                        f"{len(shard.queue)} queued",
-                        diagnostic=Diagnostic(
-                            stage="admission",
-                            message="bounded shard queue full; request shed",
-                            detail={"shard": database, "capacity": capacity},
-                        ),
-                    ),
-                    counter="shed",
-                    shed=True,
-                )
-            pending.submitted_at = self.clock()
-            shard.queue.append(pending)
-            span.event("queued", depth=len(shard.queue))
-            self._dispatch(shard)
-            return pending.future
+        pending = self._pending(
+            query, database, top_k, deadline, loop.create_future()
+        )
+        self._admit(pending)
+        return pending.future
 
     def run(
         self,
@@ -533,14 +638,95 @@ class Supervisor:
         ]
         return [future.result() for future in futures]
 
+    def _pending(self, query, database, top_k, deadline, future) -> _Pending:
+        """Check one request in the caller's thread and wrap it."""
+        _check_request(query, database, top_k, deadline)
+        if database not in self._shards:
+            raise KeyError(f"unknown database {database!r}")
+        if not self._started:
+            raise RuntimeError("Supervisor.start() has not been called")
+        return _Pending(
+            query,
+            database,
+            top_k if top_k is not None else self.config.top_k,
+            deadline if deadline is not None else self.config.deadline,
+            self.tracer.start_span("server.request"),
+            future,
+        )
+
+    def _admit(self, pending: _Pending) -> None:
+        """Number, admit and dispatch one request, or refuse it typed."""
+        self._next_id += 1
+        pending.request_id = self._next_id
+        self.stats.submitted += 1
+        database = pending.database
+        span = pending.span
+        if span.enabled:
+            span.set(
+                request_id=pending.request_id,
+                shard=database,
+                query=pending.query[:200],
+            )
+        shard = self._shards[database]
+        if self._draining or self._closed:
+            self._refuse(
+                pending,
+                ServerDraining(
+                    "server draining: no new admissions",
+                    diagnostic=Diagnostic(
+                        stage="admission",
+                        message="SIGTERM drain in progress",
+                    ),
+                ),
+                counter="refused",
+            )
+            return
+        if shard.down:
+            self._refuse(
+                pending,
+                WorkerCrashed(
+                    f"shard {database!r} is down: {shard.down_reason}",
+                    diagnostic=Diagnostic(
+                        stage="admission",
+                        message="restart budget exhausted; shard down",
+                        detail={"shard": database},
+                    ),
+                ),
+                counter="failed",
+            )
+            return
+        inflight = sum(len(w.inflight) for w in shard.workers)
+        capacity = self.config.workers_per_shard + self.config.queue_limit
+        if inflight + len(shard.queue) >= capacity:
+            self._refuse(
+                pending,
+                ServiceOverloaded(
+                    f"shard {database!r} overloaded: "
+                    f"{inflight} in flight and "
+                    f"{len(shard.queue)} queued",
+                    diagnostic=Diagnostic(
+                        stage="admission",
+                        message="bounded shard queue full; request shed",
+                        detail={"shard": database, "capacity": capacity},
+                    ),
+                ),
+                counter="shed",
+                shed=True,
+            )
+            return
+        pending.submitted_at = self.clock()
+        shard.queue.append(pending)
+        span.event("queued", depth=len(shard.queue))
+        self._dispatch(shard)
+
     def _refuse(
         self,
         pending: _Pending,
         error,
         counter: str,
         shed: bool = False,
-    ) -> "Future[ServerResponse]":
-        """Resolve a request without dispatching it.  Lock held."""
+    ) -> None:
+        """Resolve a request without dispatching it."""
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         response = ServerResponse(
             request_id=pending.request_id,
@@ -558,14 +744,13 @@ class Supervisor:
         span.fail(error)
         span.finish()
         self._count_request(pending.database, response.outcome)
-        pending.future.set_result(response)
-        return pending.future
+        self._resolve(pending, response)
 
     # ------------------------------------------------------------------
     # dispatch and completion
     # ------------------------------------------------------------------
     def _dispatch(self, shard: _Shard) -> None:
-        """Hand queued work to ready workers.  Lock held.
+        """Hand queued work to ready workers.
 
         Each worker takes up to ``pipeline_depth`` dispatched requests:
         the head is being served, the rest sit in the pipe so the
@@ -601,8 +786,8 @@ class Supervisor:
         for worker, frames in sends.values():
             try:
                 # several queries for one worker ride one batch frame
-                self._send(
-                    worker,
+                send_frame(
+                    worker.conn,
                     frames[0]
                     if len(frames) == 1
                     else {"op": "batch", "frames": frames},
@@ -613,75 +798,76 @@ class Supervisor:
                 # but fails them typed and restarts
                 self._on_worker_death(worker, "dispatch hit a dead pipe")
 
-    def _send(self, worker: _Worker, frame: dict) -> None:
-        with worker.send_lock:
-            send_frame(worker.conn, frame)
-
     def _complete(
         self, worker: _Worker, frame: dict, dispatch: bool = True
     ) -> None:
         """A ``result`` frame arrived for the worker's in-flight request.
 
-        ``dispatch=False`` defers the pipeline refill (and the waiter
+        ``dispatch=False`` defers the pipeline refill (and the drain
         wake-up) to the caller — the batch path completes a whole
         coalesced frame before dispatching once.
         """
-        with self._lock:
-            head = worker.inflight[0] if worker.inflight else None
-            if head is None or head.request_id != frame.get("id"):
-                return  # stale result from a worker we already timed out
-            pending = worker.inflight.popleft()
-            if worker.inflight:
-                # the worker starts the next pipelined request *now*,
-                # so its request_timeout window starts now too — not at
-                # the earlier send time
-                worker.inflight[0].dispatched_at = self.clock()
-            elif worker.state == _BUSY:
-                worker.state = _READY
-            shard = self._shards[worker.shard]
-            error = decode_error(frame.get("error"))
-            ok = bool(frame.get("ok"))
-            response = ServerResponse(
-                request_id=pending.request_id,
-                query=pending.query,
-                database=pending.database,
-                ok=ok,
-                sql=frame.get("sql"),
-                rung=frame.get("rung"),
-                outcome=frame.get("outcome", "ok" if ok else "failed"),
-                weight=frame.get("weight"),
-                degradation=tuple(frame.get("degradation", ())),
-                retries=int(frame.get("retries", 0)),
-                cached=bool(frame.get("cached")),
+        head = worker.inflight[0] if worker.inflight else None
+        if head is None or head.request_id != frame.get("id"):
+            return  # stale result from a worker we already timed out
+        pending = worker.inflight.popleft()
+        if worker.inflight:
+            # the worker starts the next pipelined request *now*, so
+            # its request_timeout window starts now too — not at the
+            # earlier send time
+            worker.inflight[0].dispatched_at = self.clock()
+        elif worker.state == _BUSY:
+            worker.state = _READY
+        error = decode_error(frame.get("error"))
+        ok = bool(frame.get("ok"))
+        response = ServerResponse(
+            request_id=pending.request_id,
+            query=pending.query,
+            database=pending.database,
+            ok=ok,
+            sql=frame.get("sql"),
+            rung=frame.get("rung"),
+            outcome=frame.get("outcome", "ok" if ok else "failed"),
+            weight=frame.get("weight"),
+            degradation=tuple(frame.get("degradation", ())),
+            retries=int(frame.get("retries", 0)),
+            cached=bool(frame.get("cached")),
+            worker_pid=worker.pid,
+            error=error,
+            elapsed=float(frame.get("elapsed", 0.0)),
+        )
+        if ok:
+            self.stats.completed += 1
+        else:
+            self.stats.failed += 1
+        self._count_request(
+            pending.database,
+            response.outcome,
+            response.elapsed,
+            cached=response.cached if ok else None,
+        )
+        span = pending.span
+        span.event("completed", outcome=response.outcome)
+        if span.enabled:
+            span.set(
+                outcome=response.outcome,
+                rung=response.rung,
                 worker_pid=worker.pid,
-                error=error,
-                elapsed=float(frame.get("elapsed", 0.0)),
             )
-            if ok:
-                self.stats.completed += 1
-            else:
-                self.stats.failed += 1
-            self._count_request(
-                pending.database,
-                response.outcome,
-                response.elapsed,
-                cached=response.cached if ok else None,
-            )
-            span = pending.span
-            span.event("completed", outcome=response.outcome)
-            if span.enabled:
-                span.set(
-                    outcome=response.outcome,
-                    rung=response.rung,
-                    worker_pid=worker.pid,
-                )
-            if error is not None:
-                span.fail(error)
-            span.finish()
+        if error is not None:
+            span.fail(error)
+        span.finish()
+        self._resolve(pending, response)
+        if dispatch:
+            self._dispatch(self._shards[worker.shard])
+            self._wake_drain()
+
+    @staticmethod
+    def _resolve(pending: _Pending, response: ServerResponse) -> None:
+        # a caller may have cancelled its future (a coroutine awaiting
+        # asubmit() was cancelled); the answer then has nowhere to go
+        if not pending.future.done():
             pending.future.set_result(response)
-            if dispatch:
-                self._dispatch(shard)
-                self._done.notify_all()
 
     def _count_request(
         self,
@@ -716,7 +902,7 @@ class Supervisor:
     # worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, shard: _Shard, slot: int, generation: int) -> _Worker:
-        """Start one worker process and its reader thread.  Lock held."""
+        """Start one worker process and read its pipe on the loop."""
         worker = _Worker(shard.name, slot, generation)
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         worker.conn = parent_conn
@@ -729,31 +915,32 @@ class Supervisor:
         worker.process.start()
         child_conn.close()
         worker.last_seen = self.clock()
-        worker.reader = threading.Thread(
-            target=self._reader_loop,
-            args=(worker,),
-            name=f"repro-reader-{shard.name}-{slot}",
-            daemon=True,
-        )
-        worker.reader.start()
+        worker.ready = self._loop.create_future()
+        worker.fd = parent_conn.fileno()
+        self._loop.add_reader(worker.fd, self._on_readable, worker)
         return worker
 
-    def _reader_loop(self, worker: _Worker) -> None:
-        """Per-worker thread: turn frames into completions, EOF into
-        death."""
-        while True:
-            try:
-                frame = decode_frame(worker.conn.recv_bytes())
-            except (EOFError, OSError):
-                self._on_worker_death(worker, "pipe closed")
-                return
-            except Exception:  # a malformed frame is a wedged worker — treated as death, which re-raises as a typed WorkerCrashed on the request
-                self._on_worker_death(worker, "malformed frame")
-                return
-            with self._lock:
-                worker.last_seen = self.clock()
-            if self._handle_frame(worker, frame) == "bye":
-                return  # clean shutdown: the join happens in drain()
+    def _on_readable(self, worker: _Worker) -> None:
+        """The worker's pipe is readable: take one frame (EOF = death).
+
+        ``recv_bytes`` blocks the loop until the whole frame is in, and
+        that wait is short only because a worker writes every frame with
+        one ``send_bytes``: a readable pipe holds the start of a frame
+        whose remaining bytes are already being written.
+        """
+        try:
+            frame = decode_frame(worker.conn.recv_bytes())
+        except (EOFError, OSError):
+            self._on_worker_death(worker, "pipe closed")
+            return
+        except Exception:  # a malformed frame is a wedged worker — treated as death, which re-raises as a typed WorkerCrashed on the request
+            self._on_worker_death(worker, "malformed frame")
+            return
+        worker.last_seen = self.clock()
+        if self._handle_frame(worker, frame) == "bye":
+            # clean shutdown: stop reading before the exit's EOF, which
+            # is not a death; the drain waits on the process sentinel
+            self._loop.remove_reader(worker.fd)
 
     def _handle_frame(self, worker: _Worker, frame: dict) -> Optional[str]:
         """Dispatch one frame from a worker; returns "bye" on shutdown."""
@@ -769,65 +956,68 @@ class Supervisor:
                 elif self._handle_frame(worker, sub) == "bye":
                     verdict = "bye"
                     break
-            with self._lock:
-                self._dispatch(self._shards[worker.shard])
-                self._done.notify_all()
+            self._dispatch(self._shards[worker.shard])
+            self._wake_drain()
             return verdict
         if op == "ready":
-            with self._lock:
-                worker.build_seconds = frame.get("build_seconds")
-                worker.artifacts = list(frame.get("artifacts", ()))
-                if worker.state == _STARTING:
-                    worker.state = _READY
-                worker.ready_event.set()
-                self._dispatch(self._shards[worker.shard])
+            worker.build_seconds = frame.get("build_seconds")
+            worker.artifacts = list(frame.get("artifacts", ()))
+            if worker.state == _STARTING:
+                worker.state = _READY
+            if not worker.ready.done():
+                worker.ready.set_result(None)
+            self._dispatch(self._shards[worker.shard])
         elif op == "result":
             self._complete(worker, frame)
         elif op == "pong":
-            with self._lock:
-                if frame.get("id") == worker.ping_id:
-                    worker.ping_id = None
-                    worker.ping_sent_at = None
+            if frame.get("id") == worker.ping_id:
+                worker.ping_id = None
+                worker.ping_sent_at = None
         elif op == "bye":
             return "bye"
         return None
 
+    def _detach(self, worker: _Worker) -> None:
+        """Stop reading the worker's pipe and close it (idempotent)."""
+        if worker.conn is None:
+            return
+        self._loop.remove_reader(worker.fd)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        worker.conn = None
+
     def _on_worker_death(self, worker: _Worker, reason: str) -> None:
         """Fail the dead worker's in-flight request and plan a restart."""
-        with self._lock:
-            if worker.state == _DEAD:
-                return  # another thread (watchdog/reader) got here first
-            current = self._shards[worker.shard].workers
-            if (
-                worker.slot >= len(current)
-                or current[worker.slot] is not worker
-            ):
-                return  # an already-replaced generation
-            self._fail_worker(
-                worker,
-                WorkerCrashed(
-                    f"worker {worker.shard}/{worker.slot} "
-                    f"(pid {worker.pid}) died mid-service: {reason}",
-                    diagnostic=Diagnostic(
-                        stage="backend",
-                        message="worker process crashed",
-                        detail={
-                            "shard": worker.shard,
-                            "pid": worker.pid,
-                            "exitcode": (
-                                worker.process.exitcode
-                                if worker.process is not None
-                                else None
-                            ),
-                            "reason": reason,
-                        },
-                    ),
+        if worker.state == _DEAD:
+            self._detach(worker)  # the watchdog got here first
+            return
+        self._fail_worker(
+            worker,
+            WorkerCrashed(
+                f"worker {worker.shard}/{worker.slot} "
+                f"(pid {worker.pid}) died mid-service: {reason}",
+                diagnostic=Diagnostic(
+                    stage="backend",
+                    message="worker process crashed",
+                    detail={
+                        "shard": worker.shard,
+                        "pid": worker.pid,
+                        "exitcode": (
+                            worker.process.exitcode
+                            if worker.process is not None
+                            else None
+                        ),
+                        "reason": reason,
+                    },
                 ),
-                kind="crash",
-            )
+            ),
+            kind="crash",
+        )
 
     def _kill_hung(self, worker: _Worker, why: str, waited: float) -> None:
-        """Watchdog verdict: the worker is hung.  Lock held."""
+        """Watchdog verdict: the worker is hung."""
         self._fail_worker(
             worker,
             WorkerTimeout(
@@ -849,9 +1039,10 @@ class Supervisor:
 
     def _fail_worker(self, worker: _Worker, error, kind: str) -> None:
         """Common crash/hang path: fail in-flight typed, kill the
-        process, schedule the restart.  Lock held."""
+        process, schedule the restart."""
         shard = self._shards[worker.shard]
         worker.state = _DEAD
+        self._detach(worker)
         pendings = list(worker.inflight)
         worker.inflight.clear()
         if kind == "crash":
@@ -892,14 +1083,13 @@ class Supervisor:
                 span.set(outcome="failed", worker_pid=worker.pid)
             span.fail(error)
             span.finish()
-            pending.future.set_result(response)
-        if pendings:
-            self._done.notify_all()
+            self._resolve(pending, response)
+        self._wake_drain()
         self._plan_restart(shard, worker)
 
     def _plan_restart(self, shard: _Shard, worker: _Worker) -> None:
         """Schedule the dead worker's replacement under the restart
-        budget.  Lock held."""
+        budget."""
         if self._closed or (self._draining and not shard.queue):
             return
         now = self.clock()
@@ -936,7 +1126,8 @@ class Supervisor:
                 stale.span.fail(error)
                 stale.span.finish()
                 self._count_request(stale.database, "worker-failed")
-                stale.future.set_result(
+                self._resolve(
+                    stale,
                     ServerResponse(
                         request_id=stale.request_id,
                         query=stale.query,
@@ -944,9 +1135,9 @@ class Supervisor:
                         ok=False,
                         outcome="failed",
                         error=error,
-                    )
+                    ),
                 )
-            self._done.notify_all()
+            self._wake_drain()
             return
         delay = min(
             self.config.restart_backoff_cap,
@@ -957,7 +1148,7 @@ class Supervisor:
         self.events.append(("restart-scheduled", shard.name, attempt, delay))
 
     def _restart_due(self, shard: _Shard) -> None:
-        """Spawn replacements whose backoff has elapsed.  Lock held."""
+        """Spawn replacements whose backoff has elapsed."""
         if not shard.pending_restarts:
             return
         now = self.clock()
@@ -993,12 +1184,15 @@ class Supervisor:
     # ------------------------------------------------------------------
     # the watchdog
     # ------------------------------------------------------------------
-    def _watchdog_loop(self) -> None:
-        while not self._stop.wait(self.config.tick_interval):
-            try:
-                self.tick()
-            except Exception:  # a watchdog bug must not kill supervision; failures re-raises as typed per-request errors elsewhere
-                continue
+    def _watch(self) -> None:
+        """The watchdog: one pass, then the next ``tick_interval``
+        later on the same loop."""
+        try:
+            self._tick()
+        finally:
+            self._watchdog = self._loop.call_later(
+                self.config.tick_interval, self._watch
+            )
 
     def tick(self) -> None:
         """One watchdog pass (also callable directly from tests).
@@ -1008,109 +1202,133 @@ class Supervisor:
         ``heartbeat_interval`` of silence, kill after
         ``heartbeat_timeout`` without a pong), and due restarts.
         """
-        with self._lock:
-            now = self.clock()
-            for shard in self._shards.values():
-                for worker in list(shard.workers):
-                    if worker.state == _DEAD:
+        self._call(self._tick)
+
+    def _tick(self) -> None:
+        now = self.clock()
+        for shard in self._shards.values():
+            for worker in list(shard.workers):
+                if worker.state == _DEAD:
+                    continue
+                if not worker.alive():
+                    self._on_worker_death(worker, "process not alive")
+                    continue
+                if worker.state == _BUSY and worker.inflight:
+                    # head of the pipeline is the request being served;
+                    # later ones haven't started yet
+                    dispatched_at = worker.inflight[0].dispatched_at
+                    # 0.0 is a real timestamp on a virtual clock
+                    waited = now - (
+                        dispatched_at if dispatched_at is not None else now
+                    )
+                    if waited > self.config.request_timeout:
+                        self._kill_hung(worker, "request timeout", waited)
                         continue
-                    if not worker.alive():
-                        self._on_worker_death(worker, "process not alive")
-                        continue
-                    if worker.state == _BUSY and worker.inflight:
-                        # head of the pipeline is the request being
-                        # served; later ones haven't started yet
-                        dispatched_at = worker.inflight[0].dispatched_at
-                        # 0.0 is a real timestamp on a virtual clock
-                        waited = now - (
-                            dispatched_at if dispatched_at is not None else now
-                        )
-                        if waited > self.config.request_timeout:
+                if worker.state == _READY:
+                    if worker.ping_sent_at is not None:
+                        if (
+                            now - worker.ping_sent_at
+                            > self.config.heartbeat_timeout
+                        ):
+                            if self.metrics is not None:
+                                self.metrics.counter(
+                                    "repro_server_heartbeat_misses_total",
+                                    "Idle workers killed for missing "
+                                    "heartbeats, by shard",
+                                ).inc(1, shard=shard.name)
                             self._kill_hung(
-                                worker, "request timeout", waited
+                                worker,
+                                "heartbeat missed",
+                                now - worker.ping_sent_at,
                             )
                             continue
-                    if worker.state == _READY:
-                        if worker.ping_sent_at is not None:
-                            if (
-                                now - worker.ping_sent_at
-                                > self.config.heartbeat_timeout
-                            ):
-                                if self.metrics is not None:
-                                    self.metrics.counter(
-                                        "repro_server_heartbeat_misses_total",
-                                        "Idle workers killed for missing "
-                                        "heartbeats, by shard",
-                                    ).inc(1, shard=shard.name)
-                                self._kill_hung(
-                                    worker,
-                                    "heartbeat missed",
-                                    now - worker.ping_sent_at,
-                                )
-                                continue
-                        elif (
-                            now - worker.last_seen
-                            >= self.config.heartbeat_interval
-                        ):
-                            self._ping_id += 1
-                            worker.ping_id = self._ping_id
-                            worker.ping_sent_at = now
-                            self.stats.pings += 1
-                            try:
-                                self._send(
-                                    worker,
-                                    {"op": "ping", "id": worker.ping_id},
-                                )
-                            except (BrokenPipeError, OSError):
-                                self._on_worker_death(
-                                    worker, "ping hit a dead pipe"
-                                )
-                                continue
-                self._restart_due(shard)
+                    elif (
+                        now - worker.last_seen
+                        >= self.config.heartbeat_interval
+                    ):
+                        self._ping_id += 1
+                        worker.ping_id = self._ping_id
+                        worker.ping_sent_at = now
+                        self.stats.pings += 1
+                        try:
+                            send_frame(
+                                worker.conn,
+                                {"op": "ping", "id": worker.ping_id},
+                            )
+                        except (BrokenPipeError, OSError):
+                            self._on_worker_death(
+                                worker, "ping hit a dead pipe"
+                            )
+                            continue
+            self._restart_due(shard)
 
     # ------------------------------------------------------------------
     # drain and close
     # ------------------------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> dict[str, Any]:
-        """Graceful shutdown: stop admitting, flush, join, snapshot.
+        """Graceful shutdown: stop admitting, flush, stop, snapshot.
 
         New submissions refuse typed (:class:`ServerDraining`) the
-        moment this is called; everything already admitted — queued or
-        in flight — completes (crashed workers are still restarted
+        moment the drain starts; everything already admitted — queued
+        or in flight — completes (crashed workers are still restarted
         while their shard has queued work).  Returns the final
-        :meth:`snapshot`, stamped with the drain duration.
+        :meth:`snapshot`, stamped with the drain duration, and stops
+        :meth:`start`'s private loop.  On the supervisor's own loop,
+        use ``await adrain()``.
         """
-        started = time.monotonic()
-        with self._lock:
+        if self._on_loop():
+            raise RuntimeError("drain() would block the supervisor's loop")
+        loop = self._loop
+        if loop is None or not loop.is_running():
+            # nothing runs the supervisor: no work can be in flight
             if self._closed:
-                return self.snapshot()
-            self._draining = True
-            self.events.append(("drain",))
+                return self._snapshot()
+            started = time.monotonic()
+            self._begin_drain()
+            return self._finish_drain(started)
+        snapshot = asyncio.run_coroutine_threadsafe(
+            self.adrain(timeout), loop
+        ).result()
+        self._stop_thread()
+        return snapshot
+
+    async def adrain(self, timeout: Optional[float] = None) -> dict[str, Any]:
+        """:meth:`drain` for a coroutine on any loop; concurrent calls
+        share one drain."""
+        if asyncio.get_running_loop() is not self._loop:
+            if self._loop is None or not self._loop.is_running():
+                return self.drain(timeout)
+            snapshot = await asyncio.wrap_future(
+                asyncio.run_coroutine_threadsafe(
+                    self.adrain(timeout), self._loop
+                )
+            )
+            self._stop_thread()
+            return snapshot
+        if self._drain_task is None:
+            if self._closed:
+                return self._snapshot()
+            self._drain_task = self._loop.create_task(self._drain(timeout))
+        return await asyncio.shield(self._drain_task)
+
+    async def _drain(self, timeout: Optional[float]) -> dict[str, Any]:
+        started = time.monotonic()
+        self._begin_drain()
         # flush: wait for queues and in-flight work (real-time wait —
         # the work itself runs on real CPUs)
-        deadline = None if timeout is None else started + timeout
-        with self._done:
-            while True:
-                busy = any(
-                    shard.queue
-                    or any(w.inflight for w in shard.workers)
-                    for shard in self._shards.values()
-                )
-                if not busy:
-                    break
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    break
-                self._done.wait(0.05 if remaining is None else min(remaining, 0.05))
-        self._shutdown_workers()
-        with self._lock:
-            self._closed = True
-        self._stop.set()
-        if self._watchdog is not None and self._watchdog.is_alive():
-            self._watchdog.join(timeout=5.0)
-        snapshot = self.snapshot()
+        if self._busy():
+            self._idle = self._loop.create_future()
+            await asyncio.wait([self._idle], timeout=timeout)
+        await self._shutdown_workers()
+        return self._finish_drain(started)
+
+    def _begin_drain(self) -> None:
+        self._draining = True
+        self.events.append(("drain",))
+
+    def _finish_drain(self, started: float) -> dict[str, Any]:
+        self._closed = True
+        snapshot = self._snapshot()
         snapshot["drain_seconds"] = round(time.monotonic() - started, 6)
         if self.metrics is not None:
             self.metrics.gauge(
@@ -1119,43 +1337,85 @@ class Supervisor:
             ).set(snapshot["drain_seconds"])
         return snapshot
 
+    def _busy(self) -> bool:
+        return any(
+            shard.queue or any(w.inflight for w in shard.workers)
+            for shard in self._shards.values()
+        )
+
+    def _wake_drain(self) -> None:
+        """Let a waiting drain go on once nothing is queued or in
+        flight; called wherever work finishes."""
+        idle = self._idle
+        if idle is not None and not idle.done() and not self._busy():
+            idle.set_result(None)
+
     def close(self) -> None:
         """Drain-and-stop (idempotent); context-manager exit path."""
-        if not self._closed:
-            self.drain()
-
-    def _shutdown_workers(self) -> None:
-        """Ask every live worker to exit, then enforce it."""
-        with self._lock:
-            workers = [
-                w
-                for shard in self._shards.values()
-                for w in shard.workers
-                if w.state != _DEAD
-            ]
+        if self._closed:
+            return
+        loop = self._loop
+        if loop is not None and not loop.is_running():
+            # the loop this supervisor ran on has ended, so nothing can
+            # be flushed: stop what is left of the workers outright
             for shard in self._shards.values():
-                shard.pending_restarts.clear()
+                for worker in shard.workers:
+                    if worker.alive():
+                        worker.process.kill()
+                        worker.process.join(timeout=5.0)
+        self.drain()
+
+    async def _shutdown_workers(self) -> None:
+        """Ask every live worker to exit, then enforce it."""
+        if self._watchdog is not None:
+            # an exiting worker is not a crash to restart
+            self._watchdog.cancel()
+        for shard in self._shards.values():
+            shard.pending_restarts.clear()
+        workers = [
+            w
+            for shard in self._shards.values()
+            for w in shard.workers
+            if w.state != _DEAD
+        ]
         for worker in workers:
             try:
-                self._send(worker, {"op": "shutdown"})
+                send_frame(worker.conn, {"op": "shutdown"})
             except (BrokenPipeError, OSError):
                 pass
         for worker in workers:
-            if worker.process is not None:
-                worker.process.join(timeout=5.0)
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join(timeout=5.0)
-            with self._lock:
-                worker.state = _DEAD
+            if not await self._exited(worker.process, 5.0):
+                worker.process.kill()
+                await self._exited(worker.process, 5.0)
+            worker.state = _DEAD
+            self._detach(worker)
+
+    async def _exited(self, process, timeout: float) -> bool:
+        """Wait, without blocking the loop, until *process* exits: its
+        ``sentinel`` turns readable.  Reaps it and returns True, or
+        returns False after *timeout* seconds."""
+        if process.exitcode is None:
+            gone = self._loop.create_future()
+            self._loop.add_reader(
+                process.sentinel, lambda: gone.done() or gone.set_result(None)
+            )
             try:
-                worker.conn.close()
-            except OSError:
-                pass
+                await asyncio.wait([gone], timeout=timeout)
+            finally:
+                self._loop.remove_reader(process.sentinel)
+            if not gone.done():
+                return False
+        # the sentinel closes as the process exits; the reap follows
+        process.join(timeout)
+        return True
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def started(self) -> bool:
+        return self._started
+
     @property
     def draining(self) -> bool:
         return self._draining
@@ -1166,78 +1426,81 @@ class Supervisor:
 
     def worker_pids(self, database: str = DEFAULT_SHARD) -> list[int]:
         """Live worker pids for one shard (chaos harness seam)."""
-        with self._lock:
-            return [
+        return self._call(
+            lambda: [
                 w.pid
                 for w in self._shards[database].workers
                 if w.state != _DEAD and w.pid is not None
             ]
+        )
 
     def readiness(self) -> dict[str, Any]:
         """The /readyz payload: per-shard readiness plus drain state."""
-        with self._lock:
-            shards = {}
-            all_ready = True
-            for name, shard in self._shards.items():
-                live = [
-                    w for w in shard.workers if w.state in (_READY, _BUSY)
-                ]
-                ready = bool(live) and not shard.down
-                all_ready = all_ready and ready
-                shards[name] = {
-                    "ready": ready,
-                    "down": shard.down,
-                    "down_reason": shard.down_reason,
-                    "workers": {
-                        "live": len(live),
-                        "configured": self.config.workers_per_shard,
-                        "restarting": len(shard.pending_restarts),
-                    },
-                    "queued": len(shard.queue),
-                }
-            return {
-                "ready": all_ready and not self._draining and not self._closed,
-                "draining": self._draining,
-                "closed": self._closed,
-                "shards": shards,
+        return self._call(self._readiness)
+
+    def _readiness(self) -> dict[str, Any]:
+        shards = {}
+        all_ready = True
+        for name, shard in self._shards.items():
+            live = [w for w in shard.workers if w.state in (_READY, _BUSY)]
+            ready = bool(live) and not shard.down
+            all_ready = all_ready and ready
+            shards[name] = {
+                "ready": ready,
+                "down": shard.down,
+                "down_reason": shard.down_reason,
+                "workers": {
+                    "live": len(live),
+                    "configured": self.config.workers_per_shard,
+                    "restarting": len(shard.pending_restarts),
+                },
+                "queued": len(shard.queue),
             }
+        return {
+            "ready": all_ready and not self._draining and not self._closed,
+            "draining": self._draining,
+            "closed": self._closed,
+            "shards": shards,
+        }
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable supervisor state."""
-        with self._lock:
-            return {
-                "config": {
-                    "workers_per_shard": self.config.workers_per_shard,
-                    "queue_limit": self.config.queue_limit,
-                    "deadline": self.config.deadline,
-                    "request_timeout": self.config.request_timeout,
-                    "heartbeat_interval": self.config.heartbeat_interval,
-                    "heartbeat_timeout": self.config.heartbeat_timeout,
-                    "max_restarts": self.config.max_restarts,
-                    "restart_window": self.config.restart_window,
-                    "start_method": self.config.start_method,
-                },
-                "stats": self.stats.as_dict(),
-                "readiness": self.readiness(),
-                "shards": {
-                    name: {
-                        "restart_times": [
-                            round(t, 6) for t in shard.restart_times
-                        ],
-                        "artifact": (shard.spec.artifacts or {}).get(name),
-                        "workers": [
-                            {
-                                "slot": w.slot,
-                                "generation": w.generation,
-                                "pid": w.pid,
-                                "state": w.state,
-                                "awaiting_pong": w.ping_sent_at is not None,
-                                "build_seconds": w.build_seconds,
-                                "artifacts": list(w.artifacts),
-                            }
-                            for w in shard.workers
-                        ],
-                    }
-                    for name, shard in self._shards.items()
-                },
-            }
+        return self._call(self._snapshot)
+
+    def _snapshot(self) -> dict[str, Any]:
+        return {
+            "config": {
+                "workers_per_shard": self.config.workers_per_shard,
+                "queue_limit": self.config.queue_limit,
+                "deadline": self.config.deadline,
+                "request_timeout": self.config.request_timeout,
+                "heartbeat_interval": self.config.heartbeat_interval,
+                "heartbeat_timeout": self.config.heartbeat_timeout,
+                "max_restarts": self.config.max_restarts,
+                "restart_window": self.config.restart_window,
+                "start_method": self.config.start_method,
+            },
+            "stats": self.stats.as_dict(),
+            "readiness": self._readiness(),
+            "shards": {
+                name: {
+                    "restart_times": [
+                        round(t, 6) for t in shard.restart_times
+                    ],
+                    "artifact": (shard.spec.artifacts or {}).get(name),
+                    "workers": [
+                        {
+                            "slot": w.slot,
+                            "generation": w.generation,
+                            "pid": w.pid,
+                            "state": w.state,
+                            "awaiting_pong": w.ping_sent_at is not None,
+                            "build_seconds": w.build_seconds,
+                            "artifacts": list(w.artifacts),
+                        }
+                        for w in shard.workers
+                    ],
+                }
+                for name, shard in self._shards.items()
+            },
+        }

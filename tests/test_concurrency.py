@@ -239,6 +239,30 @@ STRESS_QUERIES = [
 REPEATS = 8
 
 
+class PerCallerFaults(FaultInjector):
+    """One :class:`FaultInjector` per caller thread behind one service.
+
+    Each stage visit goes to the injector its thread bound with
+    :meth:`bind`, so a fault's trigger counts only that caller's visits.
+    A caller serves its requests one after another, so which of them a
+    fault hits does not depend on how the threads interleave.  Every
+    injector shares this one's virtual clock.
+    """
+
+    def __init__(self, callers: int) -> None:
+        super().__init__()
+        self.callers = [
+            FaultInjector(clock=self.virtual_clock) for _ in range(callers)
+        ]
+        self._bound = threading.local()
+
+    def bind(self, index: int) -> None:
+        self._bound.injector = self.callers[index]
+
+    def fire(self, stage, budget=None) -> None:
+        self._bound.injector.fire(stage, budget)
+
+
 class TestServiceStress:
     def serial_baseline(self, db: Database) -> dict[str, tuple]:
         """(kind, payload) per query from one translator, no service."""
@@ -261,16 +285,22 @@ class TestServiceStress:
         db = make_db()
         baseline = self.serial_baseline(make_db())
 
-        injector = FaultInjector()
-        # five one-shot transient errors spread across the run; each
-        # costs its (scheduler-chosen) request exactly one retry
+        injector = PerCallerFaults(THREADS)
+        # five one-shot transient errors, one each on callers 0-4.  A
+        # trigger counts only its own caller's map visits, and a retry
+        # runs on the same caller right after the fault, so it meets the
+        # next visit, never a second trigger: each fault costs exactly
+        # one retry whatever the thread scheduling
         fault_count = 5
-        for visit in (10, 40, 70, 100, 130):
-            injector.inject_error("map", trigger=visit)
-        # a few virtual-clock delays: harmless without deadlines, but
-        # they exercise the offset bookkeeping under load
-        for visit in (20, 60, 110):
-            injector.inject_delay("map", seconds=0.01, trigger=visit)
+        for index in range(fault_count):
+            injector.callers[index].inject_error("map", trigger=3 + index)
+        # a few virtual-clock delays on the other callers: harmless
+        # without deadlines, but they exercise the offset bookkeeping
+        # under load
+        for index in range(fault_count, THREADS):
+            injector.callers[index].inject_delay(
+                "map", seconds=0.01, trigger=2 + index
+            )
 
         config = ServiceConfig(
             workers=THREADS,
@@ -282,6 +312,7 @@ class TestServiceStress:
         with QueryService(db, config, faults=injector) as service:
 
             def caller(index):
+                injector.bind(index)
                 for position in range(index, len(queries), THREADS):
                     responses[position] = service.serve_inline(
                         queries[position]
@@ -314,7 +345,8 @@ class TestServiceStress:
         assert service.stats.rungs == {"full": ok_count}
 
         # every injected fault fired exactly once and cost one retry
-        assert injector.log.count(("map", "error")) == fault_count
+        fired = [c.log.count(("map", "error")) for c in injector.callers]
+        assert fired == [1] * fault_count + [0] * (THREADS - fault_count)
         assert service.stats.retries == fault_count
         retry_events = [e for e in service.events if e[0] == "retry"]
         assert len(retry_events) == fault_count

@@ -40,7 +40,12 @@ from repro.server import (
     encode_error,
     encode_frame,
 )
-from repro.server.http import ServerApp, _handle_connection, _status_for
+from repro.server.http import (
+    HttpProtocol,
+    ServerApp,
+    _status_for,
+    start_http_server,
+)
 from repro.service import ServiceConfig, ServiceOverloaded
 from repro.service import QueryService
 from repro.testing import FaultInjector, VirtualClock
@@ -357,10 +362,9 @@ class TestWatchdog:
                 # real wait for the pong to come back before judging
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline:
-                    with supervisor._lock:
-                        worker = supervisor._shards["movies"].workers[0]
-                        if worker.ping_id is None:
-                            break
+                    shard = supervisor.snapshot()["shards"]["movies"]
+                    if not shard["workers"][0]["awaiting_pong"]:
+                        break
                     time.sleep(0.01)
             assert supervisor.stats.pings == 3
             assert supervisor.stats.timed_out == 0
@@ -474,11 +478,7 @@ class TestHttpApp:
 
         async def scenario():
             app = ServerApp(supervisor)
-            server = await asyncio.start_server(
-                lambda r, w: _handle_connection(app, r, w),
-                host="127.0.0.1",
-                port=0,
-            )
+            server = await start_http_server(app, host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
 
             async def request(method, path, body=None):
@@ -615,3 +615,344 @@ class TestPipelining:
         with baseline:
             expected = baseline.run(WORKLOAD * 2, database="movies")
         assert [r.sql for r in responses] == [r.sql for r in expected]
+
+
+# ---------------------------------------------------------------------------
+# admission checks, the one-loop front end, and the loop-owned supervisor
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shared_supervisor():
+    """One started supervisor (private loop thread) for read-only tests."""
+    supervisor, _ = make_supervisor(queue_limit=64)
+    supervisor.start()
+    yield supervisor
+    supervisor.close()
+
+
+def _query_body(**fields) -> bytes:
+    return json.dumps({"query": CAMERON, "database": "movies", **fields}).encode()
+
+
+class TestAdmissionChecks:
+    """Bad /query input is refused at admission: 400, nothing reaches a
+    worker, nothing crashes or restarts."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"deadline": "soon"},
+            {"database": ["x"]},
+            {"top_k": "abc"},
+            {"top_k": -2},
+            {"top_k": True},
+        ],
+        ids=["deadline-str", "database-list", "top_k-str", "top_k-negative",
+             "top_k-bool"],
+    )
+    def test_bad_field_is_400_with_no_crash_or_restart(
+        self, shared_supervisor, fields
+    ):
+        app = ServerApp(shared_supervisor)
+        submitted = shared_supervisor.stats.submitted
+        status, _, body = _run(
+            app.dispatch("POST", "/query", _query_body(**fields))
+        )
+        assert status == 400
+        assert json.loads(body)["error"].startswith("bad request body: ")
+        assert shared_supervisor.stats.submitted == submitted
+        assert shared_supervisor.stats.crashed == 0
+        assert not any(
+            e[0].startswith("restart") for e in shared_supervisor.events
+        )
+        # the worker is untouched and still serves
+        assert shared_supervisor.submit(CAMERON, "movies").result(30).ok
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"top_k": 0},
+            {"deadline": 0.0},
+            {"deadline": float("inf")},
+            {"deadline": float("nan")},
+            {"database": 3},
+        ],
+    )
+    def test_library_submit_raises_value_error(self, shared_supervisor, kwargs):
+        with pytest.raises(ValueError):
+            shared_supervisor.submit(CAMERON, **{"database": "movies", **kwargs})
+
+    def test_good_fields_pass(self, shared_supervisor):
+        app = ServerApp(shared_supervisor)
+        status, _, body = _run(
+            app.dispatch(
+                "POST", "/query", _query_body(top_k=2, deadline=30)
+            )
+        )
+        assert status == 200, body
+
+
+class _FakeTransport(asyncio.Transport):
+    """Collects what an HttpProtocol writes; no socket."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = b""
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def write(self, data):
+        self.data += data
+
+    def close(self):
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    def is_closing(self):
+        return self.closed.done()
+
+
+def _status(raw: bytes) -> int:
+    return int(raw.split(b" ", 2)[1])
+
+
+class TestHttpProtocol:
+    def test_request_split_at_every_byte_boundary(self, shared_supervisor):
+        app = ServerApp(shared_supervisor)
+        body = _query_body()
+        raw = (
+            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+
+        async def feed(pieces) -> bytes:
+            transport = _FakeTransport()
+            protocol = HttpProtocol(app)
+            protocol.connection_made(transport)
+            for piece in pieces:
+                protocol.data_received(piece)
+            await asyncio.wait_for(transport.closed, timeout=30)
+            return transport.data
+
+        def answer(raw_response: bytes) -> tuple:
+            doc = json.loads(raw_response.partition(b"\r\n\r\n")[2])
+            return _status(raw_response), doc["outcome"], doc["sql"]
+
+        async def scenario():
+            expected = answer(await feed([raw]))
+            assert expected[0] == 200
+            splits = [[raw[:i], raw[i:]] for i in range(1, len(raw))]
+            # the body alone, one byte at a time, after the whole head
+            head = len(raw) - len(body)
+            splits.append([raw[:head]] + [bytes([b]) for b in body])
+            for pieces in splits:
+                assert answer(await feed(pieces)) == expected, pieces
+
+        _run(scenario())
+
+    def _over_socket(self, app, steps):
+        """Serve *app* on a real socket; run ``steps(port)``."""
+
+        async def scenario():
+            server = await start_http_server(app, host="127.0.0.1", port=0)
+            try:
+                await steps(server.sockets[0].getsockname()[1])
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        _run(scenario())
+
+    @staticmethod
+    async def _exchange(port, data: bytes, close_write=False) -> bytes:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(data)
+        await writer.drain()
+        if close_write:
+            writer.close()
+            await writer.wait_closed()
+            return b""
+        raw = await asyncio.wait_for(reader.read(), timeout=30)
+        writer.close()
+        return raw
+
+    async def _served(self, port) -> None:
+        body = _query_body()
+        raw = await self._exchange(
+            port,
+            b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body,
+        )
+        assert _status(raw) == 200
+
+    def test_oversized_content_length_is_413_before_any_body(
+        self, shared_supervisor
+    ):
+        from repro.server.http import MAX_BODY_BYTES
+
+        submitted = shared_supervisor.stats.submitted
+
+        async def steps(port):
+            # no body byte is ever sent: the answer cannot have read one
+            raw = await self._exchange(
+                port,
+                b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (MAX_BODY_BYTES + 1),
+            )
+            assert _status(raw) == 413
+            assert b"Connection: close" in raw
+            await self._served(port)
+
+        self._over_socket(ServerApp(shared_supervisor), steps)
+        assert shared_supervisor.stats.submitted == submitted + 1
+
+    def test_client_closing_mid_body_gets_nothing_and_server_goes_on(
+        self, shared_supervisor, caplog
+    ):
+        submitted = shared_supervisor.stats.submitted
+
+        # the bytes that do arrive are a whole query, so a server that
+        # served what it had at EOF would admit it
+        cut = _query_body()
+
+        async def steps(port):
+            await self._exchange(
+                port,
+                b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (len(cut) + 10)
+                + cut,
+                close_write=True,
+            )
+            await asyncio.sleep(0.05)
+            await self._served(port)
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            self._over_socket(ServerApp(shared_supervisor), steps)
+        assert not [r for r in caplog.records if r.levelno >= 30]
+        # the cut request was never admitted; the next one was
+        assert shared_supervisor.stats.submitted == submitted + 1
+
+    def test_malformed_request_line_closes_unanswered(self, shared_supervisor):
+        async def steps(port):
+            assert await self._exchange(port, b"GARBAGE\r\n\r\n") == b""
+            await self._served(port)
+
+        self._over_socket(ServerApp(shared_supervisor), steps)
+
+
+def _own_threads() -> set:
+    return {t for t in threading.enumerate() if t.is_alive()}
+
+
+TWO_SHARDS = {
+    "movies": MOVIES,
+    "courses": DatabaseSpec(kind="dataset", target="courses"),
+}
+
+
+class TestOneLoop:
+    def test_started_supervisor_runs_at_most_one_thread(self):
+        supervisor, _ = make_supervisor(
+            databases=TWO_SHARDS, workers_per_shard=2, auto_watchdog=True
+        )
+        before = _own_threads()
+        with supervisor:
+            added = _own_threads() - before
+            assert len(added) <= 1, added
+            assert len(supervisor.worker_pids("movies")) == 2
+            assert len(supervisor.worker_pids("courses")) == 2
+            assert supervisor.run([CAMERON], database="movies")[0].ok
+        assert not (_own_threads() - before)
+
+    def test_supervisor_on_a_running_loop_adds_no_thread(self):
+        supervisor, _ = make_supervisor(
+            databases=TWO_SHARDS, workers_per_shard=2, auto_watchdog=True
+        )
+
+        async def scenario():
+            before = _own_threads()
+            await supervisor.astart()
+            assert _own_threads() == before
+            response = await supervisor.asubmit(CAMERON, "movies")
+            assert response.ok
+            assert _own_threads() == before
+            snapshot = await supervisor.adrain()
+            assert snapshot["stats"]["completed"] == 1
+            assert _own_threads() == before
+
+        _run(scenario())
+        assert supervisor.closed
+
+    def test_submit_from_eight_threads_matches_serial(self, shared_supervisor):
+        queries = [CAMERON, HANKS] * 4
+        serial = [
+            shared_supervisor.submit(q, "movies").result(30) for q in queries
+        ]
+        answers = [None] * len(queries)
+        barrier = threading.Barrier(len(queries))
+
+        def caller(index):
+            barrier.wait(timeout=30)
+            answers[index] = shared_supervisor.submit(
+                queries[index], "movies"
+            ).result(30)
+
+        threads = [
+            threading.Thread(target=caller, args=(i,))
+            for i in range(len(queries))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert [(a.ok, a.sql) for a in answers] == [
+            (s.ok, s.sql) for s in serial
+        ]
+        assert len({a.request_id for a in answers}) == len(queries)
+
+    def test_drain_serves_a_queue_deeper_than_the_pipeline(self):
+        supervisor, _ = make_supervisor(pipeline_depth=1, queue_limit=8)
+        with supervisor:
+            admitted = [supervisor.submit("%sleep:0.2", "movies")] + [
+                supervisor.submit(q, "movies") for q in WORKLOAD * 2
+            ]
+            assert supervisor.readiness()["shards"]["movies"]["queued"] == 6
+            snapshot = supervisor.drain()
+        assert all(f.result(timeout=1).ok for f in admitted)
+        assert snapshot["stats"]["completed"] == len(admitted)
+
+    def test_watchdog_on_the_loop_kills_a_hung_worker(self):
+        # the repeating call_later watchdog, on real time
+        supervisor = Supervisor(
+            {"movies": MOVIES},
+            SupervisorConfig(
+                chaos_hooks=True, request_timeout=0.3, tick_interval=0.01
+            ),
+        )
+        with supervisor:
+            failed = supervisor.submit("%hang", "movies").result(timeout=30)
+            assert isinstance(failed.error, WorkerTimeout)
+            assert supervisor.stats.timed_out == 1
+
+    def test_serve_runs_supervisor_on_its_loop_and_drains_on_exit(self):
+        from repro.server.http import serve
+
+        supervisor, _ = make_supervisor()
+
+        async def scenario():
+            task = asyncio.get_running_loop().create_task(
+                serve(supervisor, port=0, install_signals=False)
+            )
+            while not supervisor.readiness()["ready"]:
+                await asyncio.sleep(0.02)
+            assert threading.get_ident() == supervisor._loop_thread_id
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        _run(scenario())
+        # cancelled serving still drains: the workers are gone
+        assert supervisor.closed
+        assert supervisor.snapshot()["shards"]["movies"]["workers"][0][
+            "state"
+        ] == "dead"
