@@ -30,9 +30,10 @@ precomputed state it carries cross-query memo tables:
 
 The first and third are partitioned by what they read: tree similarities
 by relation, condition statuses by column; the mapping sets go whenever
-any tree-similarity partition does.  The name rows read no data and go
-only with a vocabulary alias.  Schema-derived state (neighbors, name
-index, FK adjacency) is immutable for the database's lifetime.
+any tree-similarity partition does.  The name rows read names only, so
+they stay for the context's lifetime (FIFO-bounded).  Schema-derived
+state (neighbors, name index, FK adjacency) and the vocabulary aliases,
+both fixed at construction, are immutable for the context's lifetime.
 Data-derived state reads the data only through column samples, so when
 the backend's ``data_version`` moves — the translator calls
 :meth:`ensure_current` at the top of every translation — the samples
@@ -57,9 +58,10 @@ import itertools
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
-from ..catalog import Catalog, ForeignKey, Relation, SchemaError, normalize
+from ..catalog import Catalog, ForeignKey, Relation, normalize
 from .config import DEFAULT_CONFIG, TranslatorConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,6 +74,9 @@ from .similarity import qgrams, stride_sample
 #: relation, one tuple of attribute factors per relation, or a scoring
 #: order)
 NAME_ROW_CAP = 256
+
+#: the alias names of an index built without aliases
+_NO_ALIASES: Mapping = MappingProxyType({})
 
 # ---------------------------------------------------------------------------
 # instrumentation
@@ -109,8 +114,8 @@ class ContextStats:
     result_misses: int = 0
     #: result-cache entries evicted by the LRU's entry/byte bounds
     result_evictions: int = 0
-    #: result-cache invalidation events (data_version bump, vocabulary-
-    #: alias registration) — each clears the whole cache
+    #: result-cache invalidation events (data_version bumps) — each
+    #: clears the whole cache
     result_invalidations: int = 0
     #: data_version bumps observed; each marks every relation stale
     invalidations: int = 0
@@ -216,13 +221,6 @@ class TranslationStats:
 # ---------------------------------------------------------------------------
 
 
-def _add_posting(postings: dict[str, set[str]], name: str, key: str) -> None:
-    """Rebind *postings[name]* to a copy that includes *key*."""
-    current = postings.get(name, set())
-    if key not in current:
-        postings[name] = current | {key}
-
-
 class NameIndex:
     """Token/q-gram inverted index over relation and attribute names.
 
@@ -234,9 +232,18 @@ class NameIndex:
     final mapping set — candidates are re-sorted by similarity).
     Building the index also warms the process-wide q-gram caches for
     every schema name, so the first query pays no q-gram setup.
+
+    *aliases* maps a relation key to extra names (vocabulary aliases of
+    the relation or of its attributes), indexed as if they were its own
+    identifiers.  Nothing changes the index after construction.
     """
 
-    def __init__(self, catalog: Catalog, q: int) -> None:
+    def __init__(
+        self,
+        catalog: Catalog,
+        q: int,
+        aliases: Mapping[str, Sequence[str]] = _NO_ALIASES,
+    ) -> None:
         self.q = q
         self._grams: dict[str, set[str]] = {}  # gram -> relation keys
         self._tokens: dict[str, set[str]] = {}  # token -> relation keys
@@ -244,27 +251,13 @@ class NameIndex:
             names = [relation.name] + [
                 attribute.name for attribute in relation.attributes
             ]
+            names.extend(aliases.get(relation.key, ()))
             for name in names:
                 for gram in qgrams(name, q):
                     self._grams.setdefault(gram, set()).add(relation.key)
                 for token in name.lower().split("_"):
                     if token:
                         self._tokens.setdefault(token, set()).add(relation.key)
-
-    def add_names(self, relation_key: str, names: Iterable[str]) -> None:
-        """Index extra *names* (vocabulary aliases) under *relation_key*,
-        so :meth:`order` ranks the aliased relation as if the alias were
-        one of its own identifiers.
-
-        Copy-on-write: :meth:`affinity` iterates the posting sets without
-        a lock, so a set is never grown in place; each gram or token is
-        rebound to a new set that includes the key."""
-        for name in names:
-            for gram in qgrams(name, self.q):
-                _add_posting(self._grams, gram, relation_key)
-            for token in name.lower().split("_"):
-                if token:
-                    _add_posting(self._tokens, token, relation_key)
 
     def affinity(self, name: str) -> dict[str, int]:
         """Relation key -> count of shared q-grams/tokens with *name*."""
@@ -328,8 +321,8 @@ class ContextMemoState:
     change timings but never outcomes — the property the artifact
     round-trip tests pin byte-for-byte.  The result cache and the
     vocabulary aliases are deliberately absent: results bake in
-    admission-time serving state, and aliases are runtime vocabulary
-    (docs/ARTIFACTS.md, "what is not persisted").
+    admission-time serving state, and aliases are a construction input
+    of one context (docs/ARTIFACTS.md, "what is not persisted").
 
     The shape is flat — ``(fingerprint, relation)`` and ``(probe,
     relation, attribute)`` keys, attribute maps as dicts — whatever the
@@ -343,6 +336,29 @@ class ContextMemoState:
     )
     conditions: dict[tuple, str] = field(default_factory=dict)
     networks: dict[tuple, tuple] = field(default_factory=dict)
+
+
+def _alias_maps(
+    catalog: Catalog, aliases: Iterable[tuple[str, Optional[str], str]]
+) -> tuple[Mapping, Mapping]:
+    """The relation and attribute alias maps of *aliases* (see
+    :class:`TranslationContext`), read-only."""
+    relations: dict[str, tuple[str, ...]] = {}
+    attributes: dict[tuple[str, str], tuple[str, ...]] = {}
+    for relation_name, attribute_name, alias in aliases:
+        relation = catalog.relation(relation_name)
+        if attribute_name is None:
+            table, key, own = relations, relation.key, relation.key
+        else:
+            attribute = relation.attribute(attribute_name)
+            table, key = attributes, (relation.key, attribute.key)
+            own = attribute.key
+        clean = alias.strip()
+        current = table.get(key, ())
+        if not clean or normalize(clean) in {own, *map(normalize, current)}:
+            continue
+        table[key] = current + (clean,)
+    return MappingProxyType(relations), MappingProxyType(attributes)
 
 
 def _same_sample(old: list[Any], new: list[Any]) -> bool:
@@ -375,12 +391,28 @@ class TranslationContext:
     functions of (database contents, key), so two threads that race on
     the same miss compute the same value — sharing never changes
     translation outcomes.
+
+    *aliases* are vocabulary aliases, ``(relation, attribute, alias)``
+    triples with *attribute* None for a relation alias: the similarity
+    evaluator scores a query name against the best of a real name and
+    its aliases, so a relation renamed out from under a workload
+    (``movie`` -> ``film``) can be recovered by mining the old name from
+    the query log (``repro.testing.evolution.recover_vocabulary``).  The
+    aliases also feed the :class:`NameIndex`, keeping an aliased
+    relation early in :meth:`scoring_order` under tight budgets.  They
+    are fixed for the context's lifetime: new vocabulary takes a new
+    context.  An unknown relation or attribute raises
+    :class:`~repro.catalog.SchemaError`; a blank alias, one equal to the
+    real name, and a repeat are skipped.
     """
 
     def __init__(
-        self, database: "Backend", config: TranslatorConfig = DEFAULT_CONFIG
+        self,
+        database: "Backend",
+        config: TranslatorConfig = DEFAULT_CONFIG,
+        aliases: Iterable[tuple[str, Optional[str], str]] = (),
     ) -> None:
-        self._init_runtime(database, config)
+        self._init_runtime(database, config, aliases)
         self._apply_schema_state(self._build_schema_state())
         self.stats.neighbor_builds += len(self.relations)
         self._init_data_state(ContextMemoState())
@@ -400,8 +432,9 @@ class TranslationContext:
         after matching (schema fingerprint, data_version, config digest)
         against the live backend, so the restored schema state is
         structurally identical to what :meth:`_build_schema_state`
-        would produce.  Mutable serving state (result cache, aliases,
-        stats, lock) starts as fresh as a built context's; the memo
+        would produce, and the context has no aliases.  Mutable serving
+        state (result cache, stats, lock) starts as fresh as a built
+        context's; the memo
         tables, column samples included, start from the artifact's
         snapshot and grow normally from there.
         """
@@ -412,7 +445,10 @@ class TranslationContext:
         return context
 
     def _init_runtime(
-        self, database: "Backend", config: TranslatorConfig
+        self,
+        database: "Backend",
+        config: TranslatorConfig,
+        aliases: Iterable[tuple[str, Optional[str], str]] = (),
     ) -> None:
         """Per-process serving state: never persisted, never shared."""
         self.database = database
@@ -420,24 +456,31 @@ class TranslationContext:
         self.stats = ContextStats()
         self._lock = threading.Lock()
         self._data_version = database.data_version
-        # -- vocabulary aliases (schema evolution, testing.evolution) --
-        #: relation key -> extra names scored alongside the real name
-        self._relation_aliases: dict[str, tuple[str, ...]] = {}
-        #: (relation key, attribute key) -> extra attribute names
-        self._attribute_aliases: dict[tuple[str, str], tuple[str, ...]] = {}
+        # -- vocabulary aliases (see the class docstring) ---------------
+        #: relation key -> extra names scored alongside the real name,
+        #: and (relation key, attribute key) -> extra attribute names
+        self._relation_aliases, self._attribute_aliases = _alias_maps(
+            database.catalog, aliases
+        )
         self._network_memo_cap = 256
         # -- per-name similarity rows (see cached_name_row) --------------
         #: (kind, name) -> row; names are user input, so FIFO-bounded
         self._name_rows: dict[tuple[str, Any], tuple] = {}
-        #: alias registrations so far: a row computed across one is not
-        #: stored (see remember_name_row)
-        self._alias_epoch = 0
         # -- translation result cache (canonical SF-SQL fingerprint) ---
         #: finished-translation LRU; disabled when the config's
         #: ``result_cache_size`` is 0.  See :meth:`cached_result`.
         self._result_cache = ResultCache(
             config.result_cache_size, config.result_cache_bytes
         )
+
+    def _alias_names(self) -> dict[str, list[str]]:
+        """Relation key -> the aliases of it and of its attributes."""
+        names: dict[str, list[str]] = {}
+        for key, extra in self._relation_aliases.items():
+            names.setdefault(key, []).extend(extra)
+        for (key, _), extra in self._attribute_aliases.items():
+            names.setdefault(key, []).extend(extra)
+        return names
 
     def _build_schema_state(self) -> ContextSchemaState:
         """Derive the buildable half from the live catalog (the path a
@@ -475,7 +518,9 @@ class TranslationContext:
             relations=relations,
             neighbors=neighbors,
             fk_edges=fk_edges,
-            name_index=NameIndex(catalog, self.config.qgram),
+            name_index=NameIndex(
+                catalog, self.config.qgram, self._alias_names()
+            ),
             schema_paths=paths,
             schema_parents=parents,
             schema_components=components,
@@ -767,8 +812,7 @@ class TranslationContext:
         first under a tight budget, never the resulting mapping set.
 
         It reads names only, so it is kept as the ``("order", names)``
-        name row (see :meth:`cached_name_row`): an alias, which changes
-        the :class:`NameIndex`, drops it with the other rows."""
+        name row (see :meth:`cached_name_row`)."""
         names = []
         if tree.known_name:
             names.append(tree.known_name)
@@ -781,93 +825,24 @@ class TranslationContext:
         if not names:
             return self.relations
         key = ("order", tuple(names))
-        order, epoch = self.cached_name_row(key)
+        order = self.cached_name_row(key)
         if order is None:
             order = tuple(self.name_index.order(names, self.relations))
-            self.remember_name_row(key, order, epoch)
+            self.remember_name_row(key, order)
         return order
 
     # ------------------------------------------------------------------
-    # vocabulary aliases (schema evolution)
+    # vocabulary aliases (fixed at construction)
     # ------------------------------------------------------------------
-    def add_relation_alias(self, relation_name: str, alias: str) -> None:
-        """Register *alias* as an extra name for a relation.
-
-        The similarity evaluator scores a query name against the best of
-        the relation's real name and its aliases, so a relation renamed
-        out from under a workload (``movie`` -> ``film``) can be
-        recovered by mining the old name from the query log
-        (``repro.testing.evolution.recover_vocabulary``).  The alias also
-        feeds the :class:`NameIndex`, keeping the aliased relation early
-        in :meth:`scoring_order` under tight budgets.
-        """
-        key = normalize(relation_name)
-        if key not in self._relation_by_key:
-            raise SchemaError(f"unknown relation {relation_name!r}")
-        clean = alias.strip()
-        if not clean or normalize(clean) == key:
-            return
-        with self._lock:
-            current = self._relation_aliases.get(key, ())
-            if normalize(clean) in {normalize(a) for a in current}:
-                return
-            self._relation_aliases[key] = current + (clean,)
-            # a relation alias changes only this relation's name
-            # similarity, which its tree-sim partition and every name row
-            # bake in; finished translations are cleared wholesale.
-            # Memoized networks are keyed on the mapping candidates, so
-            # they need no drop.
-            self._drop_tree_sims(key)
-            self._drop_name_rows()
-            self._result_cache.clear()
-            self.stats.result_invalidations += 1
-            self.name_index.add_names(key, [clean])
-
-    def add_attribute_alias(
-        self, relation_name: str, attribute_name: str, alias: str
-    ) -> None:
-        """Register *alias* as an extra name for one attribute."""
-        rkey = normalize(relation_name)
-        relation = self._relation_by_key.get(rkey)
-        if relation is None:
-            raise SchemaError(f"unknown relation {relation_name!r}")
-        akey = normalize(attribute_name)
-        if not any(a.key == akey for a in relation.attributes):
-            raise SchemaError(
-                f"unknown attribute {attribute_name!r} "
-                f"of relation {relation_name!r}"
-            )
-        clean = alias.strip()
-        if not clean or normalize(clean) == akey:
-            return
-        with self._lock:
-            current = self._attribute_aliases.get((rkey, akey), ())
-            if normalize(clean) in {normalize(a) for a in current}:
-                return
-            self._attribute_aliases[(rkey, akey)] = current + (clean,)
-            self._drop_tree_sims(rkey)
-            self._drop_name_rows()
-            self._result_cache.clear()
-            self.stats.result_invalidations += 1
-            self.name_index.add_names(rkey, [clean])
-
-    def _drop_name_rows(self) -> None:
-        """Drop every name row (lock held), and move the epoch past any
-        row still being computed with the old vocabulary."""
-        self._name_rows.clear()
-        self._alias_epoch += 1
-
     def relation_aliases(self, relation_key: str) -> tuple[str, ...]:
-        with self._lock:
-            return self._relation_aliases.get(normalize(relation_key), ())
+        return self._relation_aliases.get(normalize(relation_key), ())
 
     def attribute_aliases(
         self, relation_key: str, attribute_key: str
     ) -> tuple[str, ...]:
-        with self._lock:
-            return self._attribute_aliases.get(
-                (normalize(relation_key), normalize(attribute_key)), ()
-            )
+        return self._attribute_aliases.get(
+            (normalize(relation_key), normalize(attribute_key)), ()
+        )
 
     # ------------------------------------------------------------------
     # data-derived caches
@@ -1067,11 +1042,8 @@ class TranslationContext:
             if epoch == self._tree_sim_epoch:
                 self._mappings[fingerprint] = entry
 
-    def cached_name_row(
-        self, key: tuple[str, Any]
-    ) -> tuple[Optional[tuple], int]:
-        """``(row, epoch)`` for one ``(kind, name)`` key; ``row`` is None
-        when not memoized, and ``epoch`` goes to :meth:`remember_name_row`.
+    def cached_name_row(self, key: tuple[str, Any]) -> Optional[tuple]:
+        """The row of one ``(kind, name)`` key, or None.
 
         A row holds what a name scores against every relation before any
         condition is read, in :attr:`relations` order (see
@@ -1082,22 +1054,16 @@ class TranslationContext:
         smoothed name similarity, ``kdef`` for a placeholder, whose name
         is None, and the primary-key bonus).  Kind ``"order"``, keyed by
         a tuple of names: :meth:`scoring_order`'s relations, best first.
-        Rows read names only, so neither a ``data_version`` bump nor an
-        artifact touches them; a vocabulary alias drops all of them.  Not
-        persisted.
+        Rows read names only, and the vocabulary is fixed at
+        construction, so neither a ``data_version`` bump nor an artifact
+        touches them.  Not persisted.
         """
         with self._lock:
-            return self._name_rows.get(key), self._alias_epoch
+            return self._name_rows.get(key)
 
-    def remember_name_row(
-        self, key: tuple[str, Any], row: tuple, epoch: int
-    ) -> None:
-        """Store a row computed since :meth:`cached_name_row` returned
-        *epoch*, unless an alias was registered since (the row may have
-        read the old vocabulary).  The oldest row goes past the cap."""
+    def remember_name_row(self, key: tuple[str, Any], row: tuple) -> None:
+        """Store one row; the oldest row goes past the cap."""
         with self._lock:
-            if epoch != self._alias_epoch:
-                return
             self._name_rows[key] = row
             if len(self._name_rows) > NAME_ROW_CAP:
                 del self._name_rows[next(iter(self._name_rows))]
@@ -1117,10 +1083,10 @@ class TranslationContext:
         of every mapping, the view set, k, and the expansion cap — so
         two queries that differ only in conditions or selected
         attributes share one generated network set.  Edge weights read
-        relation *names* only, never data or aliases, so neither a
-        ``data_version`` bump nor a vocabulary alias can stale an entry:
-        whatever changed a mapping changed its candidates, hence the
-        key.  Entries are only LRU-evicted past a fixed cap.
+        relation *names* only, never data or aliases, so a
+        ``data_version`` bump cannot stale an entry: whatever changed a
+        mapping changed its candidates, hence the key.  Entries are only
+        LRU-evicted past a fixed cap.
         """
         with self._lock:
             entry = self._network_memo.get(key)

@@ -302,8 +302,6 @@ class TreeRows(NamedTuple):
     """What a tree scores against each relation before any condition is
     read, in the context's relation order, read off its names' rows."""
 
-    #: the context's alias epoch the rows were read at
-    epoch: int
     #: root similarity against each relation (§4.2)
     root: tuple
     #: per attribute tree, in order: per relation, the name factor of
@@ -463,10 +461,8 @@ class SimilarityEvaluator:
     def _root_for_name(self, name: str, relation: Relation) -> float:
         direct = self.sim(name, relation.name)
         # vocabulary aliases (schema evolution): the best of the real name
-        # and any registered alias counts as the relation's name.  The
-        # unlocked emptiness probe keeps the alias-free hot path free of
-        # per-call lock traffic; dict reads are atomic under the GIL.
-        if self.context is not None and self.context._relation_aliases:
+        # and any alias counts as the relation's name
+        if self.context is not None:
             for alias in self.context.relation_aliases(relation.key):
                 direct = max(direct, self.sim(name, alias))
         damped = max(
@@ -531,13 +527,11 @@ class SimilarityEvaluator:
         primary-key bonus."""
         primary_key = {c.lower() for c in relation.primary_key}
         alpha = self.config.attr_smooth
-        aliased = self.context is not None and self.context._attribute_aliases
         factors = []
         for attribute in relation.attributes:
             if name is not None:
                 raw = self.sim(name, attribute.name)
-                # same unlocked emptiness probe as _root_for_name
-                if aliased:
+                if self.context is not None:
                     for alias in self.context.attribute_aliases(
                         relation.key, attribute.key
                     ):
@@ -678,7 +672,7 @@ class SimilarityEvaluator:
             factors = [None] * len(attribute_trees)
         else:
             rows = plan.rows
-            if rows is None or rows.epoch != self.context._alias_epoch:
+            if rows is None:
                 rows = self._tree_rows(tree)
                 self._plans[fingerprint] = plan._replace(rows=rows)
             index = self.context.relation_index[relation.key]
@@ -702,7 +696,6 @@ class SimilarityEvaluator:
         :meth:`_name_factors` of each attribute tree against every
         relation, read off the context's per-name rows (context
         required)."""
-        epoch = self.context._alias_epoch
         kdef = self.config.kdef
         if tree.known_name is not None:
             row = self._name_row("root", tree.known_name)
@@ -718,13 +711,13 @@ class SimilarityEvaluator:
             self._name_row("attribute", attribute_tree.known_name)
             for attribute_tree in tree.attribute_trees
         )
-        return TreeRows(epoch, root, attributes)
+        return TreeRows(root, attributes)
 
     def _name_row(self, kind: str, name: Optional[str]) -> tuple:
         """The context's ``(kind, name)`` row, computed and offered to it
         on a miss (see :meth:`TranslationContext.cached_name_row`)."""
         context = self.context
-        row, epoch = context.cached_name_row((kind, name))
+        row = context.cached_name_row((kind, name))
         if row is None:
             if kind == "root":
                 row = tuple(
@@ -736,6 +729,6 @@ class SimilarityEvaluator:
                     self._name_factors(name, relation)
                     for relation in context.relations
                 )
-            context.remember_name_row((kind, name), row, epoch)
+            context.remember_name_row((kind, name), row)
         return row
 

@@ -409,8 +409,7 @@ def record_translation(
         ),
         (
             "repro_cache_invalidations_total",
-            "Result cache invalidation events (data_version bump, "
-            "vocabulary alias registration, schema evolution)",
+            "Result cache invalidation events (data_version bumps)",
             "result_invalidations",
         ),
     ):

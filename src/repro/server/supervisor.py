@@ -346,6 +346,26 @@ class Supervisor:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
+        if metrics is not None:
+            # bound once: _count_request runs for every request
+            self._requests_total = metrics.counter(
+                "repro_server_requests_total",
+                "Requests finished by the supervisor, by shard and outcome",
+            )
+            # workers keep their own registries in their own processes;
+            # the supervisor mirrors hit/miss from the result frame so
+            # /metrics shows cache behaviour without cross-process scrapes
+            self._cache_hits_total = metrics.counter(
+                "repro_cache_hits_total",
+                "Translation result cache hits (canonical-fingerprint key)",
+            )
+            self._cache_misses_total = metrics.counter(
+                "repro_cache_misses_total", "Translation result cache misses"
+            )
+            self._request_seconds = metrics.histogram(
+                "repro_server_request_seconds",
+                "Seconds from dispatch to result frame, per request",
+            )
         if isinstance(databases, DatabaseSpec):
             databases = {DEFAULT_SHARD: databases}
         if not databases:
@@ -493,10 +513,16 @@ class Supervisor:
             for worker in shard.workers
         ]
         if wait_ready and workers:
+            # a worker that dies first resolves its ready future with
+            # the typed error (see _fail_worker), which ends the wait
             await asyncio.wait(
                 [worker.ready for _, worker in workers],
                 timeout=self.config.worker_ready_timeout,
+                return_when=asyncio.FIRST_EXCEPTION,
             )
+            for _, worker in workers:
+                if worker.ready.done() and worker.ready.exception():
+                    raise worker.ready.exception()
             for shard, worker in workers:
                 if not worker.ready.done():
                     raise TimeoutError(
@@ -878,25 +904,14 @@ class Supervisor:
     ) -> None:
         if self.metrics is None:
             return
-        self.metrics.counter(
-            "repro_server_requests_total",
-            "Requests finished by the supervisor, by shard and outcome",
-        ).inc(1, shard=shard, outcome=outcome)
+        self._requests_total.inc(1, shard=shard, outcome=outcome)
         if cached is not None:
-            # workers keep their own registries in their own processes;
-            # the supervisor mirrors hit/miss from the result frame so
-            # /metrics shows cache behaviour without cross-process scrapes
-            self.metrics.counter(
-                "repro_cache_hits_total" if cached else
-                "repro_cache_misses_total",
-                "Translation result cache hits (canonical-fingerprint key)"
-                if cached else "Translation result cache misses",
-            ).inc(1, shard=shard)
+            counter = (
+                self._cache_hits_total if cached else self._cache_misses_total
+            )
+            counter.inc(1, shard=shard)
         if elapsed is not None:
-            self.metrics.histogram(
-                "repro_server_request_seconds",
-                "Seconds from dispatch to result frame, per request",
-            ).observe(elapsed)
+            self._request_seconds.observe(elapsed)
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -993,11 +1008,12 @@ class Supervisor:
         if worker.state == _DEAD:
             self._detach(worker)  # the watchdog got here first
             return
+        when = "before ready" if worker.state == _STARTING else "mid-service"
         self._fail_worker(
             worker,
             WorkerCrashed(
                 f"worker {worker.shard}/{worker.slot} "
-                f"(pid {worker.pid}) died mid-service: {reason}",
+                f"(pid {worker.pid}) died {when}: {reason}",
                 diagnostic=Diagnostic(
                     stage="backend",
                     message="worker process crashed",
@@ -1043,6 +1059,12 @@ class Supervisor:
         shard = self._shards[worker.shard]
         worker.state = _DEAD
         self._detach(worker)
+        if not worker.ready.done():
+            # fails a start() waiting on it now, not at its timeout;
+            # retrieved here, so a start() that is not waiting leaves
+            # asyncio no unretrieved exception to log
+            worker.ready.set_exception(error)
+            worker.ready.exception()
         pendings = list(worker.inflight)
         worker.inflight.clear()
         if kind == "crash":
@@ -1372,13 +1394,10 @@ class Supervisor:
             self._watchdog.cancel()
         for shard in self._shards.values():
             shard.pending_restarts.clear()
-        workers = [
-            w
-            for shard in self._shards.values()
-            for w in shard.workers
-            if w.state != _DEAD
-        ]
+        workers = [w for shard in self._shards.values() for w in shard.workers]
         for worker in workers:
+            if worker.state == _DEAD:
+                continue  # no pipe; its process is still reaped below
             try:
                 send_frame(worker.conn, {"op": "shutdown"})
             except (BrokenPipeError, OSError):

@@ -18,8 +18,9 @@ when they learned it.  This module makes that testable:
   then matches old names to their new homes by attribute-fingerprint
   overlap — recovering renames that pure string similarity misses
   (``movie`` -> ``film`` shares no q-gram).  Recovered names are
-  registered as aliases on the translator's
-  :class:`~repro.core.context.TranslationContext`;
+  given as aliases to the
+  :class:`~repro.core.context.TranslationContext` the mutated database's
+  translator is built on;
 * **the harness** — :class:`EvolutionHarness` translates and executes
   every workload query on the baseline and on each mutated database and
   compares row multisets (the data is unchanged, so a stable
@@ -34,6 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..catalog import Attribute, Catalog, Relation, SchemaError, normalize
 from ..core.config import DEFAULT_CONFIG, TranslatorConfig
+from ..core.context import TranslationContext
 from ..core.query_log import views_from_sql
 from ..core.similarity import string_similarity
 from ..core.translator import SchemaFreeTranslator
@@ -511,12 +513,14 @@ class VocabularyRecovery:
     #: (relation, attribute in the new catalog, recovered old name)
     attribute_aliases: list = field(default_factory=list)
 
-    def apply(self, context) -> None:
-        """Register every recovered name on a TranslationContext."""
-        for relation, alias in self.relation_aliases:
-            context.add_relation_alias(relation, alias)
-        for relation, attribute, alias in self.attribute_aliases:
-            context.add_attribute_alias(relation, attribute, alias)
+    @property
+    def aliases(self) -> list:
+        """Every recovered name as the ``(relation, attribute or None,
+        alias)`` triples a :class:`~repro.core.context.TranslationContext`
+        takes at construction."""
+        return [
+            (relation, None, alias) for relation, alias in self.relation_aliases
+        ] + list(self.attribute_aliases)
 
     def as_dict(self) -> dict:
         return {
@@ -829,7 +833,7 @@ class EvolutionHarness:
             kind = mutation.kind
             description = mutation.describe()
         record = MutationRecord(kind=kind, description=description)
-        translator = SchemaFreeTranslator(evolved.database, self.config)
+        aliases: list = []
         if self.recover:
             recovery = recover_vocabulary(
                 self.database.catalog,
@@ -837,8 +841,14 @@ class EvolutionHarness:
                 self.log_sql,
                 self.config,
             )
-            recovery.apply(translator.context)
+            aliases = recovery.aliases
             record.recovery = recovery
+        context = TranslationContext(
+            evolved.database, self.config, aliases=aliases
+        )
+        translator = SchemaFreeTranslator(
+            evolved.database, self.config, context=context
+        )
         base = self.baseline()
         for qid, sql in self.pairs:
             outcome = self._run_one(translator, evolved.database, sql)

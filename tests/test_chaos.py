@@ -3,6 +3,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.backends import (
@@ -15,7 +18,7 @@ from repro.backends import (
     TransientBackendError,
 )
 from repro.cli import EXIT_BACKEND, exit_code_for
-from repro.core import SchemaFreeTranslator
+from repro.core import SchemaFreeTranslator, TranslationContext
 from repro.obs import MetricsRegistry, RingBufferExporter, Tracer
 from repro.backends.retry import NO_RETRY, RetryPolicy
 from repro.testing import (
@@ -34,7 +37,8 @@ from repro.testing import (
     standard_mutations,
 )
 from repro.testing.faults import _KINDS_BY_OP
-from repro.workloads import TEXTBOOK_QUERIES
+from repro.datasets import make_course_database
+from repro.workloads import COURSE_QUERIES, TEXTBOOK_QUERIES
 
 from .conftest import make_fig1_catalog, populate_fig1
 from repro import Database
@@ -469,49 +473,13 @@ class TestVocabularyRecovery:
 
     def test_aliases_restore_translation_after_opaque_rename(self, fresh_fig1):
         evolved = RenameTable("Movie", "Zorbflick").apply(fresh_fig1)
-        translator = SchemaFreeTranslator(evolved.database)
         recovery = recover_vocabulary(fresh_fig1.catalog, evolved.catalog)
-        recovery.apply(translator.context)
+        context = TranslationContext(
+            evolved.database, aliases=recovery.aliases
+        )
+        translator = SchemaFreeTranslator(evolved.database, context=context)
         result = translator.translate_best("SELECT movie?.title?")
         assert "Zorbflick" in result.sql
-
-    def test_recovery_apply_drops_only_aliased_tree_sims(self, fresh_fig1):
-        # an alias changes only its relation's name similarity: that
-        # relation's tree-sim partition goes and every other memo stays.
-        # Memoized networks need no drop — a mapping the alias moves has
-        # new candidates, hence a new key — and the live context must
-        # still answer exactly as a fresh one given the same aliases
-        evolved = RenameTable("Movie", "Zorbflick").apply(fresh_fig1)
-        translator = SchemaFreeTranslator(evolved.database)
-        context = translator.context
-        queries = ["SELECT person?.name?", "SELECT movie?.title?"]
-        for query in queries:
-            translator.translate(query, top_k=3)
-        recovery = recover_vocabulary(fresh_fig1.catalog, evolved.catalog)
-        assert recovery.relation_aliases
-        aliased = {
-            relation.lower()
-            for relation, *_ in (
-                recovery.relation_aliases + recovery.attribute_aliases
-            )
-        }
-        assert "zorbflick" in aliased and "zorbflick" in context._tree_sims
-        kept = {
-            relation: dict(partition)
-            for relation, partition in context._tree_sims.items()
-            if relation not in aliased
-        }
-        assert kept
-        recovery.apply(context)
-        assert not aliased & set(context._tree_sims)
-        for relation, partition in kept.items():
-            assert context._tree_sims[relation] == partition
-        fresh = SchemaFreeTranslator(evolved.database)
-        recovery.apply(fresh.context)
-        for query in queries:
-            assert [
-                (t.sql, t.weight) for t in translator.translate(query, top_k=3)
-            ] == [(t.sql, t.weight) for t in fresh.translate(query, top_k=3)]
 
 
 class TestEvolutionHarness:
@@ -540,6 +508,20 @@ class TestEvolutionHarness:
             assert 0.0 <= score <= 1.0
         payload = report.as_dict()
         assert payload["stability_by_class"] == by_class
+
+    def test_courses48_sweep_matches_the_pinned_report(self):
+        # the evolution section of scripts/run_chaos.py, pinned: any
+        # change to a verdict or a recovered alias is a diff
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "evolution_report.json").read_text()
+        )
+        database = make_course_database()
+        report = EvolutionHarness(database, COURSE_QUERIES).run(
+            standard_mutations(database.catalog)
+        )
+        assert json.loads(json.dumps(report.as_dict())) == (
+            pinned["workloads"]["courses48"]
+        )
 
     def test_recovery_improves_or_matches_stability(self, fresh_fig1):
         queries = [("Q1", "SELECT movie?.title? WHERE year? > 1995")]

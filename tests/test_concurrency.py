@@ -24,7 +24,14 @@ import time
 
 import pytest
 
-from repro import Budget, BudgetExceeded, Database, QueryService, SchemaFreeTranslator
+from repro import (
+    Budget,
+    BudgetExceeded,
+    Database,
+    QueryService,
+    SchemaFreeTranslator,
+    TranslationContext,
+)
 from repro.errors import ReproError
 from repro.service import RetryPolicy, ServiceConfig
 from repro.testing.faults import FaultInjector, VirtualClock
@@ -431,16 +438,17 @@ class TestRevalidationUnderWrites:
 
     def test_mapping_memo_left_by_racing_readers_is_exact(self):
         # a few queries read over and over, so most trees are mapping-
-        # memo hits, while one thread moves samples and another registers
-        # aliases — each drop racing the mapping sets being computed.
-        # Afterwards every memoized set, hit twice, answers as a fresh
-        # build with the same aliases
+        # memo hits, while one thread moves samples — each drop racing
+        # the mapping sets being computed.  Afterwards every memoized
+        # set, hit twice, answers as a fresh build with the same aliases
         db = make_db()
-        context = SchemaFreeTranslator(db).context
-        queries = STRESS_QUERIES[:6]
         aliases = [
-            ("Movie", "film"), ("Person", "human"), ("Company", "studio")
+            ("Movie", None, "film"),
+            ("Person", None, "human"),
+            ("Company", None, "studio"),
         ]
+        context = TranslationContext(db, aliases=aliases)
+        queries = STRESS_QUERIES[:6]
         hits = []
         lookup = context.cached_mappings
 
@@ -460,11 +468,6 @@ class TestRevalidationUnderWrites:
                     db.insert("Movie", [pk, name, 2000 + i])
                     time.sleep(0.005)
                 return
-            if index == 1:
-                for relation, alias in aliases:
-                    time.sleep(0.05)
-                    context.add_relation_alias(relation, alias)
-                return
             translator = SchemaFreeTranslator(db, context=context)
             for i in range(60):
                 try:
@@ -480,9 +483,9 @@ class TestRevalidationUnderWrites:
             sys.setswitchinterval(interval)
         assert any(hits)
         shared = SchemaFreeTranslator(db, context=context)
-        fresh = SchemaFreeTranslator(db)
-        for relation, alias in aliases:
-            fresh.context.add_relation_alias(relation, alias)
+        fresh = SchemaFreeTranslator(
+            db, context=TranslationContext(db, aliases=aliases)
+        )
         for query in queries:
             want = outcomes(fresh, query)
             assert outcomes(shared, query) == want, query

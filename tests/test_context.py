@@ -162,18 +162,16 @@ class TestContextReuse:
         from repro.core.triples import extract
         from repro.sqlkit import parse
 
-        context = TranslationContext(fig1_db)
         trees = build_relation_trees(extract(parse(
             "SELECT film?.title?, ?x.heading? WHERE studio?.name? = 'x'"
         )))
-        reference = NameIndex(fig1_db.catalog, context.config.qgram)
 
         def evidence(tree):
             if tree.known_name:
                 return [tree.known_name]
             return [a.known_name for a in tree.attribute_trees if a.known_name]
 
-        def check():
+        def check(context, reference):
             orders = []
             for tree in trees:
                 memoized = context.scoring_order(tree)
@@ -184,18 +182,25 @@ class TestContextReuse:
                 orders.append(memoized)
             return orders
 
-        before = check()
-        for relation, attribute, alias in (
-            ("Movie", None, "film"),
-            ("Company", None, "studio"),
-            ("Movie", "title", "heading"),
-        ):
-            if attribute is None:
-                context.add_relation_alias(relation, alias)
-            else:
-                context.add_attribute_alias(relation, attribute, alias)
-            reference.add_names(relation.lower(), [alias])
-        after = check()
+        q = TranslatorConfig().qgram
+        before = check(
+            TranslationContext(fig1_db), NameIndex(fig1_db.catalog, q)
+        )
+        after = check(
+            TranslationContext(
+                fig1_db,
+                aliases=[
+                    ("Movie", None, "film"),
+                    ("Company", None, "studio"),
+                    ("Movie", "title", "heading"),
+                ],
+            ),
+            NameIndex(
+                fig1_db.catalog,
+                q,
+                {"movie": ["film", "heading"], "company": ["studio"]},
+            ),
+        )
         # the aliases moved each aliased relation to the front
         assert [order[0].name for order in after] == [
             "Movie", "Movie", "Company"
@@ -204,18 +209,33 @@ class TestContextReuse:
             order[0].name for order in after
         ]
 
-    def test_alias_never_mutates_a_held_name_index_set(self, fig1_db):
-        # NameIndex.affinity iterates its posting sets unlocked, so an
-        # alias must rebind them, never grow one a reader may hold
-        context = TranslationContext(fig1_db)
-        index = context.name_index
-        held = index._tokens["name"]
-        before = set(held)
-        context.add_attribute_alias("Movie", "title", "name")
-        assert held == before
-        assert "movie" in index._tokens["name"]
-        ordered = index.order(["name"], context.relations)
-        assert [r.key for r in ordered[:3]] == ["company", "movie", "person"]
+    def test_aliases_are_checked_and_normalized_at_construction(
+        self, fig1_db
+    ):
+        from repro.catalog import SchemaError
+
+        for bad in [
+            ("Film", None, "movie"),
+            ("Movie", "heading", "title"),
+        ]:
+            with pytest.raises(SchemaError):
+                TranslationContext(fig1_db, aliases=[bad])
+        context = TranslationContext(
+            fig1_db,
+            aliases=[
+                ("MOVIE", None, " film "),
+                ("Movie", None, "FILM"),  # a repeat
+                ("Movie", None, "movie"),  # the real name
+                ("Movie", None, "  "),  # blank
+                ("Movie", "Title", "heading"),
+                ("Movie", "title", "Title"),
+            ],
+        )
+        assert context.relation_aliases("Movie") == ("film",)
+        assert context.attribute_aliases("movie", "TITLE") == ("heading",)
+        assert context.relation_aliases("Person") == ()
+        with pytest.raises(TypeError):
+            context._relation_aliases["person"] = ("human",)
 
 
 class TestTranslateMany:
@@ -236,37 +256,6 @@ class TestTranslateMany:
 
 
 class TestNameRowStore:
-    KEY = ("root", "person")
-    ROW = (1.0, 0.5)
-
-    def test_row_offered_across_an_alias_is_not_stored(self, fig1_db):
-        context = TranslationContext(fig1_db)
-        row, epoch = context.cached_name_row(self.KEY)
-        assert row is None
-        context.add_attribute_alias("Person", "name", "moniker")
-        context.remember_name_row(self.KEY, self.ROW, epoch)
-        assert context.cached_name_row(self.KEY)[0] is None
-        row, epoch = context.cached_name_row(self.KEY)
-        context.remember_name_row(self.KEY, self.ROW, epoch)
-        assert context.cached_name_row(self.KEY)[0] == self.ROW
-
-    def test_aliases_drop_every_row(self, fig1_db):
-        context = TranslationContext(fig1_db)
-        for alias in (
-            lambda: context.add_relation_alias("Movie", "film"),
-            lambda: context.add_attribute_alias("Movie", "title", "heading"),
-        ):
-            _, epoch = context.cached_name_row(self.KEY)
-            context.remember_name_row(self.KEY, self.ROW, epoch)
-            context.remember_name_row(("attribute", None), self.ROW, epoch)
-            alias()
-            assert not context._name_rows
-        # re-registering a known alias changes nothing, so drops nothing
-        _, epoch = context.cached_name_row(self.KEY)
-        context.remember_name_row(self.KEY, self.ROW, epoch)
-        context.add_relation_alias("Movie", "film")
-        assert context.cached_name_row(self.KEY)[0] == self.ROW
-
     def test_bounded_and_never_persisted(self, monkeypatch):
         import repro.core.context as context_module
 

@@ -334,19 +334,6 @@ class TestInvalidation:
         # and the re-translation was re-admitted under the new epoch
         assert tr.translate(QUERY)[0].cached
 
-    def test_relation_alias_invalidates(self):
-        tr, ctx = cached_translator()
-        tr.translate(QUERY)
-        ctx.add_relation_alias("Movie", "film")
-        assert not tr.translate(QUERY)[0].cached
-        assert ctx.stats.result_invalidations >= 1
-
-    def test_attribute_alias_invalidates(self):
-        tr, ctx = cached_translator()
-        tr.translate(QUERY)
-        ctx.add_attribute_alias("Movie", "title", "headline")
-        assert not tr.translate(QUERY)[0].cached
-
     def test_evolution_yields_distinct_schema_fingerprint(self):
         # schema evolution builds a new Database/catalog, so its context
         # carries a different schema fingerprint: entries translated

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Budget, BudgetExceeded, Database, SchemaFreeTranslator
+from repro import (
+    Budget,
+    BudgetExceeded,
+    Database,
+    SchemaFreeTranslator,
+    TranslationContext,
+)
 from repro.artifacts import ArtifactStore, build_artifact, load_context
 from repro.backends import MemoryBackend, SqliteBackend, TransientBackendError
 from repro.datasets import make_movie_database
@@ -289,7 +295,7 @@ MAPPING_DB = make_movie_database(scale=0.25)
 MAPPING_SHARED = SchemaFreeTranslator(MAPPING_DB)
 MAPPING_HITS = MappingHits(MAPPING_SHARED.context)
 
-#: (relation, attribute or None, alias) registrations the property draws
+#: (relation, attribute or None, alias) context aliases the property draws
 ALIASES = st.lists(
     st.sampled_from(
         [
@@ -305,14 +311,6 @@ ALIASES = st.lists(
     min_size=1,
     max_size=3,
 )
-
-
-def register(context, aliases) -> None:
-    for relation, attribute, alias in aliases:
-        if attribute is None:
-            context.add_relation_alias(relation, alias)
-        else:
-            context.add_attribute_alias(relation, attribute, alias)
 
 
 class TestMappingMemoEqualsFresh:
@@ -362,13 +360,18 @@ class TestMappingMemoEqualsFresh:
     )
     def test_aliases(self, aliases, queries):
         database = make_movie_database(scale=0.25)
-        shared = SchemaFreeTranslator(database)
+
+        def aliased():
+            return SchemaFreeTranslator(
+                database,
+                context=TranslationContext(database, aliases=aliases),
+            )
+
+        shared = aliased()
         hits = MappingHits(shared.context)
-        for query in QUERIES:  # every mapping memoized before an alias
+        for query in QUERIES:  # every mapping memoized
             outcomes(shared, query)
-        register(shared.context, aliases)
-        fresh = SchemaFreeTranslator(database)
-        register(fresh.context, aliases)
+        fresh = aliased()
         for query in queries:
             want = outcomes(fresh, query)
             assert outcomes(shared, query) == want, query
@@ -413,12 +416,13 @@ class TestMappingMemoEqualsFresh:
 
 
 class TestMappingSetAcrossADrop:
-    def test_set_computed_across_an_alias_is_not_kept(self):
+    def test_set_computed_across_a_moved_sample_is_not_kept(self):
         # a deterministic interleaving of the race: while one translation
-        # scores the relations of a tree, an alias (another thread's
-        # vocabulary recovery) drops a partition it has already read.
-        # The set it finishes must not be memoized, or the next
-        # translation would serve the pre-alias score.
+        # scores the relations of a tree, a write lands and another
+        # thread's lookups re-read the samples, dropping a partition the
+        # translation has already read.  The set it finishes must not be
+        # memoized, or the next translation would serve the pre-write
+        # score.
         database = Database(make_fig1_catalog())
         populate_fig1(database)
         translator = SchemaFreeTranslator(database)
@@ -430,16 +434,24 @@ class TestMappingSetAcrossADrop:
         def interleaved(tree, fingerprint, relation):
             probed.append(relation.key)
             if len(probed) == len(context.relations):
-                context.add_relation_alias("Company", "person")
+                database.insert("Company", [99, "Zork Pictures"])
+                context.ensure_current()
+                settle(context)
+                for key, pending in list(context._baseline.items()):
+                    for attribute in list(pending):
+                        context.column_sample(key, attribute)
+                assert not context._stale and not context._baseline
             return probe(tree, fingerprint, relation)
 
         evaluator.memoized_tree_similarity = interleaved
-        query = "SELECT person?.name?"
-        outcomes(translator, query)
-        assert "company" in probed[:-1]  # read before the alias dropped it
+        query = "SELECT ?x.name? WHERE ?x.name? = 'Zork Pictures'"
+        drops = context.stats.revalidation_drops
+        assert isinstance(outcomes(translator, query), list)
+        assert "company" in probed[:-1]  # read before the re-read dropped it
+        assert context.stats.revalidation_drops > drops
+        assert not context._mappings
         del evaluator.memoized_tree_similarity
         fresh = SchemaFreeTranslator(database)
-        fresh.context.add_relation_alias("Company", "person")
         assert outcomes(translator, query) == outcomes(fresh, query)
 
 
@@ -665,7 +677,9 @@ class TestMappingReadList:
             assert lists[fingerprint] == set()
         for fingerprint in self.fingerprints(context, self.CONDITIONED):
             assert lists[fingerprint] == {"person", "movie", "company"}
-        context.add_relation_alias("Movie", "film")
+        database.insert("Person", [98, "Zork Zorkson", "male"])
+        context.ensure_current()
+        context.column_sample("Person", "name")  # a moved sample
         assert not context._mappings and not context._mapping_reads
 
     def test_unknown_columns_read_every_column(self, tmp_path):

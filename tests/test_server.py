@@ -27,6 +27,7 @@ from repro.cli import (
     exit_code_for,
 )
 from repro.errors import Diagnostic, ReproError
+from repro.obs import MetricsRegistry
 from repro.server import (
     DatabaseSpec,
     FrameError,
@@ -956,3 +957,122 @@ class TestOneLoop:
         assert supervisor.snapshot()["shards"]["movies"]["workers"][0][
             "state"
         ] == "dead"
+
+
+class TestStartup:
+    BROKEN = {"broken": DatabaseSpec(kind="dataset", target="no-such-dataset")}
+
+    def test_worker_dying_before_ready_fails_start_fast(self):
+        # the worker's backend build raises, so it exits before "ready":
+        # start() raises the typed crash, not a timeout 60 s later
+        supervisor, _ = make_supervisor(self.BROKEN, workers_per_shard=2)
+        began = time.monotonic()
+        with pytest.raises(WorkerCrashed, match=r"worker broken/\d .*before ready"):
+            supervisor.start()
+        assert time.monotonic() - began < 10.0
+        processes = [w.process for w in supervisor._shards["broken"].workers]
+        supervisor.close()
+        assert supervisor.closed
+        assert not any(process.is_alive() for process in processes)
+
+    def test_astart_raises_the_typed_crash(self):
+        supervisor, _ = make_supervisor(self.BROKEN)
+
+        async def scenario():
+            with pytest.raises(WorkerCrashed):
+                await asyncio.wait_for(supervisor.astart(), timeout=10.0)
+            await supervisor.adrain()
+
+        _run(scenario())
+        assert supervisor.closed
+
+
+class TestRequestMetrics:
+    #: (shard, outcome, elapsed, cached) per finished request
+    SEQUENCE = [
+        ("movies", "ok", 0.004, False),
+        ("movies", "ok", 0.0002, True),
+        ("movies", "degraded", 0.03, False),
+        ("courses", "ok", 0.0007, True),
+        ("movies", "shed", None, None),
+        ("courses", "worker-failed", 1.5, None),
+        ("movies", "failed", None, None),
+        ("movies", "ok", 7.0, True),
+    ]
+    #: /metrics after SEQUENCE, as rendered when every request looked
+    #: its instruments up in the registry
+    EXPECTED = """\
+# HELP repro_cache_hits_total Translation result cache hits (canonical-fingerprint key)
+# TYPE repro_cache_hits_total counter
+repro_cache_hits_total{shard="courses"} 1
+repro_cache_hits_total{shard="movies"} 2
+# HELP repro_cache_misses_total Translation result cache misses
+# TYPE repro_cache_misses_total counter
+repro_cache_misses_total{shard="movies"} 2
+# HELP repro_server_request_seconds Seconds from dispatch to result frame, per request
+# TYPE repro_server_request_seconds histogram
+repro_server_request_seconds_bucket{le="0.0005"} 1
+repro_server_request_seconds_bucket{le="0.001"} 2
+repro_server_request_seconds_bucket{le="0.0025"} 2
+repro_server_request_seconds_bucket{le="0.005"} 3
+repro_server_request_seconds_bucket{le="0.01"} 3
+repro_server_request_seconds_bucket{le="0.025"} 3
+repro_server_request_seconds_bucket{le="0.05"} 4
+repro_server_request_seconds_bucket{le="0.1"} 4
+repro_server_request_seconds_bucket{le="0.25"} 4
+repro_server_request_seconds_bucket{le="0.5"} 4
+repro_server_request_seconds_bucket{le="1"} 4
+repro_server_request_seconds_bucket{le="2.5"} 5
+repro_server_request_seconds_bucket{le="5"} 5
+repro_server_request_seconds_bucket{le="+Inf"} 6
+repro_server_request_seconds_sum 8.5349
+repro_server_request_seconds_count 6
+# HELP repro_server_requests_total Requests finished by the supervisor, by shard and outcome
+# TYPE repro_server_requests_total counter
+repro_server_requests_total{outcome="degraded",shard="movies"} 1
+repro_server_requests_total{outcome="failed",shard="movies"} 1
+repro_server_requests_total{outcome="ok",shard="courses"} 1
+repro_server_requests_total{outcome="ok",shard="movies"} 3
+repro_server_requests_total{outcome="shed",shard="movies"} 1
+repro_server_requests_total{outcome="worker-failed",shard="courses"} 1
+"""
+
+    @staticmethod
+    def counting(registry, monkeypatch) -> list:
+        calls: list = []
+        register = registry._register
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return register(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "_register", counted)
+        return calls
+
+    def test_instruments_bound_once_and_rendered_unchanged(
+        self, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        supervisor = Supervisor(
+            TWO_SHARDS, SupervisorConfig(auto_watchdog=False), metrics=registry
+        )
+        calls = self.counting(registry, monkeypatch)
+        for request in self.SEQUENCE:
+            supervisor._count_request(*request)
+        assert calls == []
+        assert registry.render_text() == self.EXPECTED
+
+    def test_serving_registers_nothing(self, monkeypatch):
+        registry = MetricsRegistry()
+        supervisor = Supervisor(
+            {"movies": MOVIES},
+            SupervisorConfig(auto_watchdog=False),
+            metrics=registry,
+        )
+        with supervisor:
+            calls = self.counting(registry, monkeypatch)
+            responses = supervisor.run(WORKLOAD * 3, database="movies")
+            assert calls == []
+        assert all(response.ok for response in responses)
+        counter = registry.get("repro_server_requests_total")
+        assert counter.value(shard="movies", outcome="ok") == len(responses)

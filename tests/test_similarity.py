@@ -584,21 +584,13 @@ NAME_ROW_QUERIES = [
     "SELECT film?.heading? WHERE studio?.label? = 'Paramount'",
 ]
 
-#: (relation, attribute or None, alias) registrations
+#: (relation, attribute or None, alias) construction-time aliases
 NAME_ROW_ALIASES = [
     ("Movie", None, "film"),
     ("Movie", "title", "heading"),
     ("Company", None, "studio"),
     ("Company", "name", "label"),
 ]
-
-
-def register_aliases(context, aliases) -> None:
-    for relation, attribute, alias in aliases:
-        if attribute is None:
-            context.add_relation_alias(relation, alias)
-        else:
-            context.add_attribute_alias(relation, attribute, alias)
 
 
 def name_row_trees():
@@ -609,8 +601,7 @@ def assert_scores_match_fresh(database, evaluator, aliases=()):
     """Every tree against every relation, scored through the name rows
     (bypassing the tree-sim memo), equals the per-pair reference on a
     fresh context with the same aliases."""
-    fresh = TranslationContext(database, evaluator.config)
-    register_aliases(fresh, aliases)
+    fresh = TranslationContext(database, evaluator.config, aliases=aliases)
     reference = PerPairEvaluator(database, evaluator.config, fresh)
     for tree in name_row_trees():
         for relation in evaluator.context.relations:
@@ -623,8 +614,8 @@ def assert_scores_match_fresh(database, evaluator, aliases=()):
 
 
 class TestNameRows:
-    def make(self, database):
-        context = TranslationContext(database)
+    def make(self, database, aliases=()):
+        context = TranslationContext(database, aliases=aliases)
         return context, SimilarityEvaluator(database, context.config, context)
 
     def test_rows_match_per_pair_reference(self, fig1_db):
@@ -638,19 +629,20 @@ class TestNameRows:
         evaluator.begin_query()
         assert_scores_match_fresh(fig1_db, evaluator)
 
-    def test_aliases_drop_rows_and_rescore(self, fig1_db):
-        context, evaluator = self.make(fig1_db)
-        assert_scores_match_fresh(fig1_db, evaluator)
-        registered = []
-        for alias in NAME_ROW_ALIASES:
-            assert context._name_rows
-            register_aliases(context, [alias])
-            registered.append(alias)
-            assert not context._name_rows
-            # same query window: the plans' rows are read again
-            assert_scores_match_fresh(fig1_db, evaluator, registered)
+    def test_aliased_rows_match_per_pair_reference(self, fig1_db):
+        context, evaluator = self.make(fig1_db, NAME_ROW_ALIASES)
+        assert_scores_match_fresh(fig1_db, evaluator, NAME_ROW_ALIASES)
         evaluator.begin_query()
-        assert_scores_match_fresh(fig1_db, evaluator, registered)
+        assert_scores_match_fresh(fig1_db, evaluator, NAME_ROW_ALIASES)
+        # the aliases moved scores: an alias-free context differs
+        plain = TranslationContext(fig1_db)
+        film = trees_for("SELECT film?.heading?")[0]
+        movie = fig1_db.catalog.relation("Movie")
+        assert evaluator._tree_similarity(film, movie) != (
+            SimilarityEvaluator(fig1_db, plain.config, plain)._tree_similarity(
+                film, movie
+            )
+        )
 
     def test_cap_evicts_oldest(self, fig1_db, monkeypatch):
         import repro.core.context as context_module
@@ -660,9 +652,9 @@ class TestNameRows:
         stored = []
         remember = context.remember_name_row
 
-        def recording(key, row, epoch):
+        def recording(key, row):
             stored.append(key)
-            remember(key, row, epoch)
+            remember(key, row)
 
         context.remember_name_row = recording
         for _ in range(2):
@@ -672,32 +664,3 @@ class TestNameRows:
         assert len(set(stored)) > 2
         # FIFO: what is left is the last two stored
         assert list(context._name_rows) == stored[-2:]
-
-    def test_row_computed_across_an_alias_is_not_stored(self, fig1_db):
-        context, evaluator = self.make(fig1_db)
-        root_for_name = evaluator._root_for_name
-        calls = []
-
-        def interleaved(name, relation):
-            # another thread's vocabulary recovery lands mid-row
-            if not calls:
-                context.add_relation_alias("Company", "person")
-            calls.append(relation.key)
-            return root_for_name(name, relation)
-
-        evaluator._root_for_name = interleaved
-        tree = trees_for("SELECT person?.name?")[0]
-        person = fig1_db.catalog.relation("Person")
-        evaluator._tree_similarity(tree, person)
-        assert len(calls) == len(context.relations)
-        assert ("root", "person") not in context._name_rows
-        del evaluator._root_for_name
-        # the next score reads a row computed after the alias
-        company = fig1_db.catalog.relation("Company")
-        fresh = TranslationContext(fig1_db)
-        fresh.add_relation_alias("Company", "person")
-        reference = PerPairEvaluator(fig1_db, fresh.config, fresh)
-        assert evaluator._tree_similarity(
-            tree, company
-        ) == reference._tree_similarity(tree, company)
-        assert ("root", "person") in context._name_rows
