@@ -1,6 +1,6 @@
-"""Docs lint: dead relative links and phantom metric names.
+"""Docs lint: dead relative links, phantom metric and span names.
 
-Two checks, both cheap enough for every CI run:
+Three checks, all cheap enough for every CI run:
 
 * every relative markdown link in the repository's ``*.md`` files must
   point at a file or directory that exists (anchors are stripped;
@@ -10,7 +10,11 @@ Two checks, both cheap enough for every CI run:
   the code, so a name with no producer is either a typo or a stale row
   left behind by a refactor.  Prometheus exposition suffixes
   (``_bucket``/``_sum``/``_count``) resolve to their histogram's base
-  name.
+  name;
+* every backticked span name in the first column of the
+  ``| span | parent | attributes |`` tables of ``docs/OBSERVABILITY.md``
+  must appear as a string literal (``"name"`` or ``'name'``) under
+  ``src/`` — a span the code no longer opens is a stale row.
 
 Run from the repository root::
 
@@ -30,6 +34,10 @@ METRIC_RE = re.compile(r"\brepro(?:_[a-z][a-z0-9]*)+\b")
 
 #: exposition-only suffixes a histogram grows in scrape output
 DERIVED_SUFFIXES = ("_bucket", "_sum", "_count")
+
+SPAN_TABLE_HEADER = "| span | parent | attributes |"
+
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -86,9 +94,39 @@ def check_metrics(root: Path) -> list[str]:
     return problems
 
 
+def documented_spans(catalog: str) -> list[str]:
+    """The backticked names in the first column of every span table."""
+    names = []
+    in_table = False
+    for line in catalog.splitlines():
+        line = line.strip()
+        if line == SPAN_TABLE_HEADER:
+            in_table = True
+            continue
+        if not in_table or not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.split("|")[1]
+        names.extend(BACKTICKED_RE.findall(first))
+    return names
+
+
+def check_spans(root: Path) -> list[str]:
+    catalog = root / "docs" / "OBSERVABILITY.md"
+    if not catalog.exists():
+        return [f"{catalog.relative_to(root)}: missing"]
+    source = source_metric_text(root)
+    return [
+        f"docs/OBSERVABILITY.md: span {name!r} is not a string literal "
+        "anywhere under src/"
+        for name in sorted(set(documented_spans(catalog.read_text())))
+        if f'"{name}"' not in source and f"'{name}'" not in source
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    problems = check_links(root) + check_metrics(root)
+    problems = check_links(root) + check_metrics(root) + check_spans(root)
     for problem in problems:
         print(f"DOCS LINT: {problem}")
     if problems:

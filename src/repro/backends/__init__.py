@@ -14,8 +14,8 @@ two implementations and one wrapper:
 * :class:`ResilientBackend` — fault-tolerance armor over any backend:
   retries with deterministic jitter, per-operation timeout budgets,
   graceful degradation (empty samples, partial catalogs) and a
-  per-backend :class:`CircuitBreaker` that pins translation to a
-  degraded ladder rung.  It is the one breaker in the system: backend
+  per-backend :class:`CircuitBreaker` that pins translation to the
+  greedy ladder rung.  It is the one breaker in the system: backend
   health is this package's to judge, and the translator starts its
   ladder at the resulting ``start_advice`` (DESIGN.md §10.4).  Typed
   failures live in :mod:`repro.backends.errors`.

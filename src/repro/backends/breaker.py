@@ -1,20 +1,19 @@
 """Per-backend circuit breaker over the degradation ladder.
 
 Classic breakers fail fast when a dependency is down.  This one has a
-cheaper option: the translator's degradation ladder (``full → reduced →
-greedy → partial``) means a database whose backend keeps failing can
-still be served, just at a weaker rung.  The breaker therefore doesn't
+cheaper option: the translator's degradation ladder (``full → greedy``)
+means a database whose backend keeps failing can still be served, just
+without the expensive top-k search.  The breaker therefore doesn't
 reject requests — :class:`~repro.backends.ResilientBackend` reads its
 state into ``start_advice``, the translator's start rung:
 
 * **closed** — translation runs at full strength.
   ``failure_threshold`` consecutive terminal backend failures trip the
   breaker.
-* **open** — the backend recommends ``pinned_rung`` (default
-  ``"greedy"``): the translator skips the expensive search rungs instead
-  of burning budget on a backend that keeps failing.  After
-  ``cooldown`` seconds on the breaker's (injectable) clock, one
-  operation is promoted to a **half-open probe**.
+* **open** — the backend advises ``greedy``: the translator skips the
+  full search instead of burning budget on a backend that keeps
+  failing.  After ``cooldown`` seconds on the breaker's (injectable)
+  clock, one operation is promoted to a **half-open probe**.
 * **half-open** — the probe runs while the pin stays.  A clean probe
   closes the breaker; a failed probe re-opens it and restarts the
   cooldown.
@@ -32,8 +31,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..core.resilience import LADDER
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
@@ -47,15 +44,8 @@ class BreakerConfig:
     failure_threshold: int = 3
     #: seconds (on the breaker's clock) before a half-open probe
     cooldown: float = 1.0
-    #: ladder rung pinned while the breaker is open
-    pinned_rung: str = "greedy"
 
     def __post_init__(self) -> None:
-        if self.pinned_rung not in LADDER:
-            raise ValueError(
-                f"unknown ladder rung {self.pinned_rung!r}; "
-                f"expected one of {LADDER}"
-            )
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
 
@@ -175,6 +165,5 @@ class CircuitBreaker:
                 "state": self._state,
                 "consecutive_failures": self._consecutive_failures,
                 "trip_count": self.trip_count,
-                "pinned_rung": self.config.pinned_rung,
                 "transitions": list(self.transitions),
             }

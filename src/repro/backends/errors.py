@@ -16,8 +16,8 @@ got in PR 3.  Three classes, by what the caller can do about them:
   query is wrong".
 * :class:`BackendDegraded` — the backend produced a *partial* result
   (``partial`` carries it, e.g. a partially-reflected catalog).  The
-  resilient wrapper folds the partial result in and continues on a lower
-  ladder rung with a structured :class:`~repro.errors.Diagnostic`; only
+  resilient wrapper folds the partial result in and continues on the
+  greedy ladder rung with a structured :class:`~repro.errors.Diagnostic`; only
   when nothing wraps the backend does it surface to the caller.
 
 This module imports nothing but :mod:`repro.errors`, so any layer —

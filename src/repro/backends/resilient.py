@@ -29,7 +29,7 @@ operation (``reflect`` / ``sample`` / ``execute`` / ``count`` /
   translation as its start rung;
 * **circuit breaking** — a per-backend :class:`~repro.backends.breaker.
   CircuitBreaker` counts terminal failures; once tripped it pins the
-  backend's databases to its ``pinned_rung`` until a half-open probe
+  backend's databases to the ``greedy`` rung until a half-open probe
   recovers.  Semantic errors (bad SQL, division by zero) abstain — they
   say nothing about backend health and propagate unchanged.
 
@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
-from ..core.resilience import Budget, weaker_rung
+from ..core.resilience import Budget
 from ..errors import Diagnostic, ReproError
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from .base import Backend
@@ -202,26 +202,24 @@ class ResilientBackend:
 
     @property
     def start_advice(self) -> Optional[tuple[str, str]]:
-        """``(rung, reason)`` when this backend's state demands a start
-        rung below ``full``, else None.  A tripped breaker pins to its
-        configured rung; lost statistics or a partial catalog demote to
-        ``reduced`` (expensive search over wrong statistics wastes the
-        budget).  The reason names the set health flags, else the open
-        breaker."""
+        """``("greedy", reason)`` when this backend's state calls for
+        skipping the full search, else None: the breaker is open, or
+        statistics were lost or the catalog is partial (an expensive
+        search over wrong statistics wastes the budget).  The reason
+        names the set health flags, else the open breaker."""
         health = self.health
-        advised: Optional[str] = None
-        if self.breaker.state != CLOSED:
-            advised = self.breaker.config.pinned_rung
-        if health.stats_degraded or health.catalog_partial:
-            advised = weaker_rung(advised, "reduced")
-        if advised in (None, "full"):
+        if not (
+            self.breaker.state != CLOSED
+            or health.stats_degraded
+            or health.catalog_partial
+        ):
             return None
         causes = [cause for flag, cause in (
             (health.stats_degraded, "statistics sampling failed"),
             (health.catalog_partial, "partial catalog"),
             (health.version_stale, "stale data version"),
         ) if flag]
-        return advised, ", ".join(causes) or "circuit breaker open"
+        return "greedy", ", ".join(causes) or "circuit breaker open"
 
     # ------------------------------------------------------------------
     # the guard

@@ -62,6 +62,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from ..catalog import Catalog, ForeignKey, Relation, normalize
+from ..errors import Diagnostic, ReproError
 from .config import DEFAULT_CONFIG, TranslatorConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -604,7 +605,20 @@ class TranslationContext:
         revalidated first.  The memo tables are copied flat under the
         lock, so a concurrent translator can keep serving while the
         artifact builder pickles.
+
+        A context built with vocabulary aliases is refused: its
+        :class:`NameIndex` carries the alias names, while the artifact
+        key's schema fingerprint and :meth:`from_artifact` know none.
         """
+        if self._relation_aliases or self._attribute_aliases:
+            raise ReproError(
+                "cannot export a context built with vocabulary aliases",
+                diagnostic=Diagnostic(
+                    stage="artifact",
+                    message="aliased name index under an alias-free key",
+                    detail={"aliased": sorted(self._alias_names())},
+                ),
+            )
         self.ensure_current()
         with self._lock:
             for relation in self._relation_by_key:

@@ -101,7 +101,6 @@ def network_signature(
     mappings: dict[TreeKey, TreeMappings],
     views: Sequence[View],
     k: int,
-    max_expansions: int,
     config: TranslatorConfig,
 ) -> tuple:
     """Memo key capturing everything MTJN generation reads.
@@ -137,7 +136,7 @@ def network_signature(
         tuple(tree_parts),
         view_parts,
         k,
-        max_expansions,
+        config.max_expansions,
         (config.c, config.kref, config.qgram),
     )
 

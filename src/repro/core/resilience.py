@@ -6,17 +6,19 @@ deployment needs every translation to run under an explicit *budget*: a
 wall-clock deadline plus counters on mapping candidates and network
 expansions.  Stages check the budget cooperatively in their hot loops and
 raise :class:`BudgetExceeded` — a :class:`~repro.errors.ReproError` — when
-it runs out, which the translator turns into a rung of the degradation
-ladder (see ``translator.SchemaFreeTranslator._generate_networks``):
+it runs out, which the translator turns into a step down the two-rung
+degradation ladder
+(see ``translator.SchemaFreeTranslator._generate_networks``):
 
-    full top-k MTJN search
-      → reduced search (k=1, truncated mapping sets, views pruned)
-        → greedy single join path
-          → best-effort partial translation (no join search at all)
+    full top-k MTJN search (:data:`FULL_TIME_FRACTION` of the time left)
+      → greedy single join path (best mapping per tree)
 
-The search rungs are the rows of :data:`SEARCH_RUNGS`; :func:`weaker_rung`
-is the one rung-order comparison.  A translation starts at ``full``
-unless its backend's ``start_advice`` names a weaker rung.
+Below ``greedy`` the translation is refused: a typed
+:class:`BudgetExceeded` when the deadline left greedy no time, else a
+``NoJoinNetworkError`` naming the trees it could not connect.  There is
+no guessed answer.  A translation starts at ``full`` unless its
+backend's ``start_advice`` names ``greedy``; :func:`weaker_rung` is the
+one rung-order comparison.
 
 ``Budget.clock`` is injectable so tests (and the fault-injection harness
 in ``repro.testing.faults``) can advance time deterministically.
@@ -36,13 +38,16 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import Diagnostic, ReproError
 
 #: Names of the degradation-ladder rungs, strongest first.
-LADDER = ("full", "reduced", "greedy", "partial")
+LADDER = ("full", "greedy")
+
+#: Share of the remaining time the full search may spend; the rest is
+#: left for the greedy rung below it.
+FULL_TIME_FRACTION = 0.55
 
 
 def weaker_rung(a: Optional[str], b: Optional[str]) -> Optional[str]:
@@ -52,36 +57,6 @@ def weaker_rung(a: Optional[str], b: Optional[str]) -> Optional[str]:
     if b is None:
         return a
     return a if LADDER.index(a) >= LADDER.index(b) else b
-
-
-@dataclass(frozen=True)
-class SearchRung:
-    """One MTJN search rung: what it searches and the steps it records.
-
-    ``None`` keeps the caller's mapping sets, k and expansion cap;
-    ``failed`` is formatted with the ``NoJoinNetworkError`` as ``exc``.
-    """
-
-    name: str
-    time_fraction: float  # of the remaining time (Budget.slice)
-    counter_scale: float  # applied to the budget's counter caps
-    mapping_limit: Optional[int]  # candidates kept per relation tree
-    keep_views: bool  # search over session and user-fragment views
-    k: Optional[int]
-    max_expansions: Optional[int]
-    succeeded: Optional[str]  # step on success (None: not degraded)
-    failed: str  # step when the search completes without a network
-
-
-#: The search rungs, strongest first; ``greedy`` and ``partial`` follow.
-SEARCH_RUNGS = (
-    SearchRung("full", 0.55, 1.0, None, True, None, None, None,
-               "full search failed: {exc}"),
-    SearchRung("reduced", 0.6, 0.5, 2, False, 1, 2000,
-               "reduced search succeeded "
-               "(k=1, ≤2 mappings per tree, views pruned)",
-               "reduced search found no join network"),
-)
 
 
 class BudgetExceeded(ReproError):
@@ -259,31 +234,22 @@ class Budget:
         )
 
     # ------------------------------------------------------------------
-    # sub-budgets (one per degradation rung)
+    # sub-budgets (the full rung's time slice)
     # ------------------------------------------------------------------
-    def slice(
-        self, time_fraction: float = 1.0, counter_scale: float = 1.0
-    ) -> "Budget":
+    def slice(self, time_fraction: float = 1.0) -> "Budget":
         """A child budget spending a fraction of what remains.
 
         The child gets ``time_fraction`` of the remaining wall-clock time
         (never extending past the parent's own deadline) and fresh
-        counters scaled by ``counter_scale``.  The degradation ladder
-        slices the incoming budget so that an exhausted rung always
-        leaves time for the cheaper rungs below it.
+        counters with the parent's caps.  The degradation ladder slices
+        the incoming budget so that an exhausted full search always
+        leaves time for the greedy rung below it.
         """
         remaining = self.remaining_time()
-        deadline = None if remaining is None else remaining * time_fraction
-
-        def scaled(cap: Optional[int]) -> Optional[int]:
-            if cap is None:
-                return None
-            return max(1, int(cap * counter_scale))
-
         return Budget(
-            deadline=deadline,
-            max_candidates=scaled(self.max_candidates),
-            max_expansions=scaled(self.max_expansions),
+            deadline=None if remaining is None else remaining * time_fraction,
+            max_candidates=self.max_candidates,
+            max_expansions=self.max_expansions,
             clock=self.clock,
             parent=self,
         )

@@ -40,7 +40,7 @@ from .mtjn import GenerationStats, MTJNGenerator, network_signature
 from .query_log import QueryLog, views_from_sql
 from .relation_tree import RelationTree, TreeKey, build_relation_trees
 from .rescache import fingerprint_parsed, memoized_fingerprint
-from .resilience import LADDER, SEARCH_RUNGS, Budget, BudgetExceeded, weaker_rung
+from .resilience import FULL_TIME_FRACTION, Budget, BudgetExceeded, weaker_rung
 from .similarity import SimilarityEvaluator
 from .triples import ExtractionResult, JoinFragment, extract
 from .view_graph import ExtendedViewGraph, View, ViewGraph, ViewJoin, XNode
@@ -218,8 +218,9 @@ class SchemaFreeTranslator:
         """Start the ladder where the backend advises.
 
         A :class:`~repro.backends.ResilientBackend` exposes
-        ``start_advice``: ``(rung, reason)`` while a tripped breaker or
-        lost statistics call for a weaker start rung.  Plain backends
+        ``start_advice``: ``("greedy", reason)`` while a tripped breaker,
+        lost statistics or a partial catalog call for skipping the full
+        search.  Plain backends
         expose nothing.  The reason becomes a degradation step on every
         translated block.
         """
@@ -318,7 +319,7 @@ class SchemaFreeTranslator:
     ) -> None:
         """Admission control: only complete, full-strength results enter.
 
-        A degraded, partial, or diagnostic-carrying translation is the
+        A degraded or diagnostic-carrying translation is the
         budget/fault machinery talking — caching it would replay one
         call's bad luck at full strength forever.  Payloads are
         immutable tuples, never the Translation objects themselves
@@ -351,16 +352,20 @@ class SchemaFreeTranslator:
 
         With a :class:`Budget` the hot loops of every stage check it
         cooperatively; when it runs out and ``degrade`` is enabled
-        (the default whenever a budget is given) the translator walks the
-        degradation ladder — reduced search, greedy join path, partial
-        composition — instead of failing, recording each rung in the
-        returned translations' ``degradation`` / ``diagnostic`` fields.
-        Every failure raises a :class:`~repro.errors.ReproError`.
+        (the default whenever a budget is given) the translator falls
+        back from the full top-k search to one greedy join path, recording
+        each step in the returned translations' ``degradation`` /
+        ``diagnostic`` fields.  When greedy cannot run (the deadline has
+        passed) or cannot connect every tree, the call raises instead —
+        :class:`BudgetExceeded` or :class:`NoJoinNetworkError`, whose
+        diagnostic lists the steps taken.  Every failure raises a
+        :class:`~repro.errors.ReproError`.
 
         Translation starts at the full top-k search unless the backend
-        advises a weaker start rung (a tripped
+        advises ``greedy`` (a tripped
         :class:`~repro.backends.ResilientBackend` breaker, lost
-        statistics): its ``start_advice`` is read here, once per call.
+        statistics, a partial catalog): its ``start_advice`` is read
+        here, once per call.
 
         Every call is instrumented: the returned translations carry a
         shared :class:`TranslationStats` (per-stage wall time, candidate
@@ -633,15 +638,18 @@ class SchemaFreeTranslator:
 
         steps: list[str] = []
         gen_stats = GenerationStats()
-        mappings, xgraph, networks, rung = self._generate_networks(
-            trees, extraction, k, budget, degrade, steps, gen_stats
-        )
+        try:
+            mappings, xgraph, networks, rung = self._generate_networks(
+                trees, extraction, k, budget, degrade, steps, gen_stats
+            )
+        finally:
+            # a refusal's diagnostic lists the steps taken, too
+            self.last_degradation.extend(steps)
         if self._active_stats is not None:
             for key, value in gen_stats.as_dict().items():
                 self._active_stats.generator[key] = (
                     self._active_stats.generator.get(key, 0) + value
                 )
-        self.last_degradation.extend(steps)
         diagnostic = (
             Diagnostic(
                 stage="translate",
@@ -656,9 +664,7 @@ class SchemaFreeTranslator:
         with _StageGuard("compose"), \
                 self.tracer.span("compose") as compose_span:
             weights = [
-                0.0
-                if rung == "partial"
-                else network.best_weight(xgraph.view_instances)
+                network.best_weight(xgraph.view_instances)
                 for network in networks
             ]
             with self._timed("compose"):
@@ -711,122 +717,86 @@ class SchemaFreeTranslator:
         steps: list[str],
         gen_stats: Optional[GenerationStats] = None,
     ) -> tuple[dict[TreeKey, TreeMappings], ExtendedViewGraph, list[JoinNetwork], str]:
-        """Produce join networks, degrading instead of failing.
+        """Produce join networks: the full top-k search, then one greedy
+        join path, then a typed refusal.
 
-        Rungs: the search rows of :data:`SEARCH_RUNGS` (full top-k
-        search, then reduced: k=1, ≤2 mappings per tree, views pruned)
-        → greedy single join path → best-effort partial composition.
-        Each abandoned rung appends one step to ``steps``.  Mapping
-        failures (a tree matching nothing) stay fatal on every rung —
-        there is nothing sensible to compose without a relation.
+        The full search gets :data:`FULL_TIME_FRACTION` of the time left.
+        When it runs out of budget or finds no network and ``degrade`` is
+        on, the greedy rung splices each tree's best mapping into one join
+        path.  Each abandoned rung appends one step to ``steps``.  When
+        the deadline leaves greedy no time the full search's
+        :class:`BudgetExceeded` is raised, and when greedy cannot connect
+        every tree a :class:`NoJoinNetworkError` naming the trees: there
+        is no guessed answer.  Mapping failures (a tree matching nothing)
+        are fatal on both rungs.
 
-        A backend's advised start rung skips the rungs above it entirely;
-        the skip is recorded as a degradation step so callers can see
-        the translation was pinned.
+        A backend that advises ``greedy`` skips the full search; the skip
+        is recorded as a degradation step so callers can see the
+        translation was pinned.
         """
-        required = [tree.key for tree in trees]
         mappings: Optional[dict[TreeKey, TreeMappings]] = None
-        start_rung = self._start_rung
-        skipped = [
-            rung for rung in LADDER if weaker_rung(rung, start_rung) != rung
-        ]
-        if skipped:
+        failure: Optional[ReproError] = None
+        pinned = self._start_rung == "greedy"
+        if pinned:
             if self._backend_note is not None:
                 steps.append(self._backend_note)
-            steps.append(
-                f"ladder pinned at {start_rung!r}: "
-                f"skipping {', '.join(skipped)}"
-            )
+            steps.append("ladder pinned at 'greedy': skipping full")
         self._fire("map", budget)
 
-        # ---- rungs 1 & 2: the MTJN search rows ----------------------
-        runs = [rung for rung in SEARCH_RUNGS if rung.name not in skipped]
-        for rung in runs:
-            # only the first row maps under its budget and fires the
-            # network fault point; with degrade off, the first row that
-            # runs (a pinned ladder skips some) raises its failure
-            first = rung is SEARCH_RUNGS[0]
-            raises = not degrade and rung is runs[0]
-            with self.tracer.span(f"rung:{rung.name}") as rung_span:
+        # ---- rung 1: the full top-k MTJN search ---------------------
+        if not pinned:
+            with self.tracer.span("rung:full") as rung_span:
                 try:
-                    rung_budget = None if budget is None else budget.slice(
-                        rung.time_fraction, rung.counter_scale
+                    full_budget = None if budget is None else budget.slice(
+                        FULL_TIME_FRACTION
                     )
-                    if mappings is None:
-                        # a later row redoes a mapping interrupted mid-rung
-                        # unbudgeted (polynomial, unlike the network search)
-                        with _StageGuard("map"), self._timed("map"):
-                            mappings = self.mapper.map_trees(
-                                trees, rung_budget if first else None
-                            )
+                    with _StageGuard("map"), self._timed("map"):
+                        mappings = self.mapper.map_trees(trees, full_budget)
                     self._check_mappings(trees, mappings)
-                    if first:
-                        self._fire("network", rung_budget)
-                    searched = mappings
-                    if rung.mapping_limit is not None:
-                        searched = self._truncate_mappings(
-                            mappings, rung.mapping_limit
-                        )
+                    self._fire("network", full_budget)
                     with _StageGuard("network"), self._timed("network"), \
                             self.tracer.span("network") as net_span:
-                        views: Sequence[View] = ()
-                        if rung.keep_views:
-                            views = self.view_graph.views + self._fragment_views(
-                                extraction.fragments, trees, searched, extraction
-                            )
-                        config = self.config
-                        if rung.max_expansions is not None:
-                            config = dataclasses.replace(
-                                config,
-                                max_expansions=min(
-                                    config.max_expansions, rung.max_expansions
-                                ),
-                            )
+                        views = self.view_graph.views + self._fragment_views(
+                            extraction.fragments, trees, mappings, extraction
+                        )
                         xgraph, networks, search_stats = self._search_networks(
-                            trees, searched, views,
-                            k if rung.k is None else rung.k, config,
-                            rung_budget, gen_stats, net_span,
+                            trees, mappings, views, k,
+                            full_budget, gen_stats, net_span,
                         )
                     if not networks:
-                        labels = ", ".join(tree.label for tree in trees)
-                        raise NoJoinNetworkError(
-                            f"no join network connects all relation trees "
-                            f"({labels})",
-                            diagnostic=Diagnostic(
-                                stage="network",
-                                message=(
-                                    "search exhausted without a total join "
-                                    "network"
-                                ),
-                                token=labels,
-                                candidates=sum(
-                                    len(tm.candidates) for tm in searched.values()
-                                ),
-                                detail={"expanded": search_stats.expanded},
-                            ),
+                        raise self._no_network(
+                            trees,
+                            "search exhausted without a total join network",
+                            sum(len(tm.candidates) for tm in mappings.values()),
+                            {"expanded": search_stats.expanded},
                         )
-                    if rung.succeeded is not None:
-                        steps.append(rung.succeeded)
                     if rung_span.enabled:
                         rung_span.set(outcome="ok", networks=len(networks))
-                    return searched, xgraph, networks, rung.name
+                    return mappings, xgraph, networks, "full"
                 except BudgetExceeded as exc:
-                    if raises:
+                    if not degrade:
                         raise
                     if rung_span.enabled:
                         rung_span.set(outcome="budget-exhausted")
-                    steps.append(f"{rung.name} search abandoned: {exc}")
+                    steps.append(f"full search abandoned: {exc}")
+                    failure = exc
                 except NoJoinNetworkError as exc:
-                    if raises:
+                    if not degrade:
                         raise
                     if rung_span.enabled:
                         rung_span.set(outcome="no-network")
-                    steps.append(rung.failed.format(exc=exc))
+                    steps.append(f"full search failed: {exc}")
+                    failure = exc
 
-        # ---- rungs 3 & 4: greedy path, then partial composition -----
+        # ---- rung 2: one greedy join path, or refuse ----------------
+        if budget is not None and budget.time_exceeded():
+            steps.append("greedy join path skipped: deadline passed")
+            if failure is None:
+                budget.check("network")  # pinned: no search failed yet
+            raise failure
         if mappings is None:
-            # every search rung was pinned away: map now (polynomial),
-            # so the cheap rungs below still have relations to place
+            # the full search was pinned away or interrupted mid-mapping:
+            # map now, unbudgeted (polynomial, unlike the network search)
             with _StageGuard("map"), self._timed("map"):
                 mappings = self.mapper.map_trees(trees)
             self._check_mappings(trees, mappings)
@@ -843,31 +813,42 @@ class SchemaFreeTranslator:
                 )
                 if net_span.enabled:
                     net_span.set(**xgraph.summary())
-            if start_rung == "partial":
-                pass  # pinned at "partial": no join search at all
-            elif budget is not None and budget.time_exceeded():
-                steps.append("greedy join path skipped: deadline passed")
-            else:
-                with self.tracer.span("rung:greedy") as rung_span:
-                    network = self._greedy_network(xgraph, required)
-                    if network is not None:
-                        if rung_span.enabled:
-                            rung_span.set(outcome="ok", networks=1)
-                        steps.append(
-                            "greedy single join path (best mapping per tree)"
-                        )
-                        return singles, xgraph, [network], "greedy"
-                    if rung_span.enabled:
-                        rung_span.set(outcome="disconnected")
-                steps.append("greedy join path could not connect all trees")
-            with self.tracer.span("rung:partial") as rung_span:
-                network = self._partial_network(xgraph, trees)
+            with self.tracer.span("rung:greedy") as rung_span:
+                network = self._greedy_network(
+                    xgraph, [tree.key for tree in trees]
+                )
                 if rung_span.enabled:
-                    rung_span.set(outcome="ok", trees=len(trees))
-        steps.append(
-            "partial translation: best mapping per tree, join search skipped"
+                    if network is None:
+                        rung_span.set(outcome="disconnected")
+                    else:
+                        rung_span.set(outcome="ok", networks=1)
+        if network is None:
+            steps.append("greedy join path could not connect all trees")
+            raise self._no_network(
+                trees, "greedy join path could not connect all trees",
+                len(trees),
+            )
+        steps.append("greedy single join path (best mapping per tree)")
+        return singles, xgraph, [network], "greedy"
+
+    @staticmethod
+    def _no_network(
+        trees: list[RelationTree],
+        message: str,
+        candidates: int,
+        detail: Optional[dict] = None,
+    ) -> NoJoinNetworkError:
+        labels = ", ".join(tree.label for tree in trees)
+        return NoJoinNetworkError(
+            f"no join network connects all relation trees ({labels})",
+            diagnostic=Diagnostic(
+                stage="network",
+                message=message,
+                token=labels,
+                candidates=candidates,
+                detail=detail or {},
+            ),
         )
-        return singles, xgraph, [network], "partial"
 
     def _search_networks(
         self,
@@ -875,24 +856,22 @@ class SchemaFreeTranslator:
         mappings: dict[TreeKey, TreeMappings],
         views: Sequence[View],
         k: int,
-        config: TranslatorConfig,
         rung_budget: Optional[Budget],
         gen_stats: Optional[GenerationStats],
         net_span,
     ) -> tuple[ExtendedViewGraph, list[JoinNetwork], GenerationStats]:
-        """One MTJN search rung, memoized on the shared context.
+        """The full rung's MTJN search, memoized on the shared context.
 
         The (extended graph, networks) pair is a pure function of the
         terminal-relation signature — tree shapes, name evidence, ordered
         mapping candidates, views, k, expansion cap — so repeat
         signatures skip both graph construction and the top-k search.
-        Only *completed* searches are remembered: a rung abandoned by
+        Only *completed* searches are remembered: a search abandoned by
         BudgetExceeded raises through before the store, so a degraded
         result can never be replayed to a caller with budget to spare.
         """
-        signature = network_signature(
-            trees, mappings, views, k, config.max_expansions, config
-        )
+        config = self.config
+        signature = network_signature(trees, mappings, views, k, config)
         cached = self.context.cached_networks(signature)
         if cached is not None:
             xgraph, networks = cached
@@ -969,7 +948,7 @@ class SchemaFreeTranslator:
                 continue
             network = self._splice_tree(xgraph, network, key)
             if network is None:
-                return None  # tree unreachable: fall through to partial
+                return None  # tree unreachable: refuse
         return network if network.is_total(required) else None
 
     def _splice_tree(
@@ -1052,32 +1031,6 @@ class SchemaFreeTranslator:
             state, edge = parents[state]
             edges.append(edge)
         return best_member_weight, best_member[0], edges
-
-    def _partial_network(
-        self, xgraph: ExtendedViewGraph, trees: list[RelationTree]
-    ) -> JoinNetwork:
-        """Best-effort bottom rung: a forest of each tree's best-mapped
-        node with no join edges at all.  Composition places every mapped
-        relation in FROM (a cross join) with all names fully resolved —
-        a syntactically valid, executable translation that preserves the
-        user's conditions even when no join path was found in time."""
-        nodes: dict[int, XNode] = {}
-        for tree in trees:
-            node = xgraph.nodes_for_tree(tree.key)[0]
-            nodes[node.node_id] = node
-        ids = list(nodes)
-        return JoinNetwork(
-            root_id=ids[0],
-            nodes=nodes,
-            parents={node_id: None for node_id in ids},
-            children={node_id: () for node_id in ids},
-            rightmost=frozenset(ids),
-            edges=(),
-            views=(),
-            fk_used=frozenset(),
-            construction_weight=0.0,
-            tree_keys=frozenset(tree.key for tree in trees),
-        )
 
     def _is_outer_tree(
         self,

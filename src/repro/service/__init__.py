@@ -10,14 +10,14 @@ front end needs under load (DESIGN.md §10):
   *shed* immediately with a typed :class:`ServiceOverloaded` (bounded
   latency, no unbounded waiting);
 * **deadlines as budgets** — a per-request deadline becomes a
-  :class:`~repro.core.resilience.Budget` created *at admission*, and
-  overruns degrade down the ladder instead of failing;
+  :class:`~repro.core.resilience.Budget` created *at admission*; an
+  overrun falls back to the translator's greedy rung, or fails typed;
 * **retries** — transient faults retry with exponential backoff and
   deterministic per-request jitter (:class:`RetryPolicy`).
 
 The service owns no health state: each failure domain has one owner
 (DESIGN.md §10.4).  A budget that runs out is handled per request by
-the translator's degradation ladder, and backend health by
+the translator's two-rung degradation ladder, and backend health by
 :class:`~repro.backends.ResilientBackend`, whose advice the translator
 folds.
 

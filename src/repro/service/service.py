@@ -26,8 +26,9 @@ Python, which threads sharing one interpreter cannot run in parallel.
   virtual clock, so backoff and timeout paths are testable without
   wall-clock sleeping.
 
-A budget that runs out is the translator's to handle, per request, by
-walking its degradation ladder; backend health is the backend's own
+A budget that runs out is the translator's to handle, per request: it
+falls back from the full search to one greedy join path, or refuses
+with a typed error; backend health is the backend's own
 (:class:`~repro.backends.ResilientBackend`, whose advice the translator
 folds).  The service keeps no health state of its own.
 
@@ -547,7 +548,7 @@ class QueryService:
         while True:
             attempt = retries + 1
             try:
-                # with a budget, translate() walks the degradation ladder
+                # with a budget, translate() may fall back to greedy
                 translations = translator.translate(
                     request.query,
                     top_k=request.top_k or self.config.top_k,
@@ -579,7 +580,8 @@ class QueryService:
                     retries += 1
                     continue
                 # not retryable: a syntax error, an unmappable query, or
-                # a BudgetExceeded the ladder could not degrade away
+                # a refusal (BudgetExceeded, NoJoinNetworkError) below
+                # the greedy rung
                 return self._finish(
                     request, started, retries,
                     ok=False, error=exc, rung=None, span=span,

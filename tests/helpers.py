@@ -41,3 +41,46 @@ def make_xgraph(db, sql=PAPER_QUERY, views=(), config=None):
         trees,
         mappings,
     )
+
+
+#: the budgets of the pinned ladder sweep (tests/data/ladder_sweep.json)
+LADDER_SWEEP_BUDGETS = (
+    ("max_expansions", 2),
+    ("max_expansions", 5),
+    ("max_candidates", 5),
+    ("max_candidates", 50),
+)
+
+
+def ladder_sweep() -> dict:
+    """Each courses48 query's budgeted top-1, cold, under every budget of
+    :data:`LADDER_SWEEP_BUDGETS`: ``{qid: {"field=cap": {"rung": ...,
+    "correct": ...}}}``.  ``correct`` is result equivalence with the gold
+    query; a typed failure records its class name as the rung."""
+    from repro import Budget, ReproError, SchemaFreeTranslator
+    from repro.datasets import make_course_database
+    from repro.experiments.common import gold_rows, rows_match
+    from repro.workloads import COURSE_QUERIES
+
+    database = make_course_database()
+    sweep: dict = {}
+    for query in COURSE_QUERIES:
+        gold = gold_rows(database, query)
+        ordered = "ORDER BY" in query.gold_sql.upper()
+        row = sweep[query.qid] = {}
+        for field, cap in LADDER_SWEEP_BUDGETS:
+            translator = SchemaFreeTranslator(database)
+            try:
+                best = translator.translate_best(
+                    query.sf_sql, budget=Budget(**{field: cap})
+                )
+            except ReproError as exc:
+                row[f"{field}={cap}"] = {
+                    "rung": type(exc).__name__, "correct": False
+                }
+                continue
+            row[f"{field}={cap}"] = {
+                "rung": best.rung,
+                "correct": rows_match(database, best, gold, ordered),
+            }
+    return sweep

@@ -154,7 +154,7 @@ class TestResilientBackend:
         faulty.inject_error("sample", repeat=True)
         assert rb.column_values("Movie", "title") == []
         assert rb.health.stats_degraded
-        assert rb.start_advice == ("reduced", "statistics sampling failed")
+        assert rb.start_advice == ("greedy", "statistics sampling failed")
         assert rb.health.diagnostics
 
     def test_hang_times_out_on_virtual_clock_then_recovers(self, fig1_db):
@@ -170,7 +170,7 @@ class TestResilientBackend:
         catalog = rb.catalog
         assert len(catalog.relations) == len(fig1_db.catalog.relations) - 1
         assert rb.health.catalog_partial
-        assert rb.start_advice == ("reduced", "partial catalog")
+        assert rb.start_advice == ("greedy", "partial catalog")
         # cached: the second read does not re-reflect
         assert rb.catalog is catalog
 

@@ -237,6 +237,23 @@ class TestContextReuse:
         with pytest.raises(TypeError):
             context._relation_aliases["person"] = ("human",)
 
+    def test_export_state_refuses_an_aliased_context(self, fig1_db):
+        # the fig. 1 alias Company <- film: an aliased name index must not
+        # be exported under the alias-free schema fingerprint that keys
+        # an artifact, whose restore knows no aliases
+        from repro.errors import ReproError
+
+        context = TranslationContext(
+            fig1_db, aliases=[("Company", None, "film")]
+        )
+        with pytest.raises(ReproError) as raised:
+            context.export_state()
+        assert raised.value.diagnostic.stage == "artifact"
+        assert raised.value.diagnostic.detail == {"aliased": ["company"]}
+        # the same database's alias-free context exports as before
+        schema_state, _ = TranslationContext(fig1_db).export_state()
+        assert schema_state.schema_fingerprint == context.schema_fingerprint
+
 
 class TestTranslateMany:
     def test_batch_stats_aggregate(self, fig1_db):

@@ -117,10 +117,10 @@ class TestSpans:
         tracer = Tracer(clock=clock)
         with tracer.span("s") as span:
             span.set(rung="full", candidates=3)
-            span.set_attribute("rung", "reduced")  # last write wins
+            span.set_attribute("rung", "greedy")  # last write wins
             clock.advance(1.0)
             span.event("retry", attempt=1)
-        assert span.attributes["rung"] == "reduced"
+        assert span.attributes["rung"] == "greedy"
         assert span.attributes["candidates"] == 3
         (event,) = span.events
         assert event["name"] == "retry"

@@ -3,6 +3,7 @@ ladder, deterministic fault injection, and the unified ``ReproError``
 taxonomy with structured diagnostics."""
 
 import io
+import json
 import random
 from pathlib import Path
 
@@ -36,11 +37,11 @@ from repro.cli import (
 )
 import repro
 from repro.core import LADDER, NoJoinNetworkError
-from repro.core.resilience import SEARCH_RUNGS, weaker_rung
+from repro.core.resilience import FULL_TIME_FRACTION, weaker_rung
 from repro.testing import FaultInjector, InjectedFault
 from repro.testing.faults import STAGES
 
-from tests.helpers import PAPER_QUERY
+from tests.helpers import LADDER_SWEEP_BUDGETS, PAPER_QUERY, ladder_sweep
 
 
 class FakeClock:
@@ -57,8 +58,8 @@ class FakeClock:
 
 
 def make_islands_db() -> Database:
-    """Two relations with no foreign-key path between them: only the
-    partial rung can produce a (cross-join) translation."""
+    """Two relations with no foreign-key path between them: no join
+    network, not even greedy's, connects a query over both."""
     catalog = Catalog("islands")
     catalog.create_relation(
         "alpha",
@@ -156,23 +157,25 @@ class TestBudget:
     def test_budget_exceeded_is_a_repro_error(self):
         assert issubclass(BudgetExceeded, ReproError)
 
-    def test_slice_scales_time_and_counters(self):
+    def test_slice_scales_time_and_keeps_caps(self):
         clock = FakeClock()
         parent = Budget(
             deadline=10.0, max_candidates=100, max_expansions=40, clock=clock
         )
         clock.advance(2.0)  # 8s remain
-        child = parent.slice(0.5, counter_scale=0.25)
+        child = parent.slice(0.5)
         assert child.deadline == pytest.approx(4.0)
-        assert child.max_candidates == 25
-        assert child.max_expansions == 10
+        assert child.max_candidates == 100
+        assert child.max_expansions == 40
         assert child.clock is clock
         # the child's counters are fresh, not inherited
         assert child.candidates == 0
 
     def test_slice_counters_never_scale_to_zero(self):
+        # a slice takes a share of the time, never of the caps
         parent = Budget(max_expansions=1)
-        assert parent.slice(counter_scale=0.5).max_expansions == 1
+        assert parent.slice(FULL_TIME_FRACTION).max_expansions == 1
+        assert parent.slice().deadline is None
 
     def test_snapshot_shape(self):
         budget = Budget(deadline=3.0, max_candidates=7)
@@ -205,11 +208,7 @@ BUDGET_FAMILIES = st.fixed_dictionaries(
         "step": st.sampled_from([0.0, 0.25, 1.0]),
         "max_candidates": st.one_of(st.none(), st.integers(0, 40)),
         "slices": st.lists(
-            st.tuples(
-                st.sampled_from([1.0, 0.55, 0.6]),
-                st.sampled_from([1.0, 0.5, 0.25]),
-            ),
-            max_size=2,
+            st.sampled_from([1.0, FULL_TIME_FRACTION, 0.6]), max_size=2
         ),
         "before": st.integers(0, 12),
         "exhausted": st.booleans(),
@@ -233,8 +232,8 @@ class TestChargeCandidatesProperty:
                 clock=clock,
             )
         ]
-        for time_fraction, counter_scale in family["slices"]:
-            chain.append(chain[-1].slice(time_fraction, counter_scale))
+        for time_fraction in family["slices"]:
+            chain.append(chain[-1].slice(time_fraction))
         leaf = chain[-1]
         for _ in range(family["before"]):  # the same history on both sides
             try:
@@ -267,8 +266,8 @@ class TestChargeCandidatesProperty:
         )
 
     def test_counting_stops_at_the_first_unit_over_the_cap(self):
-        parent = Budget(max_candidates=20)
-        child = parent.slice(counter_scale=0.25)  # cap 5
+        parent = Budget(max_candidates=5)
+        child = parent.slice()  # cap 5
         child.charge_candidates(3)
         with pytest.raises(BudgetExceeded) as exc_info:
             child.charge_candidates(53)
@@ -298,26 +297,26 @@ class TestBudgetExhaustionPaths:
 
     @staticmethod
     def pinned_translator(db) -> SchemaFreeTranslator:
-        """A translator whose backend advises starting at ``reduced``."""
+        """A translator whose backend advises starting at ``greedy``."""
         from repro.backends import MemoryBackend, ResilientBackend
 
         backend = ResilientBackend(MemoryBackend(db))
         backend.health.stats_degraded = True
-        assert backend.start_advice[0] == "reduced"
+        assert backend.start_advice[0] == "greedy"
         return SchemaFreeTranslator(backend)
 
-    def test_pinned_ladder_raises_budget_without_degrade(self, fig1_db):
-        # the full row is skipped, so the reduced row is the first that
-        # runs: with degrade off it raises, as full does when unpinned
+    def test_pinned_ladder_runs_no_search_without_degrade(self, fig1_db):
+        # the full search is skipped, so a budget that would stop it
+        # raises nothing with degrade off: greedy charges no expansions
         translator = self.pinned_translator(fig1_db)
-        with pytest.raises(BudgetExceeded) as exc_info:
-            translator.translate_best(
-                "SELECT title? WHERE director?.name = 'James Cameron'",
-                budget=Budget(max_expansions=2),
-                degrade=False,
-            )
-        assert exc_info.value.diagnostic.stage == "network"
-        assert translator.last_degradation == []
+        best = translator.translate_best(
+            "SELECT title? WHERE director?.name = 'James Cameron'",
+            budget=Budget(max_expansions=2),
+            degrade=False,
+        )
+        assert best.rung == "greedy"
+        assert translator.last_translation_stats.expansions == 0
+        assert translator.last_degradation[-1].startswith("greedy single")
 
     def test_pinned_ladder_raises_no_network_without_degrade(self):
         translator = self.pinned_translator(make_islands_db())
@@ -326,6 +325,24 @@ class TestBudgetExhaustionPaths:
                 "SELECT alpha_name?, beta_name?", degrade=False
             )
         assert exc_info.value.diagnostic.stage == "network"
+        assert exc_info.value.diagnostic.degradation[-2:] == (
+            "ladder pinned at 'greedy': skipping full",
+            "greedy join path could not connect all trees",
+        )
+
+    def test_pinned_ladder_refuses_a_spent_deadline(self, fig1_db):
+        # no full search ran, so the refusal is the budget's own error
+        translator = self.pinned_translator(fig1_db)
+        clock = FakeClock()
+        budget = Budget(deadline=1.0, clock=clock)
+        clock.advance(5.0)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            translator.translate_best("SELECT title?", budget=budget)
+        assert exc_info.value.diagnostic.stage == "network"
+        assert exc_info.value.diagnostic.degradation[-2:] == (
+            "ladder pinned at 'greedy': skipping full",
+            "greedy join path skipped: deadline passed",
+        )
 
     def test_degradation_defaults_on_when_budgeted(self, fig1_translator, fig1_db):
         # same starved budget, but degrade is left to default: the ladder
@@ -343,14 +360,14 @@ class TestBudgetExhaustionPaths:
 # ======================================================================
 class TestDegradationLadder:
     def test_ladder_rungs(self):
-        assert LADDER == ("full", "reduced", "greedy", "partial")
-        assert tuple(rung.name for rung in SEARCH_RUNGS) == LADDER[:2]
+        assert LADDER == ("full", "greedy")
+        assert 0.0 < FULL_TIME_FRACTION < 1.0
 
     def test_weaker_rung(self):
         assert weaker_rung("full", "greedy") == "greedy"
-        assert weaker_rung("partial", "reduced") == "partial"
-        assert weaker_rung("reduced", "reduced") == "reduced"
-        assert weaker_rung(None, "reduced") == "reduced"
+        assert weaker_rung("greedy", "full") == "greedy"
+        assert weaker_rung("greedy", "greedy") == "greedy"
+        assert weaker_rung(None, "greedy") == "greedy"
         assert weaker_rung("full", None) == "full"
 
     def test_rung_order_is_compared_only_in_resilience(self):
@@ -370,17 +387,17 @@ class TestDegradationLadder:
         assert best.diagnostic is None
         assert fig1_db.execute(best.query).scalar() == 1
 
-    def test_reduced_rung(self, fig1_db):
+    def test_greedy_rescues_an_exhausted_full_search(self, fig1_db):
         # exhaust only the full rung's slice: the injected fault fires at
         # the network-stage entry, which the translator visits once
         injector = FaultInjector()
         injector.inject_budget_exhaustion("network")
         translator = SchemaFreeTranslator(fig1_db, faults=injector)
         best = translator.translate_best(PAPER_QUERY, budget=Budget(deadline=60.0))
-        assert "rung: reduced" in best.diagnostic.message
-        assert any("full search abandoned" in s for s in best.degradation)
-        assert any("reduced search succeeded" in s for s in best.degradation)
-        # the reduced search still finds the paper's correct answer
+        assert "rung: greedy" in best.diagnostic.message
+        assert best.degradation[0].startswith("full search abandoned")
+        assert best.degradation[1].startswith("greedy single join path")
+        # the greedy path still finds the paper's correct answer
         assert fig1_db.execute(best.query).scalar() == 1
 
     def test_greedy_rung(self, fig1_translator, fig1_db):
@@ -393,32 +410,41 @@ class TestDegradationLadder:
         # reaches the right answer on the running example
         assert fig1_db.execute(best.query).scalar() == 1
 
-    def test_partial_rung_when_deadline_already_spent(self, fig1_db):
+    def test_deadline_spent_before_greedy_is_refused(self, fig1_db):
         # a delay fault burns the whole deadline during the full rung;
-        # reduced and greedy are then skipped and the partial composition
-        # still returns a translation
+        # greedy is then skipped and the full rung's own error surfaces,
+        # listing the steps taken
         injector = FaultInjector()
         injector.inject_delay("network", 30.0)
         translator = SchemaFreeTranslator(fig1_db, faults=injector)
-        best = translator.translate_best(
-            PAPER_QUERY, budget=Budget(deadline=1.0, clock=injector.clock)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            translator.translate_best(
+                PAPER_QUERY, budget=Budget(deadline=1.0, clock=injector.clock)
+            )
+        diagnostic = exc_info.value.diagnostic
+        assert "deadline" in diagnostic.message
+        assert len(diagnostic.degradation) == 2
+        assert diagnostic.degradation[0].startswith("full search abandoned")
+        assert diagnostic.degradation[1] == (
+            "greedy join path skipped: deadline passed"
         )
-        assert "rung: partial" in best.diagnostic.message
-        assert any("greedy join path skipped" in s for s in best.degradation)
-        assert best.sql
-        fig1_db.execute(best.query)
+        assert translator.last_diagnostic is diagnostic
 
-    def test_partial_rung_on_disconnected_schema(self):
-        db = make_islands_db()
-        translator = SchemaFreeTranslator(db)
-        best = translator.translate_best("SELECT alpha_name?, beta_name?", degrade=True)
-        assert "rung: partial" in best.diagnostic.message
-        assert best.weight == 0.0
-        assert any("full search failed" in s for s in best.degradation)
-        assert any("partial translation" in s for s in best.degradation)
-        # composes to a cross join over the two islands
-        rows = db.execute(best.query).rows
-        assert sorted(rows) == [("a1", "b1"), ("a2", "b1")]
+    def test_disconnected_schema_is_refused_with_degrade(self):
+        translator = SchemaFreeTranslator(make_islands_db())
+        with pytest.raises(NoJoinNetworkError) as exc_info:
+            translator.translate_best(
+                "SELECT alpha_name?, beta_name?", degrade=True
+            )
+        assert "(rt1, rt2)" in str(exc_info.value)
+        diagnostic = exc_info.value.diagnostic
+        assert diagnostic.stage == "network"
+        assert diagnostic.token == "rt1, rt2"
+        assert len(diagnostic.degradation) == 2
+        assert diagnostic.degradation[0].startswith("full search failed")
+        assert diagnostic.degradation[1].startswith(
+            "greedy join path could not connect"
+        )
 
     def test_disconnected_schema_without_degradation_raises(self):
         translator = SchemaFreeTranslator(make_islands_db())
@@ -427,6 +453,17 @@ class TestDegradationLadder:
         assert exc_info.value.diagnostic.stage == "network"
         # the error names the trees it could not connect
         assert "rt1" in str(exc_info.value)
+
+    def test_budgeted_courses48_answers_match_the_pinned_sweep(self):
+        # every courses48 query under four counter budgets, cold: the rung
+        # and the gold verdict of each top-1 are pinned (~3 s)
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "ladder_sweep.json").read_text()
+        )
+        assert pinned["budgets"] == [
+            f"{field}={cap}" for field, cap in LADDER_SWEEP_BUDGETS
+        ]
+        assert ladder_sweep() == pinned["sweep"]
 
     def test_degradation_steps_exposed_on_translator(self, fig1_translator):
         fig1_translator.translate_best(PAPER_QUERY, budget=Budget(max_expansions=1))
@@ -480,9 +517,15 @@ class TestFaultInjection:
         import time
 
         start = time.monotonic()
-        best = translator.translate_best(PAPER_QUERY, budget=budget)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            translator.translate_best(PAPER_QUERY, budget=budget)
         assert time.monotonic() - start < 30.0
-        assert best.is_degraded
+        # the deadline was spent before the full search, so greedy had
+        # no time either: a typed refusal listing both steps
+        assert exc_info.value.diagnostic.degradation == (
+            f"full search abandoned: {exc_info.value}",
+            "greedy join path skipped: deadline passed",
+        )
 
     def test_trigger_counts_stage_visits(self, fig1_translator, fig1_db):
         injector = FaultInjector()

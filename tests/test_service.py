@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import (
+    BudgetExceeded,
     Database,
     QueryService,
     ServiceOverloaded,
@@ -99,14 +100,10 @@ class ManualClock:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=5.0, rung="greedy"):
+    def make(self, threshold=3, cooldown=5.0):
         clock = ManualClock()
         breaker = CircuitBreaker(
-            BreakerConfig(
-                failure_threshold=threshold,
-                cooldown=cooldown,
-                pinned_rung=rung,
-            ),
+            BreakerConfig(failure_threshold=threshold, cooldown=cooldown),
             clock=clock,
         )
         return breaker, clock
@@ -213,18 +210,20 @@ class TestCircuitBreaker:
         clock = ManualClock()
         backend = ResilientBackend(
             MemoryBackend(make_db()),
-            breaker=BreakerConfig(failure_threshold=1, pinned_rung="partial"),
+            breaker=BreakerConfig(failure_threshold=1),
             clock=clock,
         )
         assert backend.start_advice is None
         backend.breaker.record(False)
-        assert backend.start_advice == ("partial", "circuit breaker open")
+        assert backend.start_advice == ("greedy", "circuit breaker open")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BreakerConfig(pinned_rung="bogus")
-        with pytest.raises(ValueError):
             BreakerConfig(failure_threshold=0)
+        # an open breaker always advises greedy: there is no rung to pick
+        assert [f.name for f in dataclasses.fields(BreakerConfig)] == [
+            "failure_threshold", "cooldown"
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +344,10 @@ class TestRetries:
 
 
 class TestDeadlines:
-    def test_injected_delay_exhausts_deadline_and_degrades(self):
+    def test_injected_delay_exhausts_deadline_and_is_refused(self):
         injector = FaultInjector()
         # every map entry costs 10 virtual seconds: the 0.5s deadline is
-        # gone before the full search starts
+        # gone before the full search starts, so greedy has no time either
         injector.inject_delay("map", seconds=10.0, repeat=True)
         config = ServiceConfig(
             workers=1,
@@ -357,10 +356,11 @@ class TestDeadlines:
         )
         with QueryService(make_db(), config, faults=injector) as service:
             response = service.serve_inline(CAMERON)
-        assert response.ok  # degraded, not failed
-        assert response.rung != "full"
-        steps = " ".join(response.translations[0].degradation)
-        assert "abandoned" in steps or "deadline passed" in steps
+        assert not response.ok  # refused, not guessed
+        assert isinstance(response.error, BudgetExceeded)
+        steps = response.error.diagnostic.degradation
+        assert steps[0].startswith("full search abandoned")
+        assert steps[-1] == "greedy join path skipped: deadline passed"
 
     def test_budget_pressure_degrades_only_its_own_request(self):
         # the service keeps no health state: three requests that lose
@@ -371,7 +371,7 @@ class TestDeadlines:
         config = ServiceConfig(workers=1, retry=NO_RETRY)
         with QueryService(make_db(), config, faults=injector) as service:
             rungs = [service.serve_inline(CAMERON).rung for _ in range(4)]
-        assert rungs == ["reduced", "reduced", "reduced", "full"]
+        assert rungs == ["greedy", "greedy", "greedy", "full"]
 
     def test_deadline_none_never_degrades(self):
         with QueryService(make_db(), ServiceConfig(workers=1)) as service:
