@@ -71,15 +71,20 @@ class ComposedQuery:
 #: pairs, lower-cased.  Equal keys render equal under case folding.
 JoinKey = frozenset[tuple[str, str]]
 
+_EXACT = ast.Certainty.EXACT
 
-@dataclasses.dataclass(frozen=True)
-class _Rewrite:
-    """One name rewrite of a block, shared by every network of the call
-    that assigns its trees the same (relation, binding) pairs."""
 
-    select: ast.Select
+class _Rewrite(NamedTuple):
+    """One name rewrite of a block's clauses, shared by every network of
+    the call that assigns its trees the same (relation, binding) pairs.
+    The FROM clause is the network's own (step 2)."""
+
+    items: tuple[ast.SelectItem, ...]
     #: the rewritten WHERE's conjuncts, ANDed left-deep
     where: Optional[ast.Node]
+    group_by: tuple[ast.Node, ...]
+    having: Optional[ast.Node]
+    order_by: tuple[ast.OrderItem, ...]
     #: keys of those conjuncts that an edge condition could repeat
     keys: frozenset[JoinKey]
 
@@ -318,7 +323,6 @@ class _Block:
         self.outer_bindings = outer_bindings
         #: tree assignment -> its rewrite
         self.rewrites: dict[tuple[tuple[str, str], ...], _Rewrite] = {}
-        self.names: dict[str, ast.NameTerm] = {}
         #: (attribute, binding) -> exact column
         self.columns: dict[tuple[str, str], ast.ColumnRef] = {}
 
@@ -339,25 +343,28 @@ class _Block:
                 where = condition if where is None else ast.BinaryOp(
                     "and", where, condition
                 )
+        select = self.select
         return ComposedQuery(
-            select=dataclasses.replace(
-                rewrite.select, from_items=parts.from_items, where=where
+            select=ast.Select(
+                rewrite.items,
+                parts.from_items,
+                where,
+                rewrite.group_by,
+                rewrite.having,
+                rewrite.order_by,
+                select.limit,
+                select.offset,
+                select.distinct,
             ),
             network=network,
             weight=weight,
             bindings=dict(parts.exposed),
         )
 
-    def _name(self, text: str) -> ast.NameTerm:
-        term = self.names.get(text)
-        if term is None:
-            term = self.names[text] = ast.exact(text)
-        return term
-
     def _column(self, attribute: str, binding: str) -> ast.ColumnRef:
         column = self.columns.get((attribute, binding))
         if column is None:
-            column = ast.ColumnRef(self._name(attribute), self._name(binding))
+            column = ast.ColumnRef(ast.NameTerm(attribute), ast.NameTerm(binding))
             self.columns[(attribute, binding)] = column
         return column
 
@@ -377,9 +384,7 @@ class _Block:
         from_bindings = self.from_bindings
         outer_bindings = self.outer_bindings
 
-        def rewrite(node: ast.Node) -> Optional[ast.Node]:
-            if not isinstance(node, ast.ColumnRef):
-                return None
+        def rewrite(node: ast.ColumnRef) -> Optional[ast.Node]:
             qualifier = node.relation
             key = relation_key(qualifier, node.attribute, from_bindings)
             entry = assigned.get(key)
@@ -430,22 +435,52 @@ class _Block:
                 )
             return self._column(attr_name, binding)
 
-        rewritten = ast.transform(self.select, rewrite, within_block=True)
-        if rewritten.where is None:
-            return _Rewrite(rewritten, None, frozenset())
-        conjuncts = _conjuncts(rewritten.where)
-        where = conjuncts[0]
-        for conjunct in conjuncts[1:]:
-            where = ast.BinaryOp("and", where, conjunct)
-        keys = {_conjunct_key(conjunct) for conjunct in conjuncts}
-        keys.discard(None)
-        return _Rewrite(rewritten, where, frozenset(keys))
+        def renamed(node: ast.Node) -> ast.Node:
+            return ast.transform(
+                node, rewrite, within_block=True, only=ast.ColumnRef
+            )
+
+        # clause by clause, in field order, so the first name that
+        # cannot be resolved is the one reported
+        select = self.select
+        items = tuple(map(renamed, select.items))
+        for item in select.from_items:
+            if type(item) is ast.Join:
+                # the network supplies the FROM clause, but the names in
+                # an ON condition must resolve like every other's
+                renamed(item)
+        where = None if select.where is None else renamed(select.where)
+        group_by = tuple(map(renamed, select.group_by))
+        having = None if select.having is None else renamed(select.having)
+        order_by = tuple(map(renamed, select.order_by))
+        keys: frozenset[JoinKey] = frozenset()
+        if where is not None:
+            conjuncts = _conjuncts(where)
+            if not _left_deep(where):
+                where = conjuncts[0]
+                for conjunct in conjuncts[1:]:
+                    where = ast.BinaryOp("and", where, conjunct)
+            found = {_conjunct_key(conjunct) for conjunct in conjuncts}
+            found.discard(None)
+            keys = frozenset(found)
+        return _Rewrite(items, where, group_by, having, order_by, keys)
 
 
 def _conjuncts(expr: ast.Node) -> list[ast.Node]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "and":
         return _conjuncts(expr.left) + _conjuncts(expr.right)
     return [expr]
+
+
+def _left_deep(expr: ast.Node) -> bool:
+    """Whether *expr*'s AND chain is left-deep: no AND operand of an
+    AND stands on its right."""
+    while type(expr) is ast.BinaryOp and expr.op == "and":
+        right = expr.right
+        if type(right) is ast.BinaryOp and right.op == "and":
+            return False
+        expr = expr.left
+    return True
 
 
 def _conjunct_key(conjunct: ast.Node) -> Optional[JoinKey]:
@@ -466,8 +501,8 @@ def _conjunct_key(conjunct: ast.Node) -> Optional[JoinKey]:
         relation, attribute = side.relation, side.attribute
         if (
             relation is None
-            or relation.certainty is not ast.Certainty.EXACT
-            or attribute.certainty is not ast.Certainty.EXACT
+            or relation.certainty is not _EXACT
+            or attribute.certainty is not _EXACT
         ):
             return None
         sides.append((relation.text.lower(), attribute.text.lower()))

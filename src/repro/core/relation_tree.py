@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sqlkit import ast, render
+from ..sqlkit.render import render_column, render_literal
 from .triples import Condition, ExpressionTriple, ExtractionResult
 
 #: Merge keys are small tagged tuples; the tag keeps the namespaces of
@@ -105,24 +106,51 @@ def tree_fingerprint(tree: RelationTree) -> TreeFingerprint:
     if cached is not None:
         return cached
     attrs = []
-    for attribute_tree in tree.attribute_trees:
-        conditions = tuple(
-            sorted(
-                (render(c.predicate), render(c.column))
-                for c in attribute_tree.conditions
-            )
-        )
+    for attribute_tree in tree.attributes.values():
+        conditions = attribute_tree.conditions
+        if len(conditions) == 1:
+            texts: tuple = (_condition_texts(conditions[0]),)
+        else:
+            texts = tuple(sorted(map(_condition_texts, conditions)))
         attrs.append(
-            (attribute_tree.key, attribute_tree.name.render().lower(), conditions)
+            (attribute_tree.key, attribute_tree.name.render().lower(), texts)
         )
+    if len(attrs) > 1:
+        attrs.sort()
     fingerprint = (
         # name matching is case-insensitive, so case variants share a slot
         # (condition predicates are NOT lowered: literals are case-exact)
         tree.name.render().lower() if tree.name is not None else None,
-        tuple(sorted(attrs)),
+        tuple(attrs),
     )
     tree._fingerprint = fingerprint
     return fingerprint
+
+
+def _condition_texts(condition: Condition) -> tuple[str, str]:
+    """``(render(predicate), render(column))`` of a value condition.
+
+    The common ``column op literal`` shape is spelled out here, as
+    :func:`render` spells a comparison: both operands bind tighter than
+    the operator, so neither is parenthesized."""
+    column = render_column(condition.column)
+    predicate = condition.predicate
+    if (
+        type(predicate) is ast.BinaryOp
+        and predicate.left is condition.column
+        and type(predicate.right) is ast.Literal
+        and predicate.op in _COMPARISONS
+    ):
+        literal = render_literal(predicate.right.value)
+        return f"{column} {predicate.op} {literal}", column
+    return render(predicate), column
+
+
+_COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+
+#: placeholder certainties, bound once: reading a member off an enum
+#: class costs a descriptor call on every access
+_VAR, _ANON = ast.Certainty.VAR, ast.Certainty.ANON
 
 
 def relation_key(
@@ -139,9 +167,9 @@ def relation_key(
         lowered = qualifier.text.lower()
         if qualifier.is_known and lowered in from_bindings:
             return ("from", lowered)
-        if qualifier.certainty is ast.Certainty.VAR:
+        if qualifier.certainty is _VAR:
             return ("var", qualifier.text)
-        if qualifier.certainty is ast.Certainty.ANON:
+        if qualifier.certainty is _ANON:
             return ("anon", qualifier.text)
         return ("name", lowered)
     # Unqualified with exactly one FROM relation: standard SQL scoping says
@@ -152,17 +180,17 @@ def relation_key(
     # Unqualified otherwise: rule 3 groups by attribute name; placeholders
     # are their own namespace so ``?x = 5`` twice merges while two bare
     # ``?`` do not.
-    if attribute.certainty is ast.Certainty.VAR:
+    if attribute.certainty is _VAR:
         return ("attrvar", attribute.text)
-    if attribute.certainty is ast.Certainty.ANON:
+    if attribute.certainty is _ANON:
         return ("attranon", attribute.text)
     return ("attr", attribute.text.lower())
 
 
 def attribute_key(attribute: ast.NameTerm) -> AttrKey:
-    if attribute.certainty is ast.Certainty.VAR:
+    if attribute.certainty is _VAR:
         return ("var", attribute.text)
-    if attribute.certainty is ast.Certainty.ANON:
+    if attribute.certainty is _ANON:
         return ("anon", attribute.text)
     return ("name", attribute.text.lower())
 
@@ -170,12 +198,10 @@ def attribute_key(attribute: ast.NameTerm) -> AttrKey:
 def build_relation_trees(extraction: ExtractionResult) -> list[RelationTree]:
     """Merge the block's expression triples into an l-relation-tree query."""
     trees: dict[TreeKey, RelationTree] = {}
-
-    def tree_for(
-        key: TreeKey,
-        name: Optional[ast.NameTerm],
-        alias: Optional[str],
-    ) -> RelationTree:
+    from_bindings = extraction.from_bindings
+    for triple in extraction.triples:
+        key = _triple_key(triple, from_bindings)
+        name, alias = _root_name(triple, from_bindings)
         tree = trees.get(key)
         if tree is None:
             tree = RelationTree(key=key, index=len(trees), name=name, alias=alias)
@@ -185,18 +211,13 @@ def build_relation_trees(extraction: ExtractionResult) -> list[RelationTree]:
                 tree.name = name
             if tree.alias is None and alias is not None:
                 tree.alias = alias
-        return tree
-
-    for triple in extraction.triples:
-        key = _triple_key(triple, extraction.from_bindings)
-        name, alias = _root_name(triple, extraction.from_bindings)
-        tree = tree_for(key, name, alias)
-        if triple.attribute is None:
+        attribute = triple.attribute
+        if attribute is None:
             continue
-        attr_key = attribute_key(triple.attribute)
+        attr_key = attribute_key(attribute)
         attr_tree = tree.attributes.get(attr_key)
         if attr_tree is None:
-            attr_tree = AttributeTree(key=attr_key, name=triple.attribute)
+            attr_tree = AttributeTree(key=attr_key, name=attribute)
             tree.attributes[attr_key] = attr_tree
         if triple.condition is not None:
             attr_tree.conditions.append(triple.condition)
@@ -226,6 +247,6 @@ def _root_name(
     if triple.relation.is_known and lowered in from_bindings:
         table = from_bindings[lowered]
         return table.name, table.alias
-    if triple.relation.certainty in (ast.Certainty.VAR, ast.Certainty.ANON):
+    if triple.relation.certainty in (_VAR, _ANON):
         return None, None  # placeholder roots carry no name information
     return triple.relation, None

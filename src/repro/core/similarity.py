@@ -364,7 +364,7 @@ def _probe_predicate(condition: Condition) -> ast.Node:
             return _PROBE_REF
         return None
 
-    return ast.transform(condition.predicate, substitute)
+    return ast.transform(condition.predicate, substitute, only=ast.ColumnRef)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,9 @@ class SimilarityEvaluator:
         self._neighbors: dict[str, list[Relation]] = {}
         #: fingerprint -> keys of the relations probed against it since
         #: :meth:`begin_query` — the dedup behind single-counted memo
-        #: statistics
+        #: statistics.  A fingerprint only mapping-memo hits touched keeps
+        #: a count instead: the first that many of the context's
+        #: ``relation_keys``.
         self._probed: dict = {}
         #: fingerprint -> :class:`TreePlan`, per query
         self._plans: dict = {}
@@ -585,6 +587,10 @@ class SimilarityEvaluator:
         seen = self._probed.get(fingerprint)
         if seen is None:
             seen = self._probed[fingerprint] = set()
+        elif type(seen) is int:
+            seen = self._probed[fingerprint] = set(
+                self.context.relation_keys[:seen]
+            )
         first_probe = relation.key not in seen
         if first_probe:
             seen.add(relation.key)
@@ -611,15 +617,19 @@ class SimilarityEvaluator:
         :meth:`tree_similarity` would (context required).  Which
         relations those are cannot change a total: a probe cut short by
         the budget is finished, unbudgeted, by the next rung."""
-        keys = self.context.relation_keys[:probes]
+        relation_keys = self.context.relation_keys
+        probes = min(probes, len(relation_keys))
         seen = self._probed.get(fingerprint)
         if seen is None:
             # the tree's first hit in the query: relation keys are unique
-            self._probed[fingerprint] = set(keys)
-            hits = len(keys)
+            self._probed[fingerprint] = hits = probes
+        elif type(seen) is int:
+            hits = max(0, probes - seen)
+            if hits:
+                self._probed[fingerprint] = probes
         else:
             before = len(seen)
-            seen.update(keys)
+            seen.update(relation_keys[:probes])
             hits = len(seen) - before
         if hits:
             self.context.count_tree_sim_hits(hits)

@@ -73,6 +73,12 @@ class Translation:
     #: True when this interpretation was served from the context's
     #: translation result cache instead of running the pipeline
     cached: bool = False
+    #: ``render(query)``, when already known: a result-cache entry keeps
+    #: the text it was stored with, so a hit renders nothing.  ``sql``
+    #: returns it as it is; give a changed ``query`` a changed text too
+    rendered: Optional[str] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_degraded(self) -> bool:
@@ -80,6 +86,8 @@ class Translation:
 
     @property
     def sql(self) -> str:
+        if self.rendered is not None:
+            return self.rendered
         return render(self.query)
 
 
@@ -302,8 +310,9 @@ class SchemaFreeTranslator:
                 rung=rung,
                 stats=stats,
                 cached=True,
+                rendered=text,
             )
-            for q, weight, network, rung in payload
+            for q, text, weight, network, rung in payload
         ]
         if root.enabled:
             root.set(
@@ -323,7 +332,9 @@ class SchemaFreeTranslator:
         budget/fault machinery talking — caching it would replay one
         call's bad luck at full strength forever.  Payloads are
         immutable tuples, never the Translation objects themselves
-        (``translate`` reassigns ``.stats`` per call).
+        (``translate`` reassigns ``.stats`` per call).  Each carries its
+        rendered SQL, which sizes the entry and is every hit's ``.sql``;
+        the stored translations keep it too.
         """
         if not translations or self.last_degradation:
             return
@@ -335,10 +346,13 @@ class SchemaFreeTranslator:
             ):
                 return
         with self._timed("cache"):
+            for translation in translations:
+                translation.rendered = render(translation.query)
             payload = tuple(
-                (t.query, t.weight, t.network, t.rung) for t in translations
+                (t.query, t.rendered, t.weight, t.network, t.rung)
+                for t in translations
             )
-            cost = sum(len(render(t.query)) for t in translations)
+            cost = sum(len(t.rendered) for t in translations)
             self.context.remember_result(key, payload, cost)
 
     def translate(
@@ -615,11 +629,13 @@ class SchemaFreeTranslator:
                     trees=len(all_trees),
                     labels=", ".join(tree.label for tree in all_trees),
                 )
-        trees = [
-            tree
-            for tree in all_trees
-            if not self._is_outer_tree(tree, extraction, outer_bindings)
-        ]
+        trees = all_trees
+        if outer_bindings:
+            trees = [
+                tree
+                for tree in all_trees
+                if not self._is_outer_tree(tree, extraction, outer_bindings)
+            ]
         if not trees and all_trees:
             # every tree matches an enclosing binding: a block must query
             # *something*, so resolve them locally instead (e.g. the inner
@@ -1054,17 +1070,18 @@ class SchemaFreeTranslator:
         if not outer_bindings:
             return select
 
-        def rewrite(node: ast.Node) -> Optional[ast.Node]:
+        def rewrite(node: ast.ColumnRef) -> Optional[ast.Node]:
             if (
-                isinstance(node, ast.ColumnRef)
-                and node.relation is not None
+                node.relation is not None
                 and node.relation.is_known
                 and node.relation.text.lower() in outer_bindings
             ):
                 return self.composer._rewrite_outer_ref(node, outer_bindings)
             return None
 
-        return ast.transform(select, rewrite, within_block=True)
+        return ast.transform(
+            select, rewrite, within_block=True, only=ast.ColumnRef
+        )
 
     def _translate_subqueries(
         self,
@@ -1077,23 +1094,23 @@ class SchemaFreeTranslator:
         """Replace each first-level sub-query with its best translation."""
 
         def rewrite(node: ast.Node) -> Optional[ast.Node]:
-            if isinstance(node, ast.SUBQUERY_NODES):
-                translated = self._translate_query(
-                    node.query, context, 1, budget, degrade
+            translated = self._translate_query(
+                node.query, context, 1, budget, degrade
+            )
+            if not translated:
+                raise TranslationError(
+                    f"could not translate sub-query {render(node.query)!r}",
+                    diagnostic=Diagnostic(
+                        stage="translate",
+                        message="nested sub-query untranslatable",
+                        token=render(node.query)[:80],
+                    ),
                 )
-                if not translated:
-                    raise TranslationError(
-                        f"could not translate sub-query {render(node.query)!r}",
-                        diagnostic=Diagnostic(
-                            stage="translate",
-                            message="nested sub-query untranslatable",
-                            token=render(node.query)[:80],
-                        ),
-                    )
-                return dataclasses.replace(node, query=translated[0].query)
-            return None
+            return dataclasses.replace(node, query=translated[0].query)
 
-        return ast.transform(select, rewrite, within_block=True)
+        return ast.transform(
+            select, rewrite, within_block=True, only=ast.SUBQUERY_NODES
+        )
 
     def _fragment_views(
         self,
@@ -1108,6 +1125,8 @@ class SchemaFreeTranslator:
         mapped relations of the trees it touches; join attributes are the
         mapper's argmax attribute names.
         """
+        if not fragments:
+            return []
         from .relation_tree import attribute_key, relation_key
 
         tree_by_key = {tree.key: tree for tree in trees}

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from ..sqlkit import ast
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """One value constraint whose subject is a single column reference.
 
@@ -39,7 +39,7 @@ class Condition:
     column: ast.ColumnRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpressionTriple:
     """(relation, attribute, condition) with None for unspecified entries."""
 
@@ -55,7 +55,7 @@ class ExpressionTriple:
         return f"({rel}, {attr}, {cond})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinFragment:
     """A user-specified join-path fragment: equality between two qualified
     column references in the WHERE clause.  Fragments become views on the
@@ -78,26 +78,60 @@ class ExtractionResult:
 
 
 def extract(select: ast.Select) -> ExtractionResult:
-    """Extract expression triples and join fragments from one SELECT block."""
+    """Extract expression triples and join fragments from one SELECT block.
+
+    The WHERE clause's top-level conjuncts are classified into value
+    conditions and join fragments first; then one walk over the block's
+    expression nodes collects the column references (in clause order,
+    SELECT first, so the paper's rt1 ordering matches Figure 4) and
+    notices first-level sub-queries.
+    """
     result = ExtractionResult()
+    triples = result.triples
+    from_bindings = result.from_bindings
     for table in _from_tables(select.from_items):
-        binding = table.binding.lower()
-        result.from_bindings[binding] = table
-        result.triples.append(
-            ExpressionTriple(relation=table.name, alias=table.alias)
-        )
+        from_bindings[table.binding.lower()] = table
+        triples.append(ExpressionTriple(relation=table.name, alias=table.alias))
 
-    conditions, fragments = _analyze_where(select.where)
-    result.fragments = fragments
-    condition_columns = {id(c.column): c for c in conditions}
+    conjuncts = conjuncts_of(select.where)
+    conditions, result.fragments = _analyze_where(conjuncts)
+    condition_of = {id(c.column): c for c in conditions}
 
-    for node in _block_nodes(select):
-        if isinstance(node, ast.ColumnRef):
-            condition = condition_columns.get(id(node))
-            result.triples.append(_triple_for(node, condition))
-        elif isinstance(node, ast.SUBQUERY_NODES):
+    roots: list[ast.Node] = [item.expr for item in select.items]
+    # the WHERE's AND nodes hold no column: its conjuncts stand in for it
+    roots.extend(conjuncts)
+    roots.extend(select.group_by)
+    if select.having is not None:
+        roots.append(select.having)
+    roots.extend(item.expr for item in select.order_by)
+    # ON conditions of explicit joins are join fragments by construction,
+    # but any column they mention is still schema-relevant content.
+    roots.extend(_join_conditions(select.from_items))
+    roots.reverse()
+    stack = roots
+    # pre-order over an explicit stack: the next node to visit is last
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is ast.ColumnRef:
+            triples.append(
+                ExpressionTriple(
+                    node.relation, None, node.attribute, condition_of.get(id(node))
+                )
+            )
+            continue
+        if cls in _SUBQUERIES:
             result.has_subqueries = True
+        children = node.children()
+        for child in reversed(children):
+            if type(child) not in _BLOCKS:
+                stack.append(child)
     return result
+
+
+#: sub-query wrappers, and the block classes a block-local walk skips
+_SUBQUERIES = frozenset(ast.SUBQUERY_NODES)
+_BLOCKS = frozenset({ast.Select, ast.SetOp})
 
 
 # ---------------------------------------------------------------------------
@@ -113,40 +147,19 @@ def _from_tables(from_items: tuple[ast.Node, ...]) -> Iterator[ast.TableRef]:
             yield from _from_tables((item.left, item.right))
 
 
-def walk_block(node: ast.Node) -> Iterator[ast.Node]:
-    """Walk an expression or block without entering nested sub-queries."""
-    yield node
-    for child in node.children():
-        if isinstance(child, (ast.Select, ast.SetOp)):
-            continue
-        yield from walk_block(child)
-
-
-def _block_nodes(select: ast.Select) -> Iterator[ast.Node]:
-    """Every expression node of the block, in clause order (SELECT first,
-    so the paper's rt1 ordering matches Figure 4)."""
-    roots: list[ast.Node] = [item.expr for item in select.items]
-    if select.where is not None:
-        roots.append(select.where)
-    roots.extend(select.group_by)
-    if select.having is not None:
-        roots.append(select.having)
-    roots.extend(item.expr for item in select.order_by)
-    # ON conditions of explicit joins are join fragments by construction,
-    # but any column they mention is still schema-relevant content.
-    for item in select.from_items:
-        for node in _from_join_conditions(item):
-            roots.append(node)
-    for root in roots:
-        yield from walk_block(root)
-
-
-def _from_join_conditions(item: ast.Node) -> Iterator[ast.Node]:
-    if isinstance(item, ast.Join):
-        if item.condition is not None:
-            yield item.condition
-        yield from _from_join_conditions(item.left)
-        yield from _from_join_conditions(item.right)
+def _join_conditions(from_items: tuple[ast.Node, ...]) -> list[ast.Node]:
+    """The ON conditions of the explicit joins among *from_items*, each
+    join's own before those nested in its left and then right side."""
+    found: list[ast.Node] = []
+    stack = list(reversed(from_items))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ast.Join):
+            if item.condition is not None:
+                found.append(item.condition)
+            stack.append(item.right)
+            stack.append(item.left)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +179,15 @@ def conjuncts_of(expr: Optional[ast.Node]) -> list[ast.Node]:
 def _is_value_expr(node: ast.Node) -> bool:
     """True when *node* contains no column references or sub-queries, so it
     can be evaluated to a constant for condition-satisfaction checks."""
-    for descendant in walk_block(node):
-        if isinstance(descendant, (ast.ColumnRef, ast.Select, ast.SetOp)):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is ast.Literal:
+            continue
+        if cls is ast.ColumnRef or cls in _BLOCKS or cls in _SUBQUERIES:
             return False
-        if isinstance(descendant, ast.SUBQUERY_NODES):
-            return False
+        stack.extend(node.children())
     return True
 
 
@@ -178,13 +195,13 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 
 def _analyze_where(
-    where: Optional[ast.Node],
+    conjuncts: list[ast.Node],
 ) -> tuple[list[Condition], list[JoinFragment]]:
     """Classify top-level WHERE conjuncts into value conditions (attached
     to their subject column) and join-path fragments."""
     conditions: list[Condition] = []
     fragments: list[JoinFragment] = []
-    for conjunct in conjuncts_of(where):
+    for conjunct in conjuncts:
         condition = _as_condition(conjunct)
         if condition is not None:
             conditions.append(condition)
@@ -231,14 +248,3 @@ def _as_fragment(conjunct: ast.Node) -> Optional[JoinFragment]:
     ):
         return JoinFragment(conjunct.left, conjunct.right)
     return None
-
-
-def _triple_for(
-    column: ast.ColumnRef, condition: Optional[Condition]
-) -> ExpressionTriple:
-    return ExpressionTriple(
-        relation=column.relation,
-        alias=None,
-        attribute=column.attribute,
-        condition=condition,
-    )

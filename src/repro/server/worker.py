@@ -239,11 +239,20 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             ),
         },
     )
+    import select
     from collections import deque
 
     incoming: deque = deque()
     results: list[dict[str, Any]] = []
     last_flush = time.perf_counter()
+    # registered once: ``conn.poll(0)`` builds, registers and closes a
+    # selector on every call
+    pipe = select.poll()
+    pipe.register(conn.fileno(), select.POLLIN)
+
+    def waiting() -> bool:
+        """A frame (or EOF) is waiting on the pipe: a read won't block."""
+        return bool(pipe.poll(0))
 
     def flush() -> None:
         """Send buffered results — one frame, or one batch frame."""
@@ -260,14 +269,14 @@ def worker_main(conn, spec: WorkerSpec) -> None:
     def backlogged() -> bool:
         """More input is already waiting — hold the flush and keep
         serving, so results coalesce into one frame per backlog."""
-        return bool(incoming) or conn.poll(0)
+        return bool(incoming) or waiting()
 
     try:
         while True:
             if incoming:
                 frame = incoming.popleft()
             else:
-                if not conn.poll(0):
+                if not waiting():
                     # about to block: everything coalesced so far must
                     # go out now or the supervisor waits on us waiting
                     flush()

@@ -22,7 +22,32 @@ from .ast import Certainty, NameTerm
 from .tokens import SqlSyntaxError, Token, TokenType
 from .tokenizer import tokenize
 
+#: enum members, bound once: reading a member off an enum class costs
+#: a descriptor call on every access
+_ANON = TokenType.ANON
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+_EOF = TokenType.EOF
+_GUESS = TokenType.GUESS
+_IDENT = TokenType.IDENT
+_LPAREN = TokenType.LPAREN
+_NUMBER = TokenType.NUMBER
+_OPERATOR = TokenType.OPERATOR
+_RPAREN = TokenType.RPAREN
+_SEMICOLON = TokenType.SEMICOLON
+_STRING = TokenType.STRING
+_VAR = TokenType.VAR
+_NAMES = (_IDENT, _GUESS, _VAR, _ANON)
+_EXACT_NAME = Certainty.EXACT
+_GUESSED = Certainty.GUESS
+_VARIABLE = Certainty.VAR
+_ANONYMOUS = Certainty.ANON
+
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+
+#: arithmetic operators by binding strength: ``*`` ``/`` ``%`` bind
+#: tighter than ``+`` ``-`` ``||``
+_ARITHMETIC = {"+": 1, "-": 1, "||": 1, "*": 2, "/": 2, "%": 2}
 
 
 class Parser:
@@ -35,19 +60,15 @@ class Parser:
         self._anon_counter = 0
 
     # ------------------------------------------------------------------
-    # token-stream helpers
+    # token-stream helpers (the current token is ``tokens[pos]``)
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, offset: int = 1) -> Token:
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
     def advance(self) -> Token:
-        token = self.current
-        if token.type is not TokenType.EOF:
+        token = self.tokens[self.pos]
+        if token.type is not _EOF:
             self.pos += 1
         return token
 
@@ -65,7 +86,7 @@ class Parser:
         return token
 
     def accept(self, token_type: TokenType, value: Optional[str] = None) -> Optional[Token]:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.type is token_type and (value is None or token.value == value):
             return self.advance()
         return None
@@ -74,21 +95,25 @@ class Parser:
         token = self.accept(token_type, value)
         if token is None:
             what = value if value is not None else token_type.value
-            self.error(f"expected {what!r}, found {self.current.value!r}")
+            self.error(f"expected {what!r}, found {self.tokens[self.pos].value!r}")
         return token
 
     def error(self, message: str) -> None:
-        raise SqlSyntaxError(message, self.sql, self.current.position)
+        raise SqlSyntaxError(message, self.sql, self.tokens[self.pos].position)
 
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
     def parse_query(self) -> ast.Node:
         query = self._query()
-        self.accept(TokenType.SEMICOLON)
-        if self.current.type is not TokenType.EOF:
-            self.error(f"unexpected trailing input {self.current.value!r}")
+        self.accept(_SEMICOLON)
+        self._expect_end()
         return query
+
+    def _expect_end(self) -> None:
+        token = self.tokens[self.pos]
+        if token.type is not _EOF:
+            self.error(f"unexpected trailing input {token.value!r}")
 
     def _query(self) -> ast.Node:
         left: ast.Node = self._select_block()
@@ -102,9 +127,9 @@ class Parser:
     # SELECT block
     # ------------------------------------------------------------------
     def _select_block(self) -> ast.Select:
-        if self.accept(TokenType.LPAREN):
+        if self.accept(_LPAREN):
             query = self._query()
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             if not isinstance(query, ast.Select):
                 self.error("parenthesised UNION blocks are not supported here")
             return query  # type: ignore[return-value]
@@ -130,9 +155,9 @@ class Parser:
             order_by = self._order_list()
         limit = offset = None
         if self.accept_keyword("limit"):
-            limit = int(self.expect(TokenType.NUMBER).value)
+            limit = int(self.expect(_NUMBER).value)
             if self.accept_keyword("offset"):
-                offset = int(self.expect(TokenType.NUMBER).value)
+                offset = int(self.expect(_NUMBER).value)
         return ast.Select(
             items=items,
             from_items=from_items,
@@ -147,25 +172,31 @@ class Parser:
 
     def _select_list(self) -> tuple[ast.SelectItem, ...]:
         items = [self._select_item()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(_COMMA):
             items.append(self._select_item())
         return tuple(items)
 
     def _select_item(self) -> ast.SelectItem:
-        if self.accept(TokenType.OPERATOR, "*"):
+        if self.accept(_OPERATOR, "*"):
             return ast.SelectItem(ast.Star())
         expr = self._expr()
-        alias = None
-        if self.accept_keyword("as"):
-            alias = self._alias_name()
-        elif self.current.type is TokenType.IDENT:
-            alias = self.advance().value
-        return ast.SelectItem(expr, alias)
+        return ast.SelectItem(expr, self._alias())
+
+    def _alias(self) -> Optional[str]:
+        """An ``[AS] alias`` after a select item or table, or None."""
+        token = self.tokens[self.pos]
+        if token.keyword == "as":
+            self.pos += 1
+            return self._alias_name()
+        if token.type is _IDENT:
+            self.pos += 1
+            return token.value
+        return None
 
     def _alias_name(self) -> str:
-        token = self.current
-        if token.type in (TokenType.IDENT, TokenType.GUESS):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type in (_IDENT, _GUESS):
+            self.pos += 1
             return token.value
         self.error("expected alias name")
         raise AssertionError  # pragma: no cover - error() always raises
@@ -175,7 +206,7 @@ class Parser:
     # ------------------------------------------------------------------
     def _from_list(self) -> tuple[ast.Node, ...]:
         items = [self._from_item()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(_COMMA):
             items.append(self._from_item())
         return tuple(items)
 
@@ -193,8 +224,8 @@ class Parser:
         if self.accept_keyword("join"):
             return "inner"
         for kind in ("inner", "left", "right", "cross"):
-            if self.current.keyword == kind:
-                self.advance()
+            if self.tokens[self.pos].keyword == kind:
+                self.pos += 1
                 self.accept_keyword("outer")
                 self.expect_keyword("join")
                 return kind
@@ -202,40 +233,35 @@ class Parser:
 
     def _table_ref(self) -> ast.TableRef:
         name = self._name_term()
-        alias = None
-        if self.accept_keyword("as"):
-            alias = self._alias_name()
-        elif self.current.type is TokenType.IDENT:
-            alias = self.advance().value
-        return ast.TableRef(name, alias)
+        return ast.TableRef(name, self._alias())
 
     # ------------------------------------------------------------------
     # names
     # ------------------------------------------------------------------
     def _name_term(self) -> NameTerm:
-        token = self.current
-        if token.type is TokenType.IDENT:
-            self.advance()
-            return NameTerm(token.value, Certainty.EXACT)
-        if token.type is TokenType.GUESS:
-            self.advance()
-            return NameTerm(token.value, Certainty.GUESS)
-        if token.type is TokenType.VAR:
-            self.advance()
-            return NameTerm(token.value, Certainty.VAR)
-        if token.type is TokenType.ANON:
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token.type
+        if kind is _IDENT:
+            certainty = _EXACT_NAME
+        elif kind is _GUESS:
+            certainty = _GUESSED
+        elif kind is _VAR:
+            certainty = _VARIABLE
+        elif kind is _ANON:
+            self.pos += 1
             self._anon_counter += 1
-            return NameTerm(f"_anon{self._anon_counter}", Certainty.ANON)
-        self.error(f"expected a name, found {token.value!r}")
-        raise AssertionError  # pragma: no cover
+            return NameTerm(f"_anon{self._anon_counter}", _ANONYMOUS)
+        else:
+            self.error(f"expected a name, found {token.value!r}")
+        self.pos += 1
+        return NameTerm(token.value, certainty)
 
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
     def _expr_list(self) -> tuple[ast.Node, ...]:
         items = [self._expr()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(_COMMA):
             items.append(self._expr())
         return tuple(items)
 
@@ -249,149 +275,154 @@ class Parser:
             else:
                 self.accept_keyword("asc")
             items.append(ast.OrderItem(expr, ascending))
-            if not self.accept(TokenType.COMMA):
+            if not self.accept(_COMMA):
                 return tuple(items)
 
     def _expr(self) -> ast.Node:
-        return self._or_expr()
-
-    def _or_expr(self) -> ast.Node:
+        """An OR of ANDs of (possibly negated) predicates."""
         left = self._and_expr()
-        while self.accept_keyword("or"):
+        while self.tokens[self.pos].keyword == "or":
+            self.pos += 1
             left = ast.BinaryOp("or", left, self._and_expr())
         return left
 
     def _and_expr(self) -> ast.Node:
         left = self._not_expr()
-        while self.accept_keyword("and"):
+        while self.tokens[self.pos].keyword == "and":
+            self.pos += 1
             left = ast.BinaryOp("and", left, self._not_expr())
         return left
 
     def _not_expr(self) -> ast.Node:
-        if self.accept_keyword("not"):
+        if self.tokens[self.pos].keyword == "not":
+            self.pos += 1
             return ast.UnaryOp("not", self._not_expr())
         return self._predicate()
 
     def _predicate(self) -> ast.Node:
-        left = self._additive()
-        token = self.current
-        if token.type is TokenType.OPERATOR and token.value in _COMPARISON_OPS:
-            op = self.advance().value
-            if op == "!=":
-                op = "<>"
-            quantifier = None
-            if self.current.keyword in ("any", "all"):
-                quantifier = self.advance().keyword
-            if quantifier is not None:
-                self.expect(TokenType.LPAREN)
+        left = self._arithmetic()
+        token = self.tokens[self.pos]
+        if token.type is _OPERATOR and token.value in _COMPARISON_OPS:
+            self.pos += 1
+            op = "<>" if token.value == "!=" else token.value
+            quantifier = self.tokens[self.pos].keyword
+            if quantifier in ("any", "all"):
+                self.pos += 1
+                self.expect(_LPAREN)
                 query = self._query()
-                self.expect(TokenType.RPAREN)
+                self.expect(_RPAREN)
                 return ast.QuantifiedCompare(left, op, quantifier, query)
-            return ast.BinaryOp(op, left, self._additive())
+            return ast.BinaryOp(op, left, self._arithmetic())
+        keyword = token.keyword
+        if keyword is None:
+            return left  # every predicate form below starts with a keyword
         negated = False
-        if self.current.keyword == "not":
+        if keyword == "not":
             after = self.peek()
             if after.keyword in ("between", "in", "like"):
-                self.advance()
+                self.pos += 1
                 negated = True
         if self.accept_keyword("between"):
-            low = self._additive()
+            low = self._arithmetic()
             self.expect_keyword("and")
-            high = self._additive()
+            high = self._arithmetic()
             return ast.Between(left, low, high, negated=negated)
         if self.accept_keyword("in"):
-            self.expect(TokenType.LPAREN)
-            if self.current.keyword == "select":
+            self.expect(_LPAREN)
+            if self.tokens[self.pos].keyword == "select":
                 query = self._query()
-                self.expect(TokenType.RPAREN)
+                self.expect(_RPAREN)
                 return ast.InSubquery(left, query, negated=negated)
             items = self._expr_list()
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             return ast.InList(left, items, negated=negated)
         if self.accept_keyword("like"):
-            return ast.Like(left, self._additive(), negated=negated)
+            return ast.Like(left, self._arithmetic(), negated=negated)
         if self.accept_keyword("is"):
             is_negated = self.accept_keyword("not") is not None
             self.expect_keyword("null")
             return ast.IsNull(left, negated=is_negated)
         return left
 
-    def _additive(self) -> ast.Node:
-        left = self._multiplicative()
+    def _arithmetic(self, min_level: int = 1) -> ast.Node:
+        """Arithmetic by precedence climbing: an operand, then every
+        operator binding at least *min_level* with its right operand
+        (which takes only tighter operators), left-associatively."""
+        tokens = self.tokens
+        # an operator here can only be a sign
+        if tokens[self.pos].type is _OPERATOR:
+            left = self._unary()
+        else:
+            left = self._primary()
         while True:
-            token = self.current
-            if token.type is TokenType.OPERATOR and token.value in ("+", "-", "||"):
-                self.advance()
-                left = ast.BinaryOp(token.value, left, self._multiplicative())
-            else:
+            token = tokens[self.pos]
+            if token.type is not _OPERATOR:
                 return left
-
-    def _multiplicative(self) -> ast.Node:
-        left = self._unary()
-        while True:
-            token = self.current
-            if token.type is TokenType.OPERATOR and token.value in ("*", "/", "%"):
-                self.advance()
-                left = ast.BinaryOp(token.value, left, self._unary())
-            else:
+            level = _ARITHMETIC.get(token.value)
+            if level is None or level < min_level:
                 return left
+            self.pos += 1
+            left = ast.BinaryOp(token.value, left, self._arithmetic(level + 1))
 
     def _unary(self) -> ast.Node:
-        token = self.current
-        if token.type is TokenType.OPERATOR and token.value in ("-", "+"):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _OPERATOR and token.value in ("-", "+"):
+            self.pos += 1
             return ast.UnaryOp(token.value, self._unary())
         return self._primary()
 
     def _primary(self) -> ast.Node:
-        token = self.current
-        if token.type is TokenType.NUMBER:
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.type is _NUMBER:
+            self.pos += 1
             text = token.value
             return ast.Literal(float(text) if "." in text else int(text))
-        if token.type is TokenType.STRING:
-            self.advance()
+        if token.type is _STRING:
+            self.pos += 1
             return ast.Literal(token.value)
         if token.keyword == "null":
-            self.advance()
+            self.pos += 1
             return ast.Literal(None)
         if token.keyword == "case":
             return self._case()
         if token.keyword == "exists":
-            self.advance()
-            self.expect(TokenType.LPAREN)
+            self.pos += 1
+            self.expect(_LPAREN)
             query = self._query()
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             return ast.Exists(query)
-        if token.type is TokenType.LPAREN:
-            self.advance()
-            if self.current.keyword == "select":
+        if token.type is _LPAREN:
+            self.pos += 1
+            if self.tokens[self.pos].keyword == "select":
                 query = self._query()
-                self.expect(TokenType.RPAREN)
+                self.expect(_RPAREN)
                 return ast.ScalarSubquery(query)
             expr = self._expr()
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             return expr
-        if token.type in (
-            TokenType.IDENT,
-            TokenType.GUESS,
-            TokenType.VAR,
-            TokenType.ANON,
-        ):
-            # function call?
+        if token.type in _NAMES:
+            # function call?  (a name is never EOF, so a token follows)
             if (
-                token.type is TokenType.IDENT
-                and self.peek().type is TokenType.LPAREN
+                token.type is _IDENT
+                and self.tokens[self.pos + 1].type is _LPAREN
             ):
                 return self._func_call()
-            return self._column_ref()
+            # a column reference: ``[relation.]attribute`` or ``relation.*``
+            first = self._name_term()
+            if self.tokens[self.pos].type is _DOT:
+                self.pos += 1
+                if self.accept(_OPERATOR, "*"):
+                    return ast.Star(qualifier=first)
+                second = self._name_term()
+                return ast.ColumnRef(attribute=second, relation=first)
+            return ast.ColumnRef(attribute=first)
         self.error(f"unexpected token {token.value!r}")
         raise AssertionError  # pragma: no cover
 
     def _case(self) -> ast.Node:
         self.expect_keyword("case")
         operand = None
-        if self.current.keyword != "when":
+        if self.tokens[self.pos].keyword != "when":
             operand = self._expr()
         whens: list[tuple[ast.Node, ast.Node]] = []
         while self.accept_keyword("when"):
@@ -406,27 +437,18 @@ class Parser:
         return ast.Case(tuple(whens), operand, default)
 
     def _func_call(self) -> ast.Node:
-        name = self.expect(TokenType.IDENT).value
-        self.expect(TokenType.LPAREN)
+        name = self.expect(_IDENT).value
+        self.expect(_LPAREN)
         distinct = self.accept_keyword("distinct") is not None
         args: list[ast.Node] = []
-        if self.accept(TokenType.OPERATOR, "*"):
+        if self.accept(_OPERATOR, "*"):
             args.append(ast.Star())
-        elif self.current.type is not TokenType.RPAREN:
+        elif self.tokens[self.pos].type is not _RPAREN:
             args.append(self._expr())
-            while self.accept(TokenType.COMMA):
+            while self.accept(_COMMA):
                 args.append(self._expr())
-        self.expect(TokenType.RPAREN)
+        self.expect(_RPAREN)
         return ast.FuncCall(name.lower(), tuple(args), distinct=distinct)
-
-    def _column_ref(self) -> ast.Node:
-        first = self._name_term()
-        if self.accept(TokenType.DOT):
-            if self.accept(TokenType.OPERATOR, "*"):
-                return ast.Star(qualifier=first)
-            second = self._name_term()
-            return ast.ColumnRef(attribute=second, relation=first)
-        return ast.ColumnRef(attribute=first)
 
 
 def parse(sql: str) -> ast.Node:
@@ -438,6 +460,5 @@ def parse_expression(sql: str) -> ast.Node:
     """Parse a standalone expression (used by tests and the engine)."""
     parser = Parser(sql)
     expr = parser._expr()
-    if parser.current.type is not TokenType.EOF:
-        parser.error(f"unexpected trailing input {parser.current.value!r}")
+    parser._expect_end()
     return expr

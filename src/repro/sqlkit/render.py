@@ -10,7 +10,6 @@ translations to the user (paper §2.2.4).
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from . import ast
 from .tokens import KEYWORDS
@@ -28,10 +27,14 @@ _PRECEDENCE = {
 }
 _PREDICATE_LEVEL = 3  # BETWEEN / IN / LIKE / IS NULL
 
+_QUERIES = (ast.Select, ast.SetOp)
+
+_EXACT = ast.Certainty.EXACT
+
 
 def render(node: ast.Node) -> str:
     """Render any query or expression node to SQL text."""
-    if isinstance(node, (ast.Select, ast.SetOp)):
+    if type(node) in _QUERIES:
         return _render_query(node)
     return _render_expr(node, 0)
 
@@ -53,7 +56,7 @@ def render_identifier(name: str) -> str:
 def _render_name(term: ast.NameTerm) -> str:
     """Render a NameTerm; only EXACT names are plain identifiers that may
     need quoting — uncertainty markers keep their surface forms."""
-    if term.certainty is ast.Certainty.EXACT:
+    if term.certainty is _EXACT:
         return render_identifier(term.text)
     return term.render()
 
@@ -119,7 +122,8 @@ def _render_from_item(item: ast.Node) -> str:
     raise TypeError(f"not a FROM item: {item!r}")  # pragma: no cover
 
 
-def _render_literal(value: object) -> str:
+def render_literal(value: object) -> str:
+    """Render a literal value (the text of an :class:`ast.Literal`)."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -135,88 +139,142 @@ def _parenthesize(text: str, level: int, parent_level: int) -> str:
 
 
 def _render_expr(node: ast.Node, parent_level: int) -> str:
-    if isinstance(node, ast.Literal):
-        return _render_literal(node.value)
-    if isinstance(node, ast.ColumnRef):
-        text = _render_name(node.attribute)
-        if node.relation is not None:
-            text = f"{_render_name(node.relation)}.{text}"
-        return text
-    if isinstance(node, ast.Star):
-        return f"{_render_name(node.qualifier)}.*" if node.qualifier else "*"
-    if isinstance(node, ast.FuncCall):
-        inner = ", ".join(_render_expr(a, 0) for a in node.args)
-        if node.distinct:
-            inner = f"DISTINCT {inner}"
-        return f"{node.name}({inner})"
-    if isinstance(node, ast.UnaryOp):
-        if node.op == "not":
-            text = f"NOT {_render_expr(node.operand, _PRECEDENCE['and'])}"
-            return _parenthesize(text, _PRECEDENCE["and"], parent_level)
-        return f"{node.op}{_render_expr(node.operand, 7)}"
-    if isinstance(node, ast.BinaryOp):
-        level = _PRECEDENCE[node.op]
-        op_text = node.op.upper() if node.op in ("and", "or") else node.op
-        left = _render_expr(node.left, level)
-        # right side of same-precedence needs parens only for non-associative
-        # ops; comparisons never chain so bump the right side's requirement.
-        right = _render_expr(node.right, level + (0 if node.op in ("and", "or") else 1))
-        return _parenthesize(f"{left} {op_text} {right}", level, parent_level)
-    if isinstance(node, ast.Between):
-        keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
-        text = (
-            f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
-            f"{_render_expr(node.low, _PREDICATE_LEVEL + 1)} AND "
-            f"{_render_expr(node.high, _PREDICATE_LEVEL + 1)}"
-        )
-        return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
-    if isinstance(node, ast.InList):
-        keyword = "NOT IN" if node.negated else "IN"
-        items = ", ".join(_render_expr(e, 0) for e in node.items)
-        text = f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} ({items})"
-        return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
-    if isinstance(node, ast.InSubquery):
-        keyword = "NOT IN" if node.negated else "IN"
-        text = (
-            f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
-            f"({_render_query(node.query)})"
-        )
-        return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
-    if isinstance(node, ast.Like):
-        keyword = "NOT LIKE" if node.negated else "LIKE"
-        text = (
-            f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
-            f"{_render_expr(node.pattern, _PREDICATE_LEVEL + 1)}"
-        )
-        return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
-    if isinstance(node, ast.IsNull):
-        keyword = "IS NOT NULL" if node.negated else "IS NULL"
-        text = f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword}"
-        return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
-    if isinstance(node, ast.Exists):
-        prefix = "NOT EXISTS" if node.negated else "EXISTS"
-        return f"{prefix} ({_render_query(node.query)})"
-    if isinstance(node, ast.ScalarSubquery):
-        return f"({_render_query(node.query)})"
-    if isinstance(node, ast.QuantifiedCompare):
-        return (
-            f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {node.op} "
-            f"{node.quantifier.upper()} ({_render_query(node.query)})"
-        )
-    if isinstance(node, ast.Case):
-        parts = ["CASE"]
-        if node.operand is not None:
-            parts.append(_render_expr(node.operand, 0))
-        for condition, result in node.whens:
-            parts.append(
-                f"WHEN {_render_expr(condition, 0)} THEN {_render_expr(result, 0)}"
-            )
-        if node.default is not None:
-            parts.append(f"ELSE {_render_expr(node.default, 0)}")
-        parts.append("END")
-        return " ".join(parts)
-    raise TypeError(f"cannot render {type(node).__name__}")  # pragma: no cover
+    renderer = _RENDERERS.get(type(node))
+    if renderer is None:  # pragma: no cover
+        raise TypeError(f"cannot render {type(node).__name__}")
+    return renderer(node, parent_level)
 
 
-def _render_query_maybe(node: Optional[ast.Node]) -> Optional[str]:
-    return None if node is None else _render_query(node)
+def render_column(node: ast.ColumnRef) -> str:
+    """Render a column reference (the same text :func:`render` gives)."""
+    text = _render_name(node.attribute)
+    if node.relation is not None:
+        text = f"{_render_name(node.relation)}.{text}"
+    return text
+
+
+def _literal(node: ast.Literal, parent_level: int) -> str:
+    return render_literal(node.value)
+
+
+def _column(node: ast.ColumnRef, parent_level: int) -> str:
+    return render_column(node)
+
+
+def _star(node: ast.Star, parent_level: int) -> str:
+    return f"{_render_name(node.qualifier)}.*" if node.qualifier else "*"
+
+
+def _func_call(node: ast.FuncCall, parent_level: int) -> str:
+    inner = ", ".join(_render_expr(a, 0) for a in node.args)
+    if node.distinct:
+        inner = f"DISTINCT {inner}"
+    return f"{node.name}({inner})"
+
+
+def _unary(node: ast.UnaryOp, parent_level: int) -> str:
+    if node.op == "not":
+        text = f"NOT {_render_expr(node.operand, _PRECEDENCE['and'])}"
+        return _parenthesize(text, _PRECEDENCE["and"], parent_level)
+    return f"{node.op}{_render_expr(node.operand, 7)}"
+
+
+def _binary(node: ast.BinaryOp, parent_level: int) -> str:
+    level = _PRECEDENCE[node.op]
+    op_text = node.op.upper() if node.op in ("and", "or") else node.op
+    left = _render_expr(node.left, level)
+    # right side of same-precedence needs parens only for non-associative
+    # ops; comparisons never chain so bump the right side's requirement.
+    right = _render_expr(node.right, level + (0 if node.op in ("and", "or") else 1))
+    return _parenthesize(f"{left} {op_text} {right}", level, parent_level)
+
+
+def _between(node: ast.Between, parent_level: int) -> str:
+    keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
+    text = (
+        f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
+        f"{_render_expr(node.low, _PREDICATE_LEVEL + 1)} AND "
+        f"{_render_expr(node.high, _PREDICATE_LEVEL + 1)}"
+    )
+    return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
+
+
+def _in_list(node: ast.InList, parent_level: int) -> str:
+    keyword = "NOT IN" if node.negated else "IN"
+    items = ", ".join(_render_expr(e, 0) for e in node.items)
+    text = f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} ({items})"
+    return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
+
+
+def _in_subquery(node: ast.InSubquery, parent_level: int) -> str:
+    keyword = "NOT IN" if node.negated else "IN"
+    text = (
+        f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
+        f"({_render_query(node.query)})"
+    )
+    return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
+
+
+def _like(node: ast.Like, parent_level: int) -> str:
+    keyword = "NOT LIKE" if node.negated else "LIKE"
+    text = (
+        f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword} "
+        f"{_render_expr(node.pattern, _PREDICATE_LEVEL + 1)}"
+    )
+    return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
+
+
+def _is_null(node: ast.IsNull, parent_level: int) -> str:
+    keyword = "IS NOT NULL" if node.negated else "IS NULL"
+    text = f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {keyword}"
+    return _parenthesize(text, _PREDICATE_LEVEL, parent_level)
+
+
+def _exists(node: ast.Exists, parent_level: int) -> str:
+    prefix = "NOT EXISTS" if node.negated else "EXISTS"
+    return f"{prefix} ({_render_query(node.query)})"
+
+
+def _scalar_subquery(node: ast.ScalarSubquery, parent_level: int) -> str:
+    return f"({_render_query(node.query)})"
+
+
+def _quantified(node: ast.QuantifiedCompare, parent_level: int) -> str:
+    return (
+        f"{_render_expr(node.expr, _PREDICATE_LEVEL + 1)} {node.op} "
+        f"{node.quantifier.upper()} ({_render_query(node.query)})"
+    )
+
+
+def _case(node: ast.Case, parent_level: int) -> str:
+    parts = ["CASE"]
+    if node.operand is not None:
+        parts.append(_render_expr(node.operand, 0))
+    for condition, result in node.whens:
+        parts.append(
+            f"WHEN {_render_expr(condition, 0)} THEN {_render_expr(result, 0)}"
+        )
+    if node.default is not None:
+        parts.append(f"ELSE {_render_expr(node.default, 0)}")
+    parts.append("END")
+    return " ".join(parts)
+
+
+#: expression node class -> its renderer ``(node, parent level) -> text``
+_RENDERERS = {
+    ast.Literal: _literal,
+    ast.ColumnRef: _column,
+    ast.Star: _star,
+    ast.FuncCall: _func_call,
+    ast.UnaryOp: _unary,
+    ast.BinaryOp: _binary,
+    ast.Between: _between,
+    ast.InList: _in_list,
+    ast.InSubquery: _in_subquery,
+    ast.Like: _like,
+    ast.IsNull: _is_null,
+    ast.Exists: _exists,
+    ast.ScalarSubquery: _scalar_subquery,
+    ast.QuantifiedCompare: _quantified,
+    ast.Case: _case,
+}

@@ -74,6 +74,9 @@ _UNTERMINATED = {
 
 _KEYWORD = TokenType.KEYWORD
 _IDENT = TokenType.IDENT
+_GUESS = TokenType.GUESS
+_STRING = TokenType.STRING
+_VAR = TokenType.VAR
 
 
 def tokenize(sql: str) -> list[Token]:
@@ -97,17 +100,17 @@ def tokenize(sql: str) -> list[Token]:
             append(Token(_PLAIN[kind], lexeme.group(kind), lexeme.start(kind)))
         elif kind == "GUESS":
             append(Token(
-                TokenType.GUESS, lexeme.group("WORD"), lexeme.start("WORD")
+                _GUESS, lexeme.group("WORD"), lexeme.start("WORD")
             ))
         elif kind == "STRING":
             append(Token(
-                TokenType.STRING,
+                _STRING,
                 lexeme.group(kind)[1:-1].replace("''", "'"),
                 lexeme.start(kind),
             ))
         elif kind == "VAR":
             append(Token(
-                TokenType.VAR, lexeme.group(kind)[1:], lexeme.start(kind)
+                _VAR, lexeme.group(kind)[1:], lexeme.start(kind)
             ))
         elif kind == "QUOTED":
             # quoted names are always IDENT tokens, never keywords, so

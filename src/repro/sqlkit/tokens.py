@@ -24,6 +24,8 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
+_KEYWORD = TokenType.KEYWORD
+
 #: Reserved words recognised case-insensitively.  Everything else is an
 #: identifier.  Aggregate/scalar function names are *not* reserved so they
 #: can double as column names (the paper treats them as schema-irrelevant).
@@ -54,7 +56,7 @@ class Token:
         self.position = position
         #: the lower-cased keyword, or None for any other token: what
         #: the parser's keyword tests compare, lowered once here
-        self.keyword = value.lower() if type is TokenType.KEYWORD else None
+        self.keyword = value.lower() if type is _KEYWORD else None
 
     @property
     def upper(self) -> str:

@@ -187,6 +187,36 @@ class TestBatchMode:
         assert outputs["sqlite"] == outputs["memory"]
         assert outputs["sqlite"].count("-> SELECT") == 3
 
+    def test_batch_processes_match_in_process(self, tmp_path, capsys):
+        # the third query repeats the first, so the worker also serves a
+        # result-cache hit, whose SQL is the text stored with the entry
+        path = self.write_batch(
+            tmp_path,
+            [
+                "SELECT name? WHERE director_name? = 'James Cameron'",
+                "SELECT title? WHERE actor?.name? = 'Tom Hanks'",
+                "SELECT name? WHERE director_name? = 'James Cameron'",
+            ],
+        )
+        outputs = {}
+        for mode, extra in (("inline", []), ("processes", ["--processes", "1"])):
+            exit_code = main(["--dataset", "movies", "--batch", path, *extra])
+            assert exit_code == 0
+            outputs[mode] = capsys.readouterr().out
+        sql = {
+            mode: [line for line in text.splitlines() if "-> " in line]
+            for mode, text in outputs.items()
+        }
+        assert len(sql["inline"]) == 3
+        assert sql["processes"] == sql["inline"]
+        request = {
+            line.split()[0]: line
+            for line in outputs["processes"].splitlines()
+            if line.startswith("[")
+        }
+        assert "cached" not in request["[1]"]
+        assert "cached" in request["[3]"]
+
     def test_batch_writes_service_stats(self, tmp_path, capsys):
         import json as jsonlib
 

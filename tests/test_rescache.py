@@ -308,6 +308,27 @@ class TestTranslatorCache:
         # a hit is served from parse + cache stages only
         assert "map" not in hit.stats.stages
 
+    def test_hit_renders_nothing(self, monkeypatch):
+        import repro.core.rescache as rescache_module
+        import repro.core.translator as translator_module
+
+        tr, _ = cached_translator()
+        first = tr.translate(QUERY, top_k=3)
+        calls = []
+
+        def counting_render(node):
+            calls.append(node)
+            return render(node)
+
+        monkeypatch.setattr(translator_module, "render", counting_render)
+        monkeypatch.setattr(rescache_module, "render", counting_render)
+        hits = tr.translate(QUERY, top_k=3)
+        texts = [hit.sql for hit in hits]
+        assert calls == []
+        assert all(hit.cached for hit in hits)
+        assert texts == [render(hit.query) for hit in hits]
+        assert texts == [render(t.query) for t in first]
+
     def test_shared_context_shares_the_cache(self):
         db = make_db()
         ctx = TranslationContext(db, CACHED_CONFIG)
