@@ -1,6 +1,7 @@
-"""Docs lint: dead relative links, phantom metric and span names.
+"""Docs lint: dead relative links, phantom metric and span names, and
+example imports that do not resolve.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 * every relative markdown link in the repository's ``*.md`` files must
   point at a file or directory that exists (anchors are stripped;
@@ -14,7 +15,11 @@ Three checks, all cheap enough for every CI run:
 * every backticked span name in the first column of the
   ``| span | parent | attributes |`` tables of ``docs/OBSERVABILITY.md``
   must appear as a string literal (``"name"`` or ``'name'``) under
-  ``src/`` — a span the code no longer opens is a stale row.
+  ``src/`` — a span the code no longer opens is a stale row;
+* every ``import`` / ``from`` line in the ```` ```python ```` blocks of
+  ``README.md``, ``DESIGN.md`` and ``docs/*.md`` is executed and must
+  resolve — an example that imports a deleted name teaches an API that
+  no longer exists.
 
 Run from the repository root::
 
@@ -38,6 +43,10 @@ DERIVED_SUFFIXES = ("_bucket", "_sum", "_count")
 SPAN_TABLE_HEADER = "| span | parent | attributes |"
 
 BACKTICKED_RE = re.compile(r"`([^`]+)`")
+
+PYTHON_BLOCK_RE = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
+
+IMPORT_LINE_RE = re.compile(r"\s*(?:import|from)\s")
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -124,15 +133,67 @@ def check_spans(root: Path) -> list[str]:
     ]
 
 
+def example_imports(root: Path) -> list[tuple[str, int, str]]:
+    """``(file, line number, statement)`` for every import line in the
+    python blocks of README.md, DESIGN.md and docs/*.md; a parenthesised
+    import is joined up to its closing parenthesis."""
+    paths = [root / "README.md", root / "DESIGN.md"]
+    paths += sorted((root / "docs").glob("*.md"))
+    found = []
+    for path in paths:
+        if not path.exists():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for block in PYTHON_BLOCK_RE.finditer(text):
+            first = text.count("\n", 0, block.start(1)) + 1
+            lines = block.group(1).splitlines()
+            for index, line in enumerate(lines):
+                if not IMPORT_LINE_RE.match(line):
+                    continue
+                statement = line.strip()
+                following = iter(lines[index + 1 :])
+                while "(" in statement and ")" not in statement:
+                    statement += " " + next(following, ")").strip()
+                found.append(
+                    (str(path.relative_to(root)), first + index, statement)
+                )
+    return found
+
+
+def check_imports(root: Path) -> list[str]:
+    source = str(root / "src")
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    problems = []
+    for name, line, statement in example_imports(root):
+        try:
+            exec(compile(statement, f"{name}:{line}", "exec"), {})
+        except Exception as exc:  # any failure to import is the finding
+            problems.append(
+                f"{name}:{line}: {statement!r} does not resolve "
+                f"({type(exc).__name__}: {exc})"
+            )
+    return problems
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    problems = check_links(root) + check_metrics(root) + check_spans(root)
+    problems = (
+        check_links(root)
+        + check_metrics(root)
+        + check_spans(root)
+        + check_imports(root)
+    )
     for problem in problems:
         print(f"DOCS LINT: {problem}")
     if problems:
         return 1
     files = len(markdown_files(root))
-    print(f"docs lint ok ({files} markdown files checked)")
+    imports = len(example_imports(root))
+    print(
+        f"docs lint ok ({files} markdown files, "
+        f"{imports} example imports checked)"
+    )
     return 0
 
 

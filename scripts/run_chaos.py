@@ -1,16 +1,16 @@
 """CI entry point for the fault-tolerance chaos harness.
 
-Four phases, one report (``CHAOS_report.json``):
+Three phases, one report (``CHAOS_report.json``):
 
-* **parity** — with no faults injected, ``ResilientBackend(SqliteBackend)``
-  must translate every workload query to *byte-identical* SQL as the bare
-  backend (the armor may cost nothing when nothing fails);
 * **matrix** — every (backend operation x fault kind) cell is injected
-  into a Resilient/Faulty stack on a virtual clock and driven; every cell
-  must end in a typed outcome (ok / retried / degraded / backend-error —
-  never an unhandled crash) and the verdict must not depend on the retry
-  jitter seed.  Seeded multi-fault schedules then run whole translations
-  end-to-end under the same rule;
+  into a :class:`~repro.testing.FaultyBackend` and driven through the
+  path that ships: ``QueryService(FaultyBackend(...),
+  ServiceConfig(deadline=...), faults=injector)`` serving one request on
+  the injector's virtual clock.  Every cell must end typed — an answer,
+  or a failed response whose error ``exit_code_for`` maps to an exit
+  code, never an exception out of the service — and its outcome must
+  not depend on the retry jitter seed.  Seeded multi-fault schedules
+  then serve a few requests each under the same rules;
 * **evolution** — each workload replays across the standard schema
   mutations (rename table/column, split, merge, drop FK) and the report
   carries a per-mutation-class translation-stability score.  Stability
@@ -26,7 +26,7 @@ Four phases, one report (``CHAOS_report.json``):
 Run from the repository root::
 
     PYTHONPATH=src python scripts/run_chaos.py
-    PYTHONPATH=src python scripts/run_chaos.py --phases parity matrix
+    PYTHONPATH=src python scripts/run_chaos.py --phases matrix
 """
 
 from __future__ import annotations
@@ -35,24 +35,23 @@ import argparse
 import json
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro import Database
-from repro.backends import MemoryBackend, ResilientBackend, SqliteBackend
-from repro.backends.errors import BackendError
+from repro.backends import MemoryBackend
 from repro.cli import exit_code_for
 from repro.core import SchemaFreeTranslator
 from repro.datasets import make_course_database, make_movie_database
-from repro.engine.io import export_to_sqlite
-from repro.errors import ReproError
+from repro.service import QueryService, RetryPolicy, ServiceConfig
 from repro.testing import (
     BACKEND_OPS,
     EvolutionHarness,
     FaultInjector,
     FaultyBackend,
+    VirtualClock,
     standard_mutations,
-    workload_pairs,
 )
 from repro.testing.faults import _KINDS_BY_OP
 from repro.workloads import (
@@ -71,98 +70,91 @@ WORKLOADS: dict[str, tuple[Callable[[], Database], list[WorkloadQuery]]] = {
 JITTER_SEEDS = (0, 17, 4242)
 SCHEDULE_SEEDS = range(8)
 
-
-# ---------------------------------------------------------------------------
-# phase 1: fault-free parity
-# ---------------------------------------------------------------------------
-
-
-def run_parity(sqlite_dir: Path) -> dict:
-    """Byte-identical SQL from the armored and bare backends."""
-    entries = {}
-    total = mismatches = 0
-    for name, (factory, queries) in WORKLOADS.items():
-        database = factory()
-        path = sqlite_dir / f"{name}.sqlite"
-        export_to_sqlite(database, path).close()
-        bare = SqliteBackend(path)
-        armored = ResilientBackend(SqliteBackend(path))
-        t_bare = SchemaFreeTranslator(bare)
-        t_armored = SchemaFreeTranslator(armored)
-        pairs = workload_pairs(queries)
-        divergent = []
-        for qid, sql in pairs:
-            total += 1
-            try:
-                sql_bare = t_bare.translate_best(sql).sql
-            except ReproError as exc:
-                sql_bare = f"<{type(exc).__name__}>"
-            try:
-                sql_armored = t_armored.translate_best(sql).sql
-            except ReproError as exc:
-                sql_armored = f"<{type(exc).__name__}>"
-            if sql_bare != sql_armored:
-                mismatches += 1
-                divergent.append(
-                    {"qid": qid, "bare": sql_bare, "resilient": sql_armored}
-                )
-        entries[name] = {
-            "pairs": len(pairs),
-            "divergent": divergent,
-            "degraded": armored.health.degraded,
-        }
-        status = "ok" if not divergent else "DIVERGE"
-        print(f"parity {name:>14}: {len(pairs):>2} pairs  {status}")
-    return {"ok": mismatches == 0, "total": total, "workloads": entries}
+#: per-request deadline, in virtual seconds: a hang (an hour) spends it
+DEADLINE = 5.0
+HANG_SECONDS = 3600.0
+CELL_QUERY = "SELECT title? WHERE year? > 1995"
+SCHEDULE_QUERIES = (
+    CELL_QUERY,
+    "SELECT name? WHERE title? = 'Titanic'",
+    CELL_QUERY,
+)
 
 
 # ---------------------------------------------------------------------------
-# phase 2: the fault matrix
+# phase 1: the fault matrix, served
 # ---------------------------------------------------------------------------
 
 
-def _drive(backend: ResilientBackend, op: str):
-    if op == "reflect":
-        return backend.catalog
-    if op == "sample":
-        return backend.column_values("movie", "title")
-    if op == "execute":
-        return backend.execute("SELECT title FROM movie")
-    if op == "count":
-        return backend.count("movie")
-    if op == "version":
-        return backend.data_version
-    raise AssertionError(f"unknown op {op}")
+@dataclass(frozen=True)
+class SeededRetry(RetryPolicy):
+    """The default retry policy with its jitter keyed by *seed* as well
+    as the request id, so one cell replays under several schedules."""
+
+    seed: int = 0
+
+    def backoff(self, request_id: int, attempt: int) -> float:
+        return super().backoff(request_id + self.seed, attempt)
 
 
-def _run_cell(database: Database, op: str, kind: str, request_id: int):
-    injector = FaultInjector()
-    faulty = FaultyBackend(MemoryBackend(database), injector)
-    armored = ResilientBackend(
-        faulty,
-        clock=injector.clock,
-        sleep=injector.advance,
-        request_id=request_id,
+def _served_stack(database: Database, seed: int):
+    """A QueryService over a FaultyBackend, both on one purely virtual
+    clock (no wall time passes, and none leaks into a deadline)."""
+    injector = FaultInjector(clock=VirtualClock(origin=None))
+    backend = FaultyBackend(MemoryBackend(database), injector)
+    service = QueryService(
+        backend,
+        ServiceConfig(deadline=DEADLINE, retry=SeededRetry(seed=seed)),
+        faults=injector,
     )
-    if kind == "error":
-        faulty.inject_error(op, repeat=True)
-    elif kind == "hang":
-        faulty.inject_hang(op, seconds=3600.0, repeat=True)
-    elif kind == "torn":
-        faulty.inject_torn(op, repeat=True)
-    elif kind == "partial-reflect":
-        faulty.inject_partial_reflect(drop=1)
+    backend.reset()  # fault triggers count visits from the first request
+    return service, backend
+
+
+def _serve(service: QueryService, query: str) -> tuple:
+    """One request's typed outcome: ``(verdict, exit code, retries)``."""
     try:
-        _drive(armored, op)
-    except BackendError as exc:
-        return "backend-error", exit_code_for(exc)
+        response = service.serve_inline(query)
     except Exception as exc:  # the matrix exists to catch exactly this — recorded so the run survives
-        return f"unhandled:{type(exc).__name__}", exit_code_for(exc)
-    if armored.health.degraded:
-        return "degraded", 0
-    if armored.health.retries:
-        return "retried", 0
-    return "ok", 0
+        return f"unhandled:{type(exc).__name__}", exit_code_for(exc), 0
+    if not response.ok:
+        verdict = f"failed:{type(response.error).__name__}"
+        return verdict, exit_code_for(response.error), response.retries
+    if response.retries:
+        return "retried", 0, response.retries
+    return ("degraded" if response.degraded else "ok"), 0, 0
+
+
+def run_cell(database: Database, op: str, kind: str, seed: int) -> tuple:
+    """Inject one fault kind at one operation on every visit after the
+    service is built, and serve one request."""
+    service, backend = _served_stack(database, seed)
+    if kind == "error":
+        backend.inject_error(op, repeat=True)
+    elif kind == "hang":
+        backend.inject_hang(op, seconds=HANG_SECONDS, repeat=True)
+    elif kind == "torn":
+        backend.inject_torn(op, repeat=True)
+    with service:
+        outcome = _serve(service, CELL_QUERY)
+    if not backend.log:  # the served path never made the faulted call
+        outcome = ("unreached",) + outcome[1:]
+    return outcome
+
+
+def run_schedule(database: Database, seed: int, jitter: int) -> list:
+    """Serve :data:`SCHEDULE_QUERIES` under one seeded fault schedule."""
+    service, backend = _served_stack(database, jitter)
+    backend.schedule_from_seed(seed, hang_seconds=HANG_SECONDS)
+    with service:
+        return [
+            list(_serve(service, query)[:2])
+            for query in SCHEDULE_QUERIES
+        ]
+
+
+def _typed(verdict: str) -> bool:
+    return not verdict.startswith("unhandled")
 
 
 def run_matrix() -> dict:
@@ -172,51 +164,40 @@ def run_matrix() -> dict:
     for op in BACKEND_OPS:
         for kind in _KINDS_BY_OP[op]:
             outcomes = {
-                _run_cell(database, op, kind, seed) for seed in JITTER_SEEDS
+                run_cell(database, op, kind, seed) for seed in JITTER_SEEDS
             }
-            verdict, code = next(iter(outcomes))
-            typed = not verdict.startswith("unhandled")
+            verdict, code, retries = next(iter(outcomes))
             stable = len(outcomes) == 1
-            cell_ok = typed and stable
+            cell_ok = stable and all(_typed(o[0]) for o in outcomes)
             ok = ok and cell_ok
             cells[f"{op}/{kind}"] = {
                 "verdict": verdict,
                 "exit_code": code,
+                "retries": retries,
                 "seed_stable": stable,
                 "ok": cell_ok,
             }
             flag = "ok" if cell_ok else "FAIL"
-            print(f"matrix {op:>8}/{kind:<16} {verdict:<14} {flag}")
+            print(f"matrix {op:>8}/{kind:<5} {verdict:<30} {flag}")
     schedules = {}
     for seed in SCHEDULE_SEEDS:
-        injector = FaultInjector()
-        faulty = FaultyBackend(MemoryBackend(database), injector)
-        faulty.schedule_from_seed(seed)
-        armored = ResilientBackend(
-            faulty, clock=injector.clock, sleep=injector.advance
-        )
-        try:
-            translator = SchemaFreeTranslator(armored)
-            result = translator.translate_best(
-                "SELECT title? WHERE year? > 1995"
-            )
-            armored.execute(result.query)
-            outcome = "degraded" if armored.health.degraded else "ok"
-            code = 0
-        except ReproError as exc:
-            outcome = f"typed-error:{type(exc).__name__}"
-            code = exit_code_for(exc)
-        except Exception as exc:  # an unhandled schedule is the failure being hunted — recorded so the run survives
-            outcome = f"unhandled:{type(exc).__name__}"
-            code = -1
-            ok = False
-        schedules[str(seed)] = {"outcome": outcome, "exit_code": code}
-        print(f"matrix schedule seed={seed}: {outcome}")
+        runs = [run_schedule(database, seed, jitter) for jitter in JITTER_SEEDS]
+        stable = all(run == runs[0] for run in runs)
+        typed = all(_typed(verdict) for run in runs for verdict, _ in run)
+        ok = ok and stable and typed
+        schedules[str(seed)] = {
+            "outcomes": runs[0],
+            "seed_stable": stable,
+            "ok": stable and typed,
+        }
+        verdicts = ", ".join(verdict for verdict, _ in runs[0])
+        flag = "ok" if stable and typed else "FAIL"
+        print(f"matrix schedule seed={seed}: {verdicts}  {flag}")
     return {"ok": ok, "cells": cells, "schedules": schedules}
 
 
 # ---------------------------------------------------------------------------
-# phase 3: schema-evolution sweep
+# phase 2: schema-evolution sweep
 # ---------------------------------------------------------------------------
 
 
@@ -237,7 +218,7 @@ def run_evolution() -> dict:
 
 
 def run_artifacts(artifact_dir: Path) -> dict:
-    """Phase 4: artifact corruption never changes an answer.
+    """Phase 3: artifact corruption never changes an answer.
 
     Every mutant of a published artifact must either load (the pristine
     copy) or surface as a typed :class:`ArtifactError` whose fallback
@@ -335,8 +316,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--phases",
         nargs="+",
-        choices=["parity", "matrix", "evolution", "artifacts"],
-        default=["parity", "matrix", "evolution", "artifacts"],
+        choices=["matrix", "evolution", "artifacts"],
+        default=["matrix", "evolution", "artifacts"],
         help="phases to run (default: all)",
     )
     parser.add_argument(
@@ -347,9 +328,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report: dict = {}
-    if "parity" in args.phases:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            report["parity"] = run_parity(Path(tmp))
     if "matrix" in args.phases:
         report["matrix"] = run_matrix()
     if "evolution" in args.phases:

@@ -3,22 +3,19 @@
 The paper's pipeline ends at "composing standard SQL" (§6.2); this
 package is where the composed SQL actually runs.  A :class:`Backend`
 protocol abstracts query execution and schema/statistics access, with
-two implementations and one wrapper:
+two implementations:
 
 * :class:`MemoryBackend` — wraps the in-process :class:`repro.engine.
   Database` (the default substrate for tests and the bundled datasets);
 * :class:`SqliteBackend` — stdlib ``sqlite3``: reflects the catalog
   from ``PRAGMA`` metadata, sources translation statistics through
   sampled ``SELECT``s, and executes dialect-lowered SQL with
-  engine-parity UDFs;
-* :class:`ResilientBackend` — fault-tolerance armor over any backend:
-  retries with deterministic jitter, per-operation timeout budgets,
-  graceful degradation (empty samples, partial catalogs) and a
-  per-backend :class:`CircuitBreaker` that pins translation to the
-  greedy ladder rung.  It is the one breaker in the system: backend
-  health is this package's to judge, and the translator starts its
-  ladder at the resulting ``start_advice`` (DESIGN.md §10.4).  Typed
-  failures live in :mod:`repro.backends.errors`.
+  engine-parity UDFs.
+
+Backend failures are typed (:mod:`repro.backends.errors`).  A transient
+one is retried by :class:`~repro.service.QueryService`, which re-runs
+the whole translation under its :class:`RetryPolicy` (DESIGN.md §13);
+nothing in this package retries.
 
 :func:`as_backend` upgrades a raw Database (which satisfies the
 protocol structurally) into a MemoryBackend; anything already
@@ -34,10 +31,8 @@ from typing import Optional, Union
 
 from ..obs import MetricsRegistry, Tracer
 from .base import Backend
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig, CircuitBreaker
 from .dialect import UnsupportedSqlError, lower, to_sqlite_sql
 from .errors import (
-    BackendDegraded,
     BackendError,
     BackendUnavailable,
     TransientBackendError,
@@ -47,17 +42,9 @@ from .sqlite import SqliteBackend, map_declared_type, reflect_catalog
 
 __all__ = [
     "Backend",
-    "BackendDegraded",
     "BackendError",
-    "BackendHealth",
     "BackendUnavailable",
-    "BreakerConfig",
-    "CLOSED",
-    "CircuitBreaker",
-    "HALF_OPEN",
     "MemoryBackend",
-    "OPEN",
-    "ResilientBackend",
     "RetryPolicy",
     "SqliteBackend",
     "TransientBackendError",
@@ -87,5 +74,4 @@ def as_backend(
 # Imported after as_backend is defined: the retry policy imports
 # repro.testing (for InjectedFault), whose differential module imports
 # this module's as_backend during circular bootstrap.
-from .resilient import BackendHealth, ResilientBackend  # noqa: E402
 from .retry import RetryPolicy  # noqa: E402

@@ -433,7 +433,7 @@ class SqliteBackend:
                         "locked" in message or "busy" in message
                     ):
                         # Contention, not a property of the query: typed
-                        # transient so ResilientBackend retries it.
+                        # transient so the query service retries it.
                         raise TransientBackendError(
                             f"sqlite: {exc}",
                             diagnostic=Diagnostic(

@@ -98,8 +98,8 @@ EXIT_ENGINE = 4
 EXIT_INTERNAL = 5
 #: --batch --processes: requests shed by admission control, no other failure
 EXIT_OVERLOADED = 6
-#: the execution backend is unavailable or degraded (corrupted file,
-#: locked database, retries exhausted) — repro.backends.errors
+#: the execution backend failed (corrupted file, locked database that
+#: outlasted the service's retries) — repro.backends.errors
 EXIT_BACKEND = 7
 #: a serving worker process crashed or hung (repro.server.errors)
 EXIT_WORKER = 8

@@ -16,9 +16,8 @@ degradation ladder
 Below ``greedy`` the translation is refused: a typed
 :class:`BudgetExceeded` when the deadline left greedy no time, else a
 ``NoJoinNetworkError`` naming the trees it could not connect.  There is
-no guessed answer.  A translation starts at ``full`` unless its
-backend's ``start_advice`` names ``greedy``; :func:`weaker_rung` is the
-one rung-order comparison.
+no guessed answer.  Every translation starts at ``full``;
+:func:`weaker_rung` is the one rung-order comparison.
 
 ``Budget.clock`` is injectable so tests (and the fault-injection harness
 in ``repro.testing.faults``) can advance time deterministically.

@@ -180,10 +180,6 @@ class SchemaFreeTranslator:
         self.last_stats: Optional[GenerationStats] = None
         self.last_degradation: list[str] = []
         self.last_diagnostic: Optional[Diagnostic] = None
-        #: the current translation's start rung, and why the backend
-        #: demoted it there (both set once per translate() call)
-        self._start_rung = "full"
-        self._backend_note: Optional[str] = None
         self.last_translation_stats: Optional[TranslationStats] = None
         self._active_stats: Optional[TranslationStats] = None
 
@@ -222,23 +218,6 @@ class SchemaFreeTranslator:
     # ------------------------------------------------------------------
     # translation
     # ------------------------------------------------------------------
-    def _fold_backend_advice(self) -> None:
-        """Start the ladder where the backend advises.
-
-        A :class:`~repro.backends.ResilientBackend` exposes
-        ``start_advice``: ``("greedy", reason)`` while a tripped breaker,
-        lost statistics or a partial catalog call for skipping the full
-        search.  Plain backends
-        expose nothing.  The reason becomes a degradation step on every
-        translated block.
-        """
-        advice = getattr(self.database, "start_advice", None)
-        self._start_rung, reason = advice or ("full", None)
-        self._backend_note = None if reason is None else (
-            f"backend degraded ({reason}): start rung demoted to "
-            f"{self._start_rung!r}"
-        )
-
     def _parse(
         self, query: Union[str, ast.Node], meter: Optional[Budget]
     ) -> ast.Node:
@@ -264,17 +243,10 @@ class SchemaFreeTranslator:
         the call is not cacheable.  *query* may still be unparsed text
         when its canonical *fingerprint* is already known.
 
-        Not cacheable: the cache is disabled, a fault injector is
-        attached (injected faults must keep firing on every call), or
-        the backend advised a start rung below ``full`` (it asked for a
-        *cheap* translation; serving the cached full-strength one would
-        hide that advice).
+        Not cacheable: the cache is disabled, or a fault injector is
+        attached (injected faults must keep firing on every call).
         """
-        if (
-            self.config.result_cache_size <= 0
-            or self.faults is not None
-            or self._start_rung != "full"
-        ):
+        if self.config.result_cache_size <= 0 or self.faults is not None:
             return None
         with _StageGuard("cache"), self._timed("cache"):
             if fingerprint is None:
@@ -375,18 +347,11 @@ class SchemaFreeTranslator:
         diagnostic lists the steps taken.  Every failure raises a
         :class:`~repro.errors.ReproError`.
 
-        Translation starts at the full top-k search unless the backend
-        advises ``greedy`` (a tripped
-        :class:`~repro.backends.ResilientBackend` breaker, lost
-        statistics, a partial catalog): its ``start_advice`` is read
-        here, once per call.
-
         Every call is instrumented: the returned translations carry a
         shared :class:`TranslationStats` (per-stage wall time, candidate
         and expansion counters, memo effectiveness), also available as
         ``last_translation_stats`` — including after a failure.
         """
-        self._fold_backend_advice()
         if degrade is None:
             degrade = budget is not None
         self.context.ensure_current()
@@ -417,7 +382,6 @@ class SchemaFreeTranslator:
                 query=str(text)[:200],
                 database=self.database.catalog.name,
                 top_k=top_k or self.config.top_k,
-                start_rung=self._start_rung,
             )
         with root:
             try:
@@ -442,12 +406,7 @@ class SchemaFreeTranslator:
                 )
                 for translation in translations:
                     translation.stats = stats
-                # a backend that turned unwell during this call ran it on
-                # failing statistics: admit nothing it produced
-                if (
-                    cache_key is not None
-                    and getattr(self.database, "start_advice", None) is None
-                ):
+                if cache_key is not None:
                     self._result_cache_store(cache_key, translations)
                 if root.enabled and translations:
                     root.set(
@@ -745,74 +704,61 @@ class SchemaFreeTranslator:
         every tree a :class:`NoJoinNetworkError` naming the trees: there
         is no guessed answer.  Mapping failures (a tree matching nothing)
         are fatal on both rungs.
-
-        A backend that advises ``greedy`` skips the full search; the skip
-        is recorded as a degradation step so callers can see the
-        translation was pinned.
         """
         mappings: Optional[dict[TreeKey, TreeMappings]] = None
-        failure: Optional[ReproError] = None
-        pinned = self._start_rung == "greedy"
-        if pinned:
-            if self._backend_note is not None:
-                steps.append(self._backend_note)
-            steps.append("ladder pinned at 'greedy': skipping full")
         self._fire("map", budget)
 
         # ---- rung 1: the full top-k MTJN search ---------------------
-        if not pinned:
-            with self.tracer.span("rung:full") as rung_span:
-                try:
-                    full_budget = None if budget is None else budget.slice(
-                        FULL_TIME_FRACTION
+        with self.tracer.span("rung:full") as rung_span:
+            try:
+                full_budget = None if budget is None else budget.slice(
+                    FULL_TIME_FRACTION
+                )
+                with _StageGuard("map"), self._timed("map"):
+                    mappings = self.mapper.map_trees(trees, full_budget)
+                self._check_mappings(trees, mappings)
+                self._fire("network", full_budget)
+                with _StageGuard("network"), self._timed("network"), \
+                        self.tracer.span("network") as net_span:
+                    views = self.view_graph.views + self._fragment_views(
+                        extraction.fragments, trees, mappings, extraction
                     )
-                    with _StageGuard("map"), self._timed("map"):
-                        mappings = self.mapper.map_trees(trees, full_budget)
-                    self._check_mappings(trees, mappings)
-                    self._fire("network", full_budget)
-                    with _StageGuard("network"), self._timed("network"), \
-                            self.tracer.span("network") as net_span:
-                        views = self.view_graph.views + self._fragment_views(
-                            extraction.fragments, trees, mappings, extraction
-                        )
-                        xgraph, networks, search_stats = self._search_networks(
-                            trees, mappings, views, k,
-                            full_budget, gen_stats, net_span,
-                        )
-                    if not networks:
-                        raise self._no_network(
-                            trees,
-                            "search exhausted without a total join network",
-                            sum(len(tm.candidates) for tm in mappings.values()),
-                            {"expanded": search_stats.expanded},
-                        )
-                    if rung_span.enabled:
-                        rung_span.set(outcome="ok", networks=len(networks))
-                    return mappings, xgraph, networks, "full"
-                except BudgetExceeded as exc:
-                    if not degrade:
-                        raise
-                    if rung_span.enabled:
-                        rung_span.set(outcome="budget-exhausted")
-                    steps.append(f"full search abandoned: {exc}")
-                    failure = exc
-                except NoJoinNetworkError as exc:
-                    if not degrade:
-                        raise
-                    if rung_span.enabled:
-                        rung_span.set(outcome="no-network")
-                    steps.append(f"full search failed: {exc}")
-                    failure = exc
+                    xgraph, networks, search_stats = self._search_networks(
+                        trees, mappings, views, k,
+                        full_budget, gen_stats, net_span,
+                    )
+                if not networks:
+                    raise self._no_network(
+                        trees,
+                        "search exhausted without a total join network",
+                        sum(len(tm.candidates) for tm in mappings.values()),
+                        {"expanded": search_stats.expanded},
+                    )
+                if rung_span.enabled:
+                    rung_span.set(outcome="ok", networks=len(networks))
+                return mappings, xgraph, networks, "full"
+            except BudgetExceeded as exc:
+                if not degrade:
+                    raise
+                if rung_span.enabled:
+                    rung_span.set(outcome="budget-exhausted")
+                steps.append(f"full search abandoned: {exc}")
+                failure = exc
+            except NoJoinNetworkError as exc:
+                if not degrade:
+                    raise
+                if rung_span.enabled:
+                    rung_span.set(outcome="no-network")
+                steps.append(f"full search failed: {exc}")
+                failure = exc
 
         # ---- rung 2: one greedy join path, or refuse ----------------
         if budget is not None and budget.time_exceeded():
             steps.append("greedy join path skipped: deadline passed")
-            if failure is None:
-                budget.check("network")  # pinned: no search failed yet
             raise failure
         if mappings is None:
-            # the full search was pinned away or interrupted mid-mapping:
-            # map now, unbudgeted (polynomial, unlike the network search)
+            # the full search was interrupted mid-mapping: map now,
+            # unbudgeted (polynomial, unlike the network search)
             with _StageGuard("map"), self._timed("map"):
                 mappings = self.mapper.map_trees(trees)
             self._check_mappings(trees, mappings)

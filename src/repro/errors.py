@@ -13,10 +13,9 @@ else escaping is a genuine bug:
     │   ├── NameResolutionError
     │   ├── ExecutionError
     │   └── IntegrityError
-    ├── BackendError        (repro.backends.errors)
+    ├── BackendError        (repro.backends.errors; CLI exit code 7)
     │   ├── TransientBackendError   (retryable hiccup)
-    │   ├── BackendUnavailable      (terminal; CLI exit code 7)
-    │   └── BackendDegraded         (partial result, carries payload)
+    │   └── BackendUnavailable      (terminal)
     ├── BudgetExceeded      (repro.core.resilience)
     ├── WorkerError         (repro.server.errors; CLI exit code 8)
     │   ├── WorkerCrashed           (worker process died mid-request)

@@ -108,7 +108,6 @@ def _error_registry() -> dict[str, type]:
     must not create import cycles at package-load time.
     """
     from ..backends.errors import (
-        BackendDegraded,
         BackendError,
         BackendUnavailable,
         TransientBackendError,
@@ -127,7 +126,6 @@ def _error_registry() -> dict[str, type]:
     from .errors import ServerDraining, WorkerCrashed, WorkerTimeout
 
     classes = (
-        BackendDegraded,
         BackendError,
         BackendUnavailable,
         BudgetExceeded,

@@ -12,14 +12,15 @@ front end needs under load (DESIGN.md §10):
 * **deadlines as budgets** — a per-request deadline becomes a
   :class:`~repro.core.resilience.Budget` created *at admission*; an
   overrun falls back to the translator's greedy rung, or fails typed;
-* **retries** — transient faults retry with exponential backoff and
-  deterministic per-request jitter (:class:`RetryPolicy`).
+* **retries** — transient faults, in a stage or in the backend, retry
+  the whole translation with exponential backoff and deterministic
+  per-request jitter (:class:`RetryPolicy`).  This is the one retry
+  loop in the system (DESIGN.md §10.4).
 
-The service owns no health state: each failure domain has one owner
-(DESIGN.md §10.4).  A budget that runs out is handled per request by
-the translator's two-rung degradation ladder, and backend health by
-:class:`~repro.backends.ResilientBackend`, whose advice the translator
-folds.
+The service owns no health state.  A budget that runs out is handled
+per request by the translator's two-rung degradation ladder, and a
+backend that keeps failing fails each request typed (exit code 7)
+until it recovers.
 
 Every request's journey is observable: pass ``tracer=`` /
 ``metrics=`` to :class:`QueryService` and each request gets one

@@ -28,9 +28,11 @@ Python, which threads sharing one interpreter cannot run in parallel.
 
 A budget that runs out is the translator's to handle, per request: it
 falls back from the full search to one greedy join path, or refuses
-with a typed error; backend health is the backend's own
-(:class:`~repro.backends.ResilientBackend`, whose advice the translator
-folds).  The service keeps no health state of its own.
+with a typed error.  A transient backend error (a
+:class:`~repro.backends.errors.TransientBackendError`) is retried here,
+by re-running the whole translation: this loop is the only retry owner.
+The service keeps no health state, so a backend that recovers serves
+the next request at full strength.
 
 Translator instances are **per calling thread** (their scratch state
 is not shared); the per-database context *is* shared, which is safe
@@ -278,9 +280,6 @@ class QueryService:
         self._local = threading.local()
         self._next_id = 0
         self.stats = ServiceStats()
-        #: deterministic-per-request event trace:
-        #: ("shed", id) / ("retry", id, attempt, delay) / ("closed", id)
-        self.events: list[tuple] = []
         capacity = self.config.workers + self.config.queue_limit
         self._slots = threading.Semaphore(capacity)
         self._closed = False
@@ -314,7 +313,8 @@ class QueryService:
         return self._states[database].context
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable service state (stats + memo + backends)."""
+        """JSON-serialisable service state (config, stats, memo and
+        attached artifacts)."""
         with self._lock:
             stats = self.stats.as_dict()
         return {
@@ -343,16 +343,6 @@ class QueryService:
                 }
                 for name, state in self._states.items()
                 if state.artifact_path is not None
-            },
-            "backends": {
-                name: {
-                    "kind": getattr(state.database, "kind", "unknown"),
-                    "health": state.database.health.snapshot(),
-                    "breaker": state.database.breaker.snapshot(),
-                }
-                for name, state in self._states.items()
-                if hasattr(state.database, "health")
-                and hasattr(state.database, "breaker")
             },
         }
 
@@ -438,7 +428,6 @@ class QueryService:
         )
         with self._lock:
             self.stats.shed += 1
-            self.events.append(("shed", request.request_id))
         span.event(
             "shed",
             workers=self.config.workers,
@@ -474,7 +463,6 @@ class QueryService:
         )
         with self._lock:
             self.stats.failed += 1
-            self.events.append(("closed", request.request_id))
         span.event("closed")
         if span.enabled:
             span.set(outcome="failed")
@@ -542,12 +530,14 @@ class QueryService:
         self, request: ServiceRequest, budget: Budget, span=NULL_SPAN
     ) -> ServiceResponse:
         state = self._states[request.database]
-        translator = self._translator(state)
         started = self.clock()
         retries = 0
         while True:
             attempt = retries + 1
             try:
+                # built inside the try: building it reads the backend's
+                # catalog, which can fail like any other backend read
+                translator = self._translator(state)
                 # with a budget, translate() may fall back to greedy
                 translations = translator.translate(
                     request.query,
@@ -565,9 +555,6 @@ class QueryService:
                     )
                     with self._lock:
                         self.stats.retries += 1
-                        self.events.append(
-                            ("retry", request.request_id, attempt, delay)
-                        )
                     span.event(
                         "retry", attempt=attempt, delay=round(delay, 6)
                     )

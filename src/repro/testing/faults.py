@@ -24,8 +24,8 @@ clocks or randomness — so injected runs are fully reproducible.
 The virtual clock itself is a standalone, shareable
 :class:`VirtualClock`: build one, hand it to ``FaultInjector(clock=...)``
 *and* to any other clock-injected component (a
-:class:`~repro.server.supervisor.Supervisor` heartbeat watchdog, a
-breaker cooldown, a retry sleeper) and they all observe the same
+:class:`~repro.server.supervisor.Supervisor` heartbeat watchdog, the
+query service's retry sleeper) and they all observe the same
 timeline — one ``advance()`` moves every deadline, backoff schedule and
 heartbeat decision in lockstep.  Before PR 8 the offset lived inside
 each injector, so two components built with different injectors silently
@@ -46,12 +46,11 @@ The same discipline extends below the translator: :class:`FaultyBackend`
 wraps any :class:`~repro.backends.base.Backend` and injects failures at
 its five operation sites (``reflect`` / ``sample`` / ``execute`` /
 ``count`` / ``version``) — typed transient errors, hangs that advance
-the shared virtual clock past :class:`~repro.backends.resilient.
-ResilientBackend` timeouts, torn (silently truncated) row batches, and
-partial reflection (:class:`~repro.backends.errors.BackendDegraded`
-carrying a pruned catalog).  ``schedule_from_seed`` derives a
-reproducible multi-fault schedule from one integer, which is how
-``scripts/run_chaos.py`` sweeps the fault space deterministically.
+the shared virtual clock past a request's deadline, and torn (silently
+truncated) row batches.  ``schedule_from_seed`` derives a reproducible
+multi-fault schedule from one integer, which is how
+``scripts/run_chaos.py`` sweeps the fault space deterministically
+through :class:`~repro.service.QueryService`.
 """
 
 from __future__ import annotations
@@ -274,12 +273,11 @@ class FaultInjector:
 #: Backend operation sites a fault can attach to.
 BACKEND_OPS = ("reflect", "sample", "execute", "count", "version")
 
-#: Fault kinds per site (``torn`` needs row batches; ``partial-reflect``
-#: needs a catalog to prune).
-BACKEND_FAULT_KINDS = ("error", "hang", "torn", "partial-reflect")
+#: Fault kinds per site (``torn`` needs row batches).
+BACKEND_FAULT_KINDS = ("error", "hang", "torn")
 
 _KINDS_BY_OP = {
-    "reflect": ("error", "hang", "partial-reflect"),
+    "reflect": ("error", "hang"),
     "sample": ("error", "hang", "torn"),
     "execute": ("error", "hang", "torn"),
     "count": ("error", "hang"),
@@ -294,16 +292,13 @@ class BackendFault:
     ``op`` is a :data:`BACKEND_OPS` site and ``kind`` one of
     :data:`BACKEND_FAULT_KINDS`; ``trigger``/``repeat`` follow
     :class:`Fault` semantics (1-based visit count, once by default).
-    ``seconds`` is how far a ``hang`` advances the virtual clock;
-    ``drop`` is how many relations ``partial-reflect`` prunes from the
-    tail of the reflected catalog.
+    ``seconds`` is how far a ``hang`` advances the virtual clock.
     """
 
     op: str
     kind: str
     seconds: float = 0.0
     error: Optional[Union[BaseException, type]] = None
-    drop: int = 1
     trigger: int = 1
     repeat: bool = False
     fired: int = 0
@@ -317,16 +312,13 @@ class BackendFault:
 class FaultyBackend:
     """A Backend wrapper that injects deterministic failures.
 
-    Composes with :class:`~repro.backends.resilient.ResilientBackend`
-    for chaos testing: hangs advance the shared :class:`FaultInjector`
-    virtual clock (so resilient timeouts fire with no real waiting),
-    ``error`` faults raise :class:`~repro.backends.errors.
-    TransientBackendError` by default (so retry paths are exercised),
-    ``torn`` faults silently truncate a row batch to its first half
-    (what a connection dropped mid-fetch leaves behind), and
-    ``partial-reflect`` raises :class:`~repro.backends.errors.
-    BackendDegraded` carrying the inner catalog minus its last ``drop``
-    relations (and every FK touching them).
+    Serve it through :class:`~repro.service.QueryService` built with the
+    same :class:`FaultInjector` for chaos testing: hangs advance the
+    shared virtual clock (so request deadlines run out with no real
+    waiting), ``error`` faults raise :class:`~repro.backends.errors.
+    TransientBackendError` by default (so the service's retry path is
+    exercised), and ``torn`` faults silently truncate a row batch to its
+    first half (what a connection dropped mid-fetch leaves behind).
 
     Fault accounting mirrors :class:`FaultInjector`: per-op visit
     counters and fired counts update under one lock, and every firing
@@ -382,15 +374,6 @@ class FaultyBackend:
     ) -> BackendFault:
         return self.inject(BackendFault(op, "torn", trigger=trigger, repeat=repeat))
 
-    def inject_partial_reflect(
-        self, drop: int = 1, trigger: int = 1, repeat: bool = False
-    ) -> BackendFault:
-        return self.inject(
-            BackendFault(
-                "reflect", "partial-reflect", drop=drop, trigger=trigger, repeat=repeat
-            )
-        )
-
     def schedule_from_seed(
         self, seed: int, faults: int = 3, hang_seconds: float = 120.0
     ) -> list[BackendFault]:
@@ -399,8 +382,8 @@ class FaultyBackend:
         ``random.Random(seed)`` draws ``faults`` (op, kind, trigger)
         cells — stdlib ``Random`` is stable across Python versions for a
         fixed seed, so a seed fully names a chaos scenario.  Hangs use
-        *hang_seconds*, long enough to blow any default resilient
-        timeout on the virtual clock.
+        *hang_seconds*, long enough to blow any request deadline on the
+        virtual clock.
         """
         import random
 
@@ -427,8 +410,8 @@ class FaultyBackend:
         """Bump the op's visit counter and collect firing faults.
 
         Hangs advance the shared virtual clock inside the lock (like
-        injector delays); error/torn/partial faults are returned for the
-        call site to apply, because applying them raises or needs the
+        injector delays); error/torn faults are returned for the call
+        site to apply, because applying them raises or needs the
         operation's data.
         """
         applying: list[BackendFault] = []
@@ -470,46 +453,10 @@ class FaultyBackend:
         """What a torn batch leaves behind: the first half, silently."""
         return rows[: max(0, len(rows) // 2)]
 
-    def _pruned_catalog(self, drop: int):
-        """The inner catalog minus its last *drop* relations and every
-        foreign key with an endpoint among them."""
-        from ..catalog import Catalog
-
-        full = self._inner.catalog
-        keep = full.relations[: max(1, len(full.relations) - drop)]
-        kept_names = {relation.name for relation in keep}
-        partial = Catalog(f"{full.name}~partial")
-        for relation in keep:
-            partial.add_relation(relation)
-        for fk in full.foreign_keys:
-            if fk.source_relation in kept_names and fk.target_relation in kept_names:
-                partial.add_foreign_key(
-                    fk.source_relation,
-                    fk.source_attribute,
-                    fk.target_relation,
-                    fk.target_attribute,
-                )
-        return partial
-
     # -- Backend protocol -----------------------------------------------
     @property
     def catalog(self):
-        for fault in self._fire("reflect"):
-            if fault.kind == "partial-reflect":
-                from ..backends.errors import BackendDegraded
-
-                partial = self._pruned_catalog(fault.drop)
-                raise BackendDegraded(
-                    f"injected partial reflection: {len(partial.relations)} of "
-                    f"{len(self._inner.catalog.relations)} relations",
-                    partial=partial,
-                    diagnostic=Diagnostic(
-                        stage="backend",
-                        message="injected partial reflection",
-                        token="reflect",
-                        detail={"dropped": fault.drop},
-                    ),
-                )
+        self._fire("reflect")
         return self._inner.catalog
 
     @property

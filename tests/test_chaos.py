@@ -1,26 +1,21 @@
-"""Chaos-harness tests: FaultyBackend, ResilientBackend, the
-(operation x fault-kind) matrix, and the schema-evolution harness."""
+"""Chaos-harness tests: FaultyBackend, backend faults on the served
+path, the (operation x fault-kind) matrix, and the schema-evolution
+harness."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from repro.backends import (
-    CLOSED,
-    BackendDegraded,
-    BackendUnavailable,
-    BreakerConfig,
-    MemoryBackend,
-    ResilientBackend,
-    TransientBackendError,
-)
-from repro.cli import EXIT_BACKEND, exit_code_for
+from repro.backends import MemoryBackend, TransientBackendError
+from repro.cli import EXIT_BACKEND, EXIT_TRANSLATION, exit_code_for
 from repro.core import SchemaFreeTranslator, TranslationContext
-from repro.obs import MetricsRegistry, RingBufferExporter, Tracer
-from repro.backends.retry import NO_RETRY, RetryPolicy
+from repro.core.resilience import BudgetExceeded
+from repro.backends.retry import RetryPolicy
+from repro.service import QueryService, ServiceConfig
 from repro.testing import (
     BACKEND_OPS,
     DropForeignKey,
@@ -43,22 +38,25 @@ from repro.workloads import COURSE_QUERIES, TEXTBOOK_QUERIES
 from .conftest import make_fig1_catalog, populate_fig1
 from repro import Database
 
+QUERY = "SELECT title? WHERE year? > 1995"
+DEADLINE = 5.0
 
-def make_chaos_stack(fig1_db, *, breaker=None, retry=None, timeouts=None):
-    """ResilientBackend over FaultyBackend over MemoryBackend, on one
+
+def make_served_stack(fig1_db, *, retry=None):
+    """A QueryService over FaultyBackend over MemoryBackend, on one
     shared, purely virtual clock (no real time passes in any chaos test,
-    and none leaks into a timeout)."""
+    and none leaks into a deadline).  Fault triggers count visits from
+    the first request: building the service reads the backend first."""
     injector = FaultInjector(clock=VirtualClock(origin=None))
     faulty = FaultyBackend(MemoryBackend(fig1_db), injector)
-    resilient = ResilientBackend(
-        faulty,
-        clock=injector.clock,
-        sleep=injector.advance,
-        breaker=breaker,
-        retry=retry,
-        timeouts=timeouts,
-    )
-    return resilient, faulty, injector
+    config = ServiceConfig(deadline=DEADLINE, retry=retry or RetryPolicy())
+    service = QueryService(faulty, config, faults=injector)
+    faulty.reset()
+    return service, faulty
+
+
+def fault_free_sql(fig1_db, query: str = QUERY) -> str:
+    return SchemaFreeTranslator(fig1_db).translate_best(query).sql
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +93,25 @@ class TestFaultyBackend:
         torn = faulty.column_values("Person", "name")  # visit 2: fires
         assert torn == whole[: len(whole) // 2]
 
-    def test_partial_reflect_raises_degraded_with_pruned_catalog(self, fig1_db):
+    def test_repeating_execute_fault_fails_the_shell_typed(self, fig1_db):
+        # an execute fault that outlasts any retry: the one-shot reports
+        # it as a backend failure, with the backend's diagnostic
+        import io
+
+        from repro.cli import Shell
+
         faulty = FaultyBackend(MemoryBackend(fig1_db))
-        faulty.inject_partial_reflect(drop=2)
-        with pytest.raises(BackendDegraded) as info:
-            faulty.catalog
-        partial = info.value.partial
-        full = fig1_db.catalog
-        assert len(partial.relations) == len(full.relations) - 2
-        kept = {r.name for r in partial.relations}
-        for fk in partial.foreign_keys:
-            assert fk.source_relation in kept and fk.target_relation in kept
+        shell = Shell(faulty)
+        faulty.inject_error("execute", repeat=True)
+        out = io.StringIO()
+        shell.run_command(QUERY, out=out)
+        error = shell.last_error
+        assert isinstance(error, TransientBackendError)
+        assert exit_code_for(error) == EXIT_BACKEND
+        assert error.diagnostic is not None
+        assert error.diagnostic.stage == "backend"
+        assert "execution error" in out.getvalue()
+        assert ("execute", "error") in faulty.log
 
     def test_invalid_op_and_kind_rejected(self, fig1_db):
         faulty = FaultyBackend(MemoryBackend(fig1_db))
@@ -113,6 +119,8 @@ class TestFaultyBackend:
             faulty.inject_error("mutate")
         with pytest.raises(ValueError):
             faulty.inject_torn("version")
+        with pytest.raises(ValueError):
+            faulty.inject_torn("reflect")
 
     def test_seeded_schedule_is_reproducible(self, fig1_db):
         a = FaultyBackend(MemoryBackend(fig1_db))
@@ -126,226 +134,125 @@ class TestFaultyBackend:
 
 
 # ---------------------------------------------------------------------------
-# ResilientBackend
+# backend faults on the served path: QueryService is the one retry owner
 # ---------------------------------------------------------------------------
 
 
-class TestResilientBackend:
-    def test_transient_fault_retries_to_success(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_error("sample")
-        values = rb.column_values("Movie", "title")
-        assert sorted(values) == ["Avatar", "The Terminal", "Titanic"]
-        assert rb.health.retries == 1
-        assert not rb.health.degraded
-        assert rb.breaker.state == CLOSED
-
-    def test_exhausted_execute_raises_backend_unavailable(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_error("execute", repeat=True)
-        with pytest.raises(BackendUnavailable) as info:
-            rb.execute("SELECT title FROM Movie")
-        assert exit_code_for(info.value) == EXIT_BACKEND
-        assert info.value.diagnostic is not None
-        assert info.value.diagnostic.stage == "backend"
-
-    def test_sampling_outage_degrades_to_empty_column(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
+class TestServedBackendFaults:
+    def test_outage_fails_each_request_until_it_clears(self, fig1_db):
+        # no breaker and no sticky health: the first request after the
+        # backend recovers runs the full search, like any other
+        service, faulty = make_served_stack(fig1_db)
         faulty.inject_error("sample", repeat=True)
-        assert rb.column_values("Movie", "title") == []
-        assert rb.health.stats_degraded
-        assert rb.start_advice == ("greedy", "statistics sampling failed")
-        assert rb.health.diagnostics
-
-    def test_hang_times_out_on_virtual_clock_then_recovers(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_hang("sample", seconds=600.0)  # >> 5s sample timeout
-        values = rb.column_values("Movie", "title")
-        assert len(values) == 3
-        assert rb.health.retries == 1
-
-    def test_partial_reflection_keeps_partial_catalog(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_partial_reflect(drop=1)
-        catalog = rb.catalog
-        assert len(catalog.relations) == len(fig1_db.catalog.relations) - 1
-        assert rb.health.catalog_partial
-        assert rb.start_advice == ("greedy", "partial catalog")
-        # cached: the second read does not re-reflect
-        assert rb.catalog is catalog
-
-    def test_version_outage_serves_last_known_version(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        known = rb.data_version
-        faulty.inject_error("version", repeat=True)
-        assert rb.data_version == known
-        assert rb.health.version_stale
-
-    def test_version_outage_with_no_history_is_terminal(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_error("version", repeat=True)
-        with pytest.raises(BackendUnavailable):
-            rb.data_version
-
-    def test_semantic_error_propagates_unchanged(self, fig1_db):
-        from repro.catalog import SchemaError
-
-        rb, _, _ = make_chaos_stack(fig1_db)
-        with pytest.raises(SchemaError):
-            rb.column_values("Movei_Typo", "title")
-        assert not rb.health.degraded
-        assert rb.breaker.state == CLOSED
-
-    def test_breaker_trips_and_pins_rung(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(
-            fig1_db,
-            breaker=BreakerConfig(failure_threshold=2),
-            retry=NO_RETRY,
-        )
-        faulty.inject_error("count", repeat=True)
         for _ in range(2):
-            with pytest.raises(BackendUnavailable):
-                rb.count("Movie")
-        assert rb.breaker.state != CLOSED
-        assert rb.start_advice == ("greedy", "circuit breaker open")
+            assert not service.serve_inline(QUERY).ok
+        faulty.reset()
+        response = service.serve_inline(QUERY)
+        assert response.ok
+        assert response.rung == "full"
+        assert response.retries == 0
+        assert not response.degraded
+        assert response.sql == fault_free_sql(fig1_db)
 
-    def test_retry_and_degrade_metrics_and_spans(self, fig1_db):
-        ring = RingBufferExporter()
-        metrics = MetricsRegistry()
-        injector = FaultInjector()
-        faulty = FaultyBackend(MemoryBackend(fig1_db), injector)
-        rb = ResilientBackend(
-            faulty,
-            clock=injector.clock,
-            sleep=injector.advance,
-            tracer=Tracer(exporters=[ring]),
-            metrics=metrics,
-        )
-        faulty.inject_error("sample")  # one retry
-        faulty.inject_error("execute", repeat=True)  # terminal
-        rb.column_values("Movie", "title")
-        with pytest.raises(BackendUnavailable):
-            rb.execute("SELECT title FROM Movie")
-        names = [span.name for span in ring.spans()]
-        assert "backend.retry" in names
-        rendered = metrics.render_text()
-        assert "repro_backend_retry_total" in rendered
+    def test_hang_spends_the_deadline_then_recovers(self, fig1_db):
+        service, faulty = make_served_stack(fig1_db)
+        faulty.inject_hang("sample", seconds=600.0)  # >> the 5 s deadline
+        refused = service.serve_inline(QUERY)
+        assert not refused.ok
+        assert isinstance(refused.error, BudgetExceeded)
+        assert exit_code_for(refused.error) == EXIT_TRANSLATION
+        assert refused.retries == 0  # a spent deadline is not retried
+        response = service.serve_inline(QUERY)  # the next request has time
+        assert response.ok
+        assert response.sql == fault_free_sql(fig1_db)
 
     def test_faultless_translation_is_byte_identical(self, fig1_db):
-        bare = MemoryBackend(fig1_db)
-        rb = ResilientBackend(MemoryBackend(fig1_db))
-        t_bare = SchemaFreeTranslator(bare)
-        t_res = SchemaFreeTranslator(rb)
+        service, faulty = make_served_stack(fig1_db)
         for query in TEXTBOOK_QUERIES[:8]:
             sql = query.sf_sql or query.gold_sql
-            assert (
-                t_bare.translate_best(sql).sql == t_res.translate_best(sql).sql
-            )
-        assert not rb.health.degraded
-
-    def test_translator_folds_backend_advice_into_ladder(self, fig1_db):
-        rb, faulty, _ = make_chaos_stack(fig1_db)
-        faulty.inject_error("sample", repeat=True)
-        translator = SchemaFreeTranslator(rb)
-        # first translation discovers the sampling outage mid-query;
-        # the advice is folded at the *start* of the next one
-        translator.translate_best("SELECT title? WHERE year? > 1995")
-        assert rb.health.stats_degraded
-        result = translator.translate_best("SELECT title? WHERE year? > 1995")
-        steps = tuple(result.degradation)
-        assert any("backend degraded" in step for step in steps)
-        assert any("statistics sampling failed" in step for step in steps)
+            response = service.serve_inline(sql)
+            assert response.ok, response.error
+            assert response.retries == 0
+            assert response.sql == fault_free_sql(fig1_db, sql)
+        assert faulty.log == []
 
 
 # ---------------------------------------------------------------------------
-# the (operation x fault kind) matrix — ISSUE satellite
+# the (operation x fault kind) matrix, through QueryService
 # ---------------------------------------------------------------------------
 
 MATRIX = [
     (op, kind) for op in BACKEND_OPS for kind in _KINDS_BY_OP[op]
 ]
 
-#: per-cell allowed typed outcomes; anything outside fails the matrix
+#: per-cell expected outcome of one served request when the fault fires
+#: on every visit.  The served path translates: it reflects (the first
+#: request builds the service's translator, which reads the catalog),
+#: samples and reads the data version, and never executes or counts rows.
 EXPECTED_VERDICTS = {
-    ("reflect", "error"): {"backend-error"},
-    ("reflect", "hang"): {"backend-error"},
-    ("reflect", "partial-reflect"): {"degraded"},
-    ("sample", "error"): {"degraded"},
-    ("sample", "hang"): {"degraded"},
-    ("sample", "torn"): {"ok"},
-    ("execute", "error"): {"backend-error"},
-    ("execute", "hang"): {"backend-error"},
-    ("execute", "torn"): {"ok"},
-    ("count", "error"): {"backend-error"},
-    ("count", "hang"): {"backend-error"},
-    ("version", "error"): {"backend-error"},
-    ("version", "hang"): {"backend-error"},
+    ("reflect", "error"): "failed:TransientBackendError",
+    ("reflect", "hang"): "failed:BudgetExceeded",
+    ("sample", "error"): "failed:TransientBackendError",
+    ("sample", "hang"): "failed:BudgetExceeded",
+    ("sample", "torn"): "ok",
+    ("execute", "error"): "unreached",
+    ("execute", "hang"): "unreached",
+    ("execute", "torn"): "unreached",
+    ("count", "error"): "unreached",
+    ("count", "hang"): "unreached",
+    ("version", "error"): "failed:TransientBackendError",
+    ("version", "hang"): "failed:BudgetExceeded",
 }
 
 
-def drive(rb: ResilientBackend, op: str):
-    if op == "reflect":
-        return rb.catalog
-    if op == "sample":
-        return rb.column_values("Movie", "title")
-    if op == "execute":
-        return rb.execute("SELECT title FROM Movie")
-    if op == "count":
-        return rb.count("Movie")
-    if op == "version":
-        return rb.data_version
-    raise AssertionError(f"unknown op {op}")
+@dataclass(frozen=True)
+class SeededRetry(RetryPolicy):
+    """The default retry policy with its jitter keyed by an extra seed."""
+
+    seed: int = 0
+
+    def backoff(self, request_id: int, attempt: int) -> float:
+        return super().backoff(request_id + self.seed, attempt)
 
 
-def run_cell(fig1_db, op: str, kind: str, request_id: int):
-    """One matrix cell: inject the fault repeatedly, drive the op, and
-    classify the outcome.  Returns (verdict, exit_code)."""
-    injector = FaultInjector()
-    faulty = FaultyBackend(MemoryBackend(fig1_db), injector)
-    rb = ResilientBackend(
-        faulty,
-        clock=injector.clock,
-        sleep=injector.advance,
-        request_id=request_id,
-    )
+def run_cell(fig1_db, op: str, kind: str, seed: int):
+    """One matrix cell: inject the fault on every visit, serve one
+    request, and classify it.  Returns (verdict, exit_code, retries)."""
+    service, faulty = make_served_stack(fig1_db, retry=SeededRetry(seed=seed))
     if kind == "error":
         faulty.inject_error(op, repeat=True)
     elif kind == "hang":
-        # every attempt hangs past any per-op deadline: the terminal
-        # path (retries exhausted) is what the cell asserts
         faulty.inject_hang(op, seconds=3600.0, repeat=True)
     elif kind == "torn":
         faulty.inject_torn(op, repeat=True)
-    elif kind == "partial-reflect":
-        faulty.inject_partial_reflect(drop=1)
     try:
-        drive(rb, op)
-    except Exception as exc:  # the matrix's whole point: classify, never crash — the test REPL survives
-        from repro.backends.errors import BackendError
-
-        if isinstance(exc, BackendError):
-            return "backend-error", exit_code_for(exc)
-        return f"unhandled:{type(exc).__name__}", exit_code_for(exc)
-    if rb.health.degraded:
-        return "degraded", 0
-    if rb.health.retries:
-        return "retried", 0
-    return "ok", 0
+        response = service.serve_inline(QUERY)
+    except Exception as exc:  # the matrix's whole point: classify, never crash
+        return f"unhandled:{type(exc).__name__}", exit_code_for(exc), 0
+    if not response.ok:
+        verdict = f"failed:{type(response.error).__name__}"
+        return verdict, exit_code_for(response.error), response.retries
+    return ("ok" if faulty.log else "unreached"), 0, response.retries
 
 
 class TestFaultMatrix:
     @pytest.mark.parametrize("op,kind", MATRIX)
     def test_every_cell_ends_in_a_typed_outcome(self, fig1_db, op, kind):
-        verdict, code = run_cell(fig1_db, op, kind, request_id=0)
-        assert verdict in EXPECTED_VERDICTS[(op, kind)], (
+        verdict, code, retries = run_cell(fig1_db, op, kind, seed=0)
+        assert verdict == EXPECTED_VERDICTS[(op, kind)], (
             f"({op}, {kind}) produced {verdict!r}"
         )
-        assert code in (0, EXIT_BACKEND)
+        if verdict == "failed:TransientBackendError":
+            assert (code, retries) == (EXIT_BACKEND, 2)
+        elif verdict == "failed:BudgetExceeded":
+            assert (code, retries) == (EXIT_TRANSLATION, 0)
+        else:
+            assert (code, retries) == (0, 0)
 
     @pytest.mark.parametrize("op,kind", MATRIX)
     def test_verdicts_stable_across_retry_jitter_seeds(self, fig1_db, op, kind):
         outcomes = {
-            run_cell(fig1_db, op, kind, request_id=seed)
+            run_cell(fig1_db, op, kind, seed)
             for seed in (0, 17, 4242)
         }
         assert len(outcomes) == 1, (
@@ -353,25 +260,17 @@ class TestFaultMatrix:
         )
 
     def test_seeded_schedules_never_crash_translation(self, fig1_db):
-        """Every seeded multi-fault schedule ends in a typed outcome:
-        a translation result or a ReproError — never a raw crash."""
-        from repro.errors import ReproError
-
+        """Every seeded multi-fault schedule ends each served request
+        typed: an answer or a failed response with an exit code."""
         for seed in range(6):
-            injector = FaultInjector()
-            faulty = FaultyBackend(MemoryBackend(fig1_db), injector)
+            service, faulty = make_served_stack(fig1_db)
             faulty.schedule_from_seed(seed)
-            rb = ResilientBackend(
-                faulty, clock=injector.clock, sleep=injector.advance
-            )
-            try:
-                translator = SchemaFreeTranslator(rb)
-                result = translator.translate_best(
-                    "SELECT title? WHERE year? > 1995"
-                )
-                rb.execute(result.query)
-            except ReproError as exc:
-                assert exit_code_for(exc) in (2, 3, 4, 5, 7)
+            for query in (QUERY, "SELECT name? WHERE title? = 'Titanic'"):
+                response = service.serve_inline(query)
+                if not response.ok:
+                    assert exit_code_for(response.error) in (
+                        EXIT_TRANSLATION, EXIT_BACKEND
+                    )
 
 
 # ---------------------------------------------------------------------------

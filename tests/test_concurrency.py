@@ -355,14 +355,11 @@ class TestServiceStress:
         fired = [c.log.count(("map", "error")) for c in injector.callers]
         assert fired == [1] * fault_count + [0] * (THREADS - fault_count)
         assert service.stats.retries == fault_count
-        retry_events = [e for e in service.events if e[0] == "retry"]
-        assert len(retry_events) == fault_count
-        retried = {e[1] for e in retry_events}
-        by_id = {r.request_id: r for r in responses}
-        assert sum(r.retries for r in responses) == fault_count
-        for request_id in retried:
-            assert by_id[request_id].retries == 1
-            assert by_id[request_id].ok  # retried to success
+        retried = [r for r in responses if r.retries]
+        assert len(retried) == fault_count
+        for response in retried:
+            assert response.retries == 1
+            assert response.ok  # retried to success
 
         # the shared context was never invalidated (no writes), and the
         # memo actually carried load across threads

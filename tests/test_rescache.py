@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, SchemaFreeTranslator
-from repro.backends import BreakerConfig, MemoryBackend, ResilientBackend
+from repro.backends import MemoryBackend, TransientBackendError
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.context import TranslationContext
+from repro.core.resilience import Budget
 from repro.core.rescache import (
     ResultCache,
     canonical_fingerprint,
@@ -24,13 +25,7 @@ from repro.core.rescache import (
     schema_fingerprint,
 )
 from repro.sqlkit import parse, render
-from repro.testing import (
-    FaultInjector,
-    FaultyBackend,
-    RenameTable,
-    VirtualClock,
-    evolve,
-)
+from repro.testing import FaultyBackend, RenameTable, evolve
 
 from .conftest import make_fig1_catalog, populate_fig1
 
@@ -263,34 +258,30 @@ class TestTranslatorCache:
         tr.translate(QUERY)
         assert not tr.translate(QUERY)[0].cached
 
-    def test_pinned_start_rung_bypasses(self):
-        backend = ResilientBackend(
-            MemoryBackend(make_db()), breaker=BreakerConfig(failure_threshold=1)
-        )
-        tr, ctx = cached_translator(backend)
-        tr.translate(QUERY)
-        entries = ctx.result_cache_entries()
-        backend.breaker.record(False)  # tripped: the backend advises greedy
-        pinned = tr.translate(QUERY)
-        assert pinned[0].rung == "greedy"
-        assert not pinned[0].cached
-        # and the pinned result was not admitted either
-        assert not tr.translate(QUERY)[0].cached
-        assert ctx.result_cache_entries() == entries
-
-    def test_backend_demoted_mid_call_is_not_admitted(self):
-        injector = FaultInjector(clock=VirtualClock(origin=None))
-        faulty = FaultyBackend(MemoryBackend(make_db()), injector)
-        faulty.inject_error("sample", repeat=True)
-        backend = ResilientBackend(
-            faulty, clock=injector.clock, sleep=injector.advance
-        )
-        tr, ctx = cached_translator(backend)
-        # advice is None at the start of the call, so it runs at full,
-        # but its statistics sampling fails on the way
-        assert tr.translate(QUERY)[0].rung == "full"
-        assert backend.start_advice is not None
+    def test_budget_degraded_call_is_not_admitted(self):
+        tr, ctx = cached_translator()
+        degraded = tr.translate(QUERY, budget=Budget(max_expansions=1))
+        assert degraded[0].rung == "greedy"
         assert ctx.result_cache_entries() == 0
+        # the next call with budget to spare runs, and stores, full
+        full = tr.translate(QUERY)
+        assert full[0].rung == "full"
+        assert not full[0].cached
+        assert tr.translate(QUERY)[0].cached
+
+    def test_failed_backend_read_admits_nothing(self):
+        faulty = FaultyBackend(MemoryBackend(make_db()))
+        tr, ctx = cached_translator(faulty)
+        faulty.inject_error("sample")
+        with pytest.raises(TransientBackendError):
+            tr.translate(QUERY)
+        assert ctx.result_cache_entries() == 0
+        # the retry reads the samples again and is admitted
+        retried = tr.translate(QUERY)
+        assert not retried[0].cached
+        assert ctx.result_cache_entries() == 1
+        fresh = SchemaFreeTranslator(make_db()).translate(QUERY)
+        assert [t.sql for t in retried] == [t.sql for t in fresh]
 
     def test_top_k_is_part_of_the_key(self):
         config = dataclasses.replace(CACHED_CONFIG, top_k=1)

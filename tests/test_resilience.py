@@ -295,54 +295,19 @@ class TestBudgetExhaustionPaths:
         with pytest.raises(BudgetExceeded):
             fig1_translator.translate(PAPER_QUERY, budget=budget, degrade=False)
 
-    @staticmethod
-    def pinned_translator(db) -> SchemaFreeTranslator:
-        """A translator whose backend advises starting at ``greedy``."""
-        from repro.backends import MemoryBackend, ResilientBackend
-
-        backend = ResilientBackend(MemoryBackend(db))
-        backend.health.stats_degraded = True
-        assert backend.start_advice[0] == "greedy"
-        return SchemaFreeTranslator(backend)
-
-    def test_pinned_ladder_runs_no_search_without_degrade(self, fig1_db):
-        # the full search is skipped, so a budget that would stop it
-        # raises nothing with degrade off: greedy charges no expansions
-        translator = self.pinned_translator(fig1_db)
-        best = translator.translate_best(
+    def test_every_ladder_starts_with_the_full_search(self, fig1_translator):
+        # no backend can pin a translation below full: greedy runs only
+        # after the full search spent its budget, which it charged
+        best = fig1_translator.translate_best(
             "SELECT title? WHERE director?.name = 'James Cameron'",
             budget=Budget(max_expansions=2),
-            degrade=False,
         )
         assert best.rung == "greedy"
-        assert translator.last_translation_stats.expansions == 0
-        assert translator.last_degradation[-1].startswith("greedy single")
-
-    def test_pinned_ladder_raises_no_network_without_degrade(self):
-        translator = self.pinned_translator(make_islands_db())
-        with pytest.raises(NoJoinNetworkError) as exc_info:
-            translator.translate_best(
-                "SELECT alpha_name?, beta_name?", degrade=False
-            )
-        assert exc_info.value.diagnostic.stage == "network"
-        assert exc_info.value.diagnostic.degradation[-2:] == (
-            "ladder pinned at 'greedy': skipping full",
-            "greedy join path could not connect all trees",
-        )
-
-    def test_pinned_ladder_refuses_a_spent_deadline(self, fig1_db):
-        # no full search ran, so the refusal is the budget's own error
-        translator = self.pinned_translator(fig1_db)
-        clock = FakeClock()
-        budget = Budget(deadline=1.0, clock=clock)
-        clock.advance(5.0)
-        with pytest.raises(BudgetExceeded) as exc_info:
-            translator.translate_best("SELECT title?", budget=budget)
-        assert exc_info.value.diagnostic.stage == "network"
-        assert exc_info.value.diagnostic.degradation[-2:] == (
-            "ladder pinned at 'greedy': skipping full",
-            "greedy join path skipped: deadline passed",
-        )
+        steps = fig1_translator.last_degradation
+        assert len(steps) == 2
+        assert steps[0].startswith("full search abandoned")
+        assert steps[1].startswith("greedy single")
+        assert fig1_translator.last_translation_stats.expansions > 0
 
     def test_degradation_defaults_on_when_budgeted(self, fig1_translator, fig1_db):
         # same starved budget, but degrade is left to default: the ladder

@@ -7,7 +7,6 @@ manual counters or the fault injector's virtual clock, and backoff
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,17 +20,11 @@ from repro import (
     SqlSyntaxError,
     TranslationError,
 )
-from repro.backends import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    CircuitBreaker,
-    MemoryBackend,
-    ResilientBackend,
-)
+from repro.backends import SqliteBackend, TransientBackendError
+from repro.cli import EXIT_BACKEND, exit_code_for
 from repro.core import SchemaFreeTranslator
-from repro.core.config import DEFAULT_CONFIG
+from repro.engine.io import export_to_sqlite
+from repro.obs import RingBufferExporter, Tracer
 from repro.service import NO_RETRY, RetryPolicy, ServiceConfig, jitter_fraction
 from repro.testing import FaultyBackend, VirtualClock
 from repro.testing.faults import FaultInjector, InjectedFault
@@ -84,149 +77,6 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# the backend circuit breaker's state machine (manual clock, no sleeps)
-# ---------------------------------------------------------------------------
-
-
-class ManualClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, cooldown=5.0):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=threshold, cooldown=cooldown),
-            clock=clock,
-        )
-        return breaker, clock
-
-    def test_starts_closed_full_strength(self):
-        breaker, _ = self.make()
-        assert breaker.state == CLOSED
-        assert breaker.admit() is False
-        assert breaker.state == CLOSED
-
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker, _ = self.make(threshold=3)
-        breaker.record(False)
-        breaker.record(False)
-        assert breaker.state == CLOSED
-        breaker.record(False)
-        assert breaker.state == OPEN
-        assert breaker.trip_count == 1
-        assert breaker.admit() is False
-        assert breaker.state == OPEN
-
-    def test_success_resets_consecutive_count(self):
-        breaker, _ = self.make(threshold=2)
-        breaker.record(False)
-        breaker.record(True)
-        breaker.record(False)
-        assert breaker.state == CLOSED  # never 2 in a row
-
-    def test_half_open_probe_after_cooldown(self):
-        breaker, clock = self.make(threshold=1, cooldown=5.0)
-        breaker.record(False)
-        assert breaker.state == OPEN
-        # before cooldown: still pinned
-        clock.advance(4.9)
-        assert breaker.admit() is False
-        assert breaker.state == OPEN
-        clock.advance(0.2)
-        assert breaker.admit() is True  # the probe
-        assert breaker.state == HALF_OPEN
-        # others stay pinned while the probe is in flight
-        assert breaker.admit() is False
-        assert breaker.state == HALF_OPEN
-
-    def test_probe_success_closes(self):
-        breaker, clock = self.make(threshold=1, cooldown=1.0)
-        breaker.record(False)
-        clock.advance(1.0)
-        probe = breaker.admit()
-        assert probe
-        breaker.record(True, probe=True)
-        assert breaker.state == CLOSED
-        assert breaker.admit() is False
-        assert breaker.state == CLOSED
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        breaker, clock = self.make(threshold=1, cooldown=5.0)
-        breaker.record(False)
-        clock.advance(5.0)
-        probe = breaker.admit()
-        assert probe
-        breaker.record(False, probe=True)
-        assert breaker.state == OPEN
-        assert breaker.trip_count == 2
-        # cooldown restarted at the re-open
-        clock.advance(4.0)
-        assert breaker.admit() is False
-        assert breaker.state == OPEN
-        clock.advance(1.0)
-        assert breaker.admit() is True
-        assert breaker.state == HALF_OPEN
-
-    def test_abstain_releases_probe_without_closing(self):
-        breaker, clock = self.make(threshold=1, cooldown=1.0)
-        breaker.record(False)
-        clock.advance(1.0)
-        probe = breaker.admit()
-        assert probe
-        breaker.abstain(probe=True)
-        assert breaker.state == HALF_OPEN
-        # the next admit sends another probe
-        assert breaker.admit() is True
-
-    def test_transition_trace_is_exact(self):
-        breaker, clock = self.make(threshold=1, cooldown=1.0)
-        breaker.record(False)
-        clock.advance(1.0)
-        breaker.admit()
-        breaker.record(True, probe=True)
-        states = [(a, b) for a, b, _ in breaker.transitions]
-        assert states == [
-            (CLOSED, OPEN),
-            (OPEN, HALF_OPEN),
-            (HALF_OPEN, CLOSED),
-        ]
-
-    def test_open_failures_do_not_stack_trips(self):
-        breaker, _ = self.make(threshold=1)
-        breaker.record(False)
-        breaker.record(False)
-        breaker.record(False)
-        assert breaker.trip_count == 1
-
-    def test_open_breaker_pins_the_start_advice(self):
-        clock = ManualClock()
-        backend = ResilientBackend(
-            MemoryBackend(make_db()),
-            breaker=BreakerConfig(failure_threshold=1),
-            clock=clock,
-        )
-        assert backend.start_advice is None
-        backend.breaker.record(False)
-        assert backend.start_advice == ("greedy", "circuit breaker open")
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BreakerConfig(failure_threshold=0)
-        # an open breaker always advises greedy: there is no rung to pick
-        assert [f.name for f in dataclasses.fields(BreakerConfig)] == [
-            "failure_threshold", "cooldown"
-        ]
-
-
-# ---------------------------------------------------------------------------
 # admission control and load shedding
 # ---------------------------------------------------------------------------
 
@@ -258,9 +108,9 @@ class TestAdmission:
             gate.set()
             assert first.result(timeout=30).ok
             assert second.result(timeout=30).ok
+        assert shed.request_id == 3
         assert service.stats.shed == 1
         assert service.stats.completed == 2
-        assert ("shed", 3) in service.events
 
     def test_slot_released_after_completion(self):
         config = ServiceConfig(workers=1, queue_limit=0)
@@ -297,14 +147,19 @@ class TestRetries:
         injector = FaultInjector()
         injector.inject_error("map", trigger=1)  # first map visit only
         config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=2))
-        with QueryService(make_db(), config, faults=injector) as service:
+        ring = RingBufferExporter()
+        with QueryService(
+            make_db(), config, faults=injector, tracer=Tracer(exporters=[ring])
+        ) as service:
             response = service.serve_inline(CAMERON)
         assert response.ok
         assert response.retries == 1
         assert response.rung == "full"
         # the backoff was the deterministic schedule, on the virtual clock
         expected = config.retry.backoff(response.request_id, 1)
-        assert ("retry", response.request_id, 1, expected) in service.events
+        (request,) = [s for s in ring.spans() if s.name == "service.request"]
+        retries = [e["attributes"] for e in request.events if e["name"] == "retry"]
+        assert retries == [{"attempt": 1, "delay": round(expected, 6)}]
         assert response.elapsed >= expected  # virtual time, not wall time
         assert service.stats.retries == 1
 
@@ -382,43 +237,62 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# backend advice: folded once, by the translator
+# backend faults: the service's retry loop is the only retry owner
 # ---------------------------------------------------------------------------
 
 
-class TestBackendAdvice:
-    """A ResilientBackend's rung advice reaches a served request through
-    the translator alone, so the reason it records survives serving."""
+class TestBackendRetries:
+    """Transient SQLite faults on the served path: the service re-runs
+    the translation, and a fault that outlasts its retries fails the
+    request typed."""
 
-    STEP = "backend degraded (statistics sampling failed)"
-    CACHED = dataclasses.replace(DEFAULT_CONFIG, result_cache_size=16)
+    QUERIES = (CAMERON, HANKS, "SELECT title? WHERE year? > 2000")
 
-    def make_backend(self) -> ResilientBackend:
+    @staticmethod
+    def make_service(faulty: bool):
         injector = FaultInjector(clock=VirtualClock(origin=None))
-        faulty = FaultyBackend(MemoryBackend(make_db()), injector)
-        faulty.inject_error("sample", repeat=True)
-        return ResilientBackend(
-            faulty, clock=injector.clock, sleep=injector.advance
+        backend = SqliteBackend(export_to_sqlite(make_db(), ":memory:"))
+        if faulty:
+            backend = FaultyBackend(backend, injector)
+        service = QueryService(
+            backend, ServiceConfig(workers=1), faults=injector
         )
+        return service, backend
 
-    def test_served_request_keeps_the_backend_reason(self):
-        translator = SchemaFreeTranslator(self.make_backend(), self.CACHED)
-        translator.translate(CAMERON)  # sampling fails: health degrades
-        direct = translator.translate(CAMERON)[0]
+    def fault_free_answers(self) -> list:
+        service, _ = self.make_service(faulty=False)
+        with service:
+            return [
+                [t.sql for t in service.serve_inline(q).translations]
+                for q in self.QUERIES
+            ]
 
-        config = ServiceConfig(workers=1, translator=self.CACHED)
-        with QueryService(self.make_backend(), config) as service:
-            service.serve_inline(CAMERON)
-            stored = service.context().result_cache_entries()
-            served = service.serve_inline(CAMERON)
-            assert service.context().result_cache_entries() == stored
+    @pytest.mark.parametrize("op", ["sample", "version"])
+    def test_one_backend_fault_is_retried_to_the_same_answer(self, op):
+        service, backend = self.make_service(faulty=True)
+        backend.reset()  # building the service read the backend
+        backend.inject_error(op)
+        with service:
+            responses = [service.serve_inline(q) for q in self.QUERIES]
+        assert backend.log == [(op, "error")]
+        assert all(r.ok for r in responses)
+        assert [r.retries for r in responses] == [1, 0, 0]
+        assert [
+            [t.sql for t in r.translations] for r in responses
+        ] == self.fault_free_answers()
+        assert service.stats.retries == 1
 
-        assert served.ok
-        steps = served.translations[0].degradation
-        assert sum(step.startswith(self.STEP) for step in steps) == 1
-        assert served.rung == direct.rung != "full"
-        assert steps == direct.degradation
-        assert not served.cached
+    def test_a_repeating_fault_fails_typed_after_two_retries(self):
+        service, backend = self.make_service(faulty=True)
+        backend.inject_error("sample", repeat=True)
+        with service:
+            response = service.serve_inline(CAMERON)
+        assert not response.ok
+        assert isinstance(response.error, TransientBackendError)
+        assert response.retries == 2
+        assert exit_code_for(response.error) == EXIT_BACKEND == 7
+        assert response.error.diagnostic.stage == "backend"
+        assert service.stats.failed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +311,15 @@ class TestResponseSurface:
         assert data["rung"] == "full"
         assert data["sql"].startswith("SELECT")
 
-    def test_snapshot_has_stats_breakers_memo(self):
-        backend = ResilientBackend(MemoryBackend(make_db()))
-        with QueryService(backend, ServiceConfig(workers=2)) as service:
+    def test_snapshot_has_stats_and_memo(self):
+        with QueryService(make_db(), ServiceConfig(workers=2)) as service:
             for query in (CAMERON, HANKS):
                 service.serve_inline(query)
             snapshot = service.snapshot()
         assert snapshot["stats"]["completed"] == 2
-        # the one breaker is the backend's
-        assert "breakers" not in snapshot
-        assert snapshot["backends"]["default"]["breaker"]["state"] == CLOSED
         assert "tree_sim_misses" in snapshot["memo"]["default"]
+        # the service keeps no breaker and no backend health
+        assert set(snapshot) == {"config", "stats", "memo", "artifacts"}
 
     def test_close_is_idempotent(self):
         service = QueryService(make_db(), ServiceConfig(workers=1))
@@ -464,14 +336,19 @@ class TestCloseAndPinning:
     def test_submit_after_close_refuses_typed(self):
         from repro import ServiceClosed
 
-        service = QueryService(make_db(), ServiceConfig(workers=1))
+        ring = RingBufferExporter()
+        service = QueryService(
+            make_db(), ServiceConfig(workers=1), tracer=Tracer(exporters=[ring])
+        )
         service.close()
         response = service.serve_inline(CAMERON)
         assert not response.ok
         assert isinstance(response.error, ServiceClosed)
         assert response.outcome == "failed"
         assert service.closed
-        assert ("closed", response.request_id) in service.events
+        assert service.stats.failed == 1
+        (request,) = ring.spans()
+        assert [e["name"] for e in request.events] == ["closed"]
 
     def test_concurrent_close_and_submit_never_raises(self):
         """Requests racing close() on caller threads always return a
